@@ -13,6 +13,7 @@ from .costs import (
     validate,
 )
 from .errors import (
+    CertificateError,
     DimensionError,
     GraverNashError,
     InfeasibleError,
@@ -32,7 +33,7 @@ from .game import (
     player_cost,
     provider_cost,
 )
-from .graver import GraverBasis, conformal_reduce, graver_basis, verify_graver_basis
+from .graver import GraverBasis, conformal_reduce, graver_basis
 from .inverse import (
     IiopAnswer,
     IiopInstance,

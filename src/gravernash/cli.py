@@ -21,11 +21,7 @@ import sys
 import time
 
 from . import serialize
-from .errors import (
-    GraverNashError,
-    InfeasibleError,
-    ResourceCapExceeded,
-)
+from .errors import DimensionError, InfeasibleError, ResourceCapExceeded
 from .game import (
     best_response,
     find_equilibrium,
@@ -117,7 +113,7 @@ def _cmd_verify_equilibrium(data, cap):
 def _cmd_best_response(data, cap):
     game = serialize.game_from_json(data["game"])
     profile = serialize.profile_from_json(data["profile"])
-    player = int(data["player"])
+    player = serialize.int_from_json(data["player"])
     z = best_response(game, profile, player, cap=cap)
     return {"player": player, "strategy": list(z)}, {}
 
@@ -148,19 +144,23 @@ def _cmd_oracle(data, cap, seed=None):
     op = data.get("op")
     if op == "random-graver":
         rng = random.Random(seed)
-        rows, cols = int(data["rows"]), int(data["cols"])
-        entry_bound = int(data.get("entry_bound", 2))
+        rows = serialize.int_from_json(data["rows"])
+        cols = serialize.int_from_json(data["cols"])
+        entry_bound = serialize.int_from_json(data.get("entry_bound", 2))
         matrix = IntMatrix.from_rows(
             [
                 [rng.randint(-entry_bound, entry_bound) for _ in range(cols)]
                 for _ in range(rows)
             ]
         )
-        basis = brute_graver(matrix, int(data.get("bound", 3)), cap=cap)
+        bound = serialize.int_from_json(data.get("bound", 3))
+        basis = brute_graver(matrix, bound, cap=cap)
         return serialize.graver_to_json(basis), {"graver_size": len(basis)}
     if op == "graver":
         basis = brute_graver(
-            serialize.matrix_from_json(data["D"]), int(data["bound"]), cap=cap
+            serialize.matrix_from_json(data["D"]),
+            serialize.int_from_json(data["bound"]),
+            cap=cap,
         )
         return serialize.graver_to_json(basis), {"graver_size": len(basis)}
     if op == "ip":
@@ -229,6 +229,8 @@ def main(argv=None) -> int:
             data = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise serialize.ValidationError(f"invalid JSON input: {exc}") from exc
+        if not isinstance(data, dict):
+            raise serialize.ValidationError("the input must be a JSON object")
 
         cap = args.cap if args.cap is not None else DEFAULT_ELEMENT_CAP
         start = time.perf_counter()
@@ -247,7 +249,8 @@ def main(argv=None) -> int:
         report["status"] = "cap-exceeded"
         _diag(args, str(exc))
         code = EXIT_CAP
-    except (serialize.ValidationError, InfeasibleError, GraverNashError, KeyError) as exc:
+    # a CertificateError is a program fault, not an input error: it propagates
+    except (serialize.ValidationError, DimensionError, InfeasibleError, KeyError) as exc:
         if isinstance(exc, InfeasibleError):
             report["status"] = "infeasible"
             code = EXIT_NEGATIVE

@@ -19,3 +19,7 @@ class InfeasibleError(GraverNashError):
 
 class ValidationError(GraverNashError, ValueError):
     """Input data violates a structural invariant."""
+
+
+class CertificateError(GraverNashError):
+    """An internal result failed its independent check: a program fault."""

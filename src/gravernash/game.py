@@ -19,7 +19,7 @@ from fractions import Fraction
 from .costs import ZERO_COST, SeparableObjective, ShiftedCost, validate
 from .errors import DimensionError, InfeasibleError, ValidationError
 from .linalg import IntMatrix, IntVec, vadd, vsub
-from .nfold import NfoldSpec, TypeCatalog, build_multitype_matrix, build_nash_matrix
+from .nfold import TypeCatalog, build_multitype_matrix
 from .solver import DEFAULT_ELEMENT_CAP, IpInstance, solve_ip
 
 
@@ -177,6 +177,8 @@ def _best_response_instance(
 def best_response(
     game: GameInstance, profile: StrategyProfile, k: int, cap: int = DEFAULT_ELEMENT_CAP
 ) -> IntVec:
+    if not 0 <= k < game.num_players:
+        raise ValidationError(f"player index {k} out of range")
     if not is_feasible_profile(game, profile):
         raise InfeasibleError("profile violates the game constraints")
     inst = _best_response_instance(game, profile, k)
@@ -207,11 +209,6 @@ def is_generalized_nash(
     )
 
 
-def _all_same_type(game: GameInstance) -> bool:
-    first = game.players[0]
-    return all(p.A == first.A and p.B == first.B for p in game.players)
-
-
 def equilibrium_instance(game: GameInstance) -> IpInstance:
     """The provider-cost minimization whose optima are equilibria.
 
@@ -220,20 +217,16 @@ def equilibrium_instance(game: GameInstance) -> IpInstance:
     interval arithmetic over the strategy boxes.
     """
     n, m, N = game.n, game.m, game.num_players
-    if _all_same_type(game):
-        spec = NfoldSpec(A=game.players[0].A, B=game.players[0].B, N=N)
-        matrix = build_nash_matrix(spec)
-    else:
-        types: list[tuple[IntMatrix, IntMatrix]] = []
-        assignment = []
-        for p in game.players:
-            key = (p.A, p.B)
-            if key not in types:
-                types.append(key)
-            assignment.append(types.index(key))
-        matrix = build_multitype_matrix(
-            TypeCatalog(types=tuple(types), assignment=tuple(assignment))
-        )
+    types: list[tuple[IntMatrix, IntMatrix]] = []
+    assignment = []
+    for p in game.players:
+        key = (p.A, p.B)
+        if key not in types:
+            types.append(key)
+        assignment.append(types.index(key))
+    matrix = build_multitype_matrix(
+        TypeCatalog(types=tuple(types), assignment=tuple(assignment))
+    )
 
     rhs = tuple([0] * n) + tuple(game.b0)
     for p in game.players:

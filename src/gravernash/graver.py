@@ -124,18 +124,3 @@ def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
     ]
     return GraverBasis(matrix=mat, elements=tuple(minimal))
 
-
-def verify_graver_basis(basis: GraverBasis, bound: int) -> bool:
-    """Cross-check against the brute-force enumeration oracle.
-
-    Compares the elements of `basis` with max-norm <= bound to the
-    exhaustive conformal-minimality computation over the same box.
-    Test-facing only.
-    """
-    from .oracle import brute_graver  # deferred: oracle depends on GraverBasis
-
-    from .linalg import inf_norm
-
-    expected = set(brute_graver(basis.matrix, bound).elements)
-    got = {g for g in basis.elements if inf_norm(g) <= bound}
-    return got == expected

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, ValidationError
+from .errors import CertificateError, DimensionError, ValidationError
 
 IntVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
@@ -219,9 +219,8 @@ def kernel_lattice_basis(mat: IntMatrix) -> list[IntVec]:
         v = tuple(u[j])
         basis.append(_sign_normalized(v))
     # rank accounting: pivots + kernel vectors cover all columns
-    assert k + len(basis) == c
-    for v in basis:
-        assert is_zero(mat.matvec(v))
+    if k + len(basis) != c or not all(is_zero(mat.matvec(v)) for v in basis):
+        raise CertificateError("kernel lattice basis failed its self-check")
     return sorted(basis)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionError
+from .errors import CertificateError, DimensionError
 from .linalg import RatVec, dot
 
 ZERO = Fraction(0)
@@ -108,7 +108,8 @@ def rational_lp_feasibility(
 
     y = _multipliers(tableau, basis, cost, n, m)
     y_strict = y[m]
-    assert y_strict > 0
+    if y_strict <= 0:
+        raise CertificateError("phase-1 duals give no Farkas ray")
     ray = FarkasRay(tuple(-y[i] / y_strict for i in range(m)))
     _check_ray(rows, strict_row, ray.coefficients)
     return ray
@@ -140,13 +141,15 @@ def _pivot(tableau, row, col):
 
 
 def _check_point(rows, strict_row, lam) -> None:
-    assert all(x >= 0 for x in lam)
-    assert all(dot(r, lam) >= 0 for r in rows)
-    assert dot(strict_row, lam) > 0
+    if not (
+        all(x >= 0 for x in lam)
+        and all(dot(r, lam) >= 0 for r in rows)
+        and dot(strict_row, lam) > 0
+    ):
+        raise CertificateError("simplex point violates the system")
 
 
 def _check_ray(rows, strict_row, v) -> None:
-    assert all(x >= 0 for x in v)
-    for j in range(len(strict_row)):
-        combo = sum(vi * r[j] for vi, r in zip(v, rows)) + strict_row[j]
-        assert combo <= 0
+    combos = [sum(vi * r[j] for vi, r in zip(v, rows)) + s for j, s in enumerate(strict_row)]
+    if not (all(x >= 0 for x in v) and all(c <= 0 for c in combos)):
+        raise CertificateError("Farkas ray does not certify infeasibility")

@@ -11,7 +11,9 @@ with equal column count n and a player count N:
   matrix's columns, with per-brick variable groups (x, w, s), used for
   the zero-padding embedding of kernel elements.
 
-A multitype variant allows a small catalog of per-player (A, B) pairs.
+The equilibrium matrix has one builder, `build_multitype_matrix`, which
+takes a small catalog of per-player (A, B) pairs; the nash matrix is its
+one-type case.
 """
 
 from __future__ import annotations
@@ -102,38 +104,23 @@ def build_nfold(spec: NfoldSpec) -> IntMatrix:
 
 
 def build_nash_matrix(spec: NfoldSpec) -> IntMatrix:
-    """Constraint matrix for equilibrium computation.
-
-    Columns: N x-blocks of width n, then y (n), then s (m).
-    Rows: aggregation (sum_i x^i - y = 0, n rows), coupling with slack
-    (sum_i B x^i + s = b^0, m rows), then A x^i = b^i per player.
-    The slack identity has dimension m, matching B and b^0.
-    """
-    n, m, d, N = spec.n, spec.m, spec.d, spec.N
-    eye_n = IntMatrix.identity(n)
-    neg_eye_n = IntMatrix(n, n, tuple(tuple(-x for x in r) for r in eye_n.entries))
-    agg = hstack([eye_n] * N + [neg_eye_n, IntMatrix.zero(n, m)])
-    coupling = hstack([spec.B] * N + [IntMatrix.zero(m, n), IntMatrix.identity(m)])
-    players = hstack(
-        [block_diagonal([spec.A] * N), IntMatrix.zero(N * d, n), IntMatrix.zero(N * d, m)]
+    """Equilibrium matrix of N players sharing (A, B); see build_multitype_matrix."""
+    return build_multitype_matrix(
+        TypeCatalog(types=((spec.A, spec.B),), assignment=(0,) * spec.N)
     )
-    return vstack([agg, coupling, players])
 
 
-def _coupling_brick(spec: NfoldSpec) -> IntMatrix:
-    """Per-brick coupling block over the variable groups (x, w, s).
+def _linking_rows(bs: list[IntMatrix], n: int, m: int) -> IntMatrix:
+    """Aggregation and coupling-with-slack rows, one x-block per B in `bs`.
 
-    Rows: aggregation (I_n, -I_n, 0) and coupling-with-slack (B, 0, I_m).
-    Merging the slack identity into the B rows is what makes the
-    zero-padding of equilibrium-matrix kernel elements land in the
-    kernel of the enlarged matrix.
+    Columns: the x-blocks, then y (n), then s (m).  Rows: aggregation
+    (I_n per block, -I_n, 0) and coupling (B per block, 0, I_m).
     """
-    n, m = spec.n, spec.m
     eye_n = IntMatrix.identity(n)
     neg_eye_n = IntMatrix(n, n, tuple(tuple(-x for x in r) for r in eye_n.entries))
-    top = hstack([eye_n, neg_eye_n, IntMatrix.zero(n, m)])
-    bottom = hstack([spec.B, IntMatrix.zero(m, n), IntMatrix.identity(m)])
-    return vstack([top, bottom])
+    agg = hstack([eye_n] * len(bs) + [neg_eye_n, IntMatrix.zero(n, m)])
+    coupling = hstack(list(bs) + [IntMatrix.zero(m, n), IntMatrix.identity(m)])
+    return vstack([agg, coupling])
 
 
 def build_c_matrix(spec: NfoldSpec) -> IntMatrix:
@@ -145,7 +132,11 @@ def build_c_matrix(spec: NfoldSpec) -> IntMatrix:
     """
     n, m = spec.n, spec.m
     a_prime = hstack([spec.A, IntMatrix.zero(spec.d, n), IntMatrix.zero(spec.d, m)])
-    return build_nfold(NfoldSpec(A=a_prime, B=_coupling_brick(spec), N=spec.N))
+    # merging the slack identity into the B rows is what makes the
+    # zero-padding of equilibrium-matrix kernel elements land in the
+    # kernel of the enlarged matrix
+    brick = _linking_rows([spec.B], n, m)
+    return build_nfold(NfoldSpec(A=a_prime, B=brick, N=spec.N))
 
 
 def embedded_columns(spec: NfoldSpec) -> list[int]:
@@ -180,53 +171,17 @@ def pad_to_c(g: IntVec, spec: NfoldSpec) -> IntVec:
 def build_multitype_matrix(catalog: TypeCatalog) -> IntMatrix:
     """Equilibrium matrix for players of differing types.
 
-    Built from the super-brick with one slot per type (block-diagonal
-    A-bar matrices, coupling row of B-bar matrices), with aggregation
-    and slack rows attached as in build_nash_matrix, then restricted to
-    each player's assigned type: unused slot columns and their diagonal
-    rows are deleted left-to-right.  With a single type this reproduces
-    build_nash_matrix exactly.
+    Columns: N x-blocks of width n, then y (n), then s (m).
+    Rows: aggregation (sum_i x^i - y = 0, n rows), coupling with slack
+    (sum_i B_t(i) x^i + s = b^0, m rows), then A_t(i) x^i = b^i per
+    player, where t(i) is player i's type.
     """
-    n, m, N, t = catalog.n, catalog.m, catalog.N, len(catalog.types)
-    eye_n = IntMatrix.identity(n)
-    neg_eye_n = IntMatrix(n, n, tuple(tuple(-x for x in r) for r in eye_n.entries))
-    super_a = block_diagonal([a for a, _ in catalog.types])
-    super_width = t * n
-
-    agg = hstack([hstack([eye_n] * t)] * N + [neg_eye_n, IntMatrix.zero(n, m)])
-    coupling = hstack(
-        [hstack([b for _, b in catalog.types])] * N
-        + [IntMatrix.zero(m, n), IntMatrix.identity(m)]
-    )
-    players = hstack(
+    n, m = catalog.n, catalog.m
+    pairs = [catalog.types[t] for t in catalog.assignment]
+    players = block_diagonal([a for a, _ in pairs])
+    return vstack(
         [
-            block_diagonal([super_a] * N),
-            IntMatrix.zero(N * super_a.nrows, n),
-            IntMatrix.zero(N * super_a.nrows, m),
+            _linking_rows([b for _, b in pairs], n, m),
+            hstack([players, IntMatrix.zero(players.nrows, n + m)]),
         ]
     )
-    full = vstack([agg, coupling, players])
-
-    # per-type offsets inside the super-brick
-    row_offsets = []
-    off = 0
-    for a, _ in catalog.types:
-        row_offsets.append(off)
-        off += a.nrows
-    total_d = off
-
-    keep_cols: list[int] = []
-    for i, ty in enumerate(catalog.assignment):
-        base = i * super_width + ty * n
-        keep_cols.extend(range(base, base + n))
-    keep_cols.extend(range(N * super_width, N * super_width + n + m))
-
-    keep_rows = list(range(n + m))
-    for i, ty in enumerate(catalog.assignment):
-        base = n + m + i * total_d + row_offsets[ty]
-        keep_rows.extend(range(base, base + catalog.types[ty][0].nrows))
-
-    rows = tuple(
-        tuple(full.entries[r][c] for c in keep_cols) for r in keep_rows
-    )
-    return IntMatrix(len(keep_rows), len(keep_cols), rows)

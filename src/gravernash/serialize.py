@@ -23,7 +23,7 @@ from .errors import ValidationError
 from .game import GameInstance, PlayerSpec, StrategyProfile
 from .graver import GraverBasis
 from .inverse import IiopAnswer, IiopInstance
-from .linalg import IntMatrix, RatVec, vec
+from .linalg import IntMatrix, IntVec, RatVec
 from .nfold import NfoldSpec, TypeCatalog
 from .solver import IpInstance
 
@@ -46,19 +46,40 @@ def frac_from_str(s: Any) -> Fraction:
     raise ValidationError(f"not a rational: {s!r}")
 
 
+def int_from_json(x: Any) -> int:
+    """An integer field: a JSON integer or an integral string, nothing else."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str):
+        try:
+            return int(x)
+        except ValueError as exc:
+            raise ValidationError(f"not an integer: {x!r}") from exc
+    raise ValidationError(f"not an integer: {x!r}")
+
+
+def intvec_from_json(obj: Any) -> IntVec:
+    if not isinstance(obj, list):
+        raise ValidationError(f"not a list of integers: {obj!r}")
+    return tuple(int_from_json(x) for x in obj)
+
+
 def matrix_to_json(m: IntMatrix) -> dict:
     return {"rows": m.nrows, "cols": m.ncols, "entries": m.to_lists()}
 
 
 def matrix_from_json(obj: Any) -> IntMatrix:
     if isinstance(obj, list):
-        if obj and not isinstance(obj[0], list):
-            raise ValidationError("matrix must be a list of rows")
         if not obj:
             raise ValidationError("matrix without explicit dimensions must be nonempty")
-        return IntMatrix.from_rows(obj)
+        return IntMatrix.from_rows([intvec_from_json(r) for r in obj])
     if isinstance(obj, dict):
-        return IntMatrix.from_rows(obj["entries"], ncols=obj["cols"])
+        entries = obj["entries"]
+        if not isinstance(entries, list):
+            raise ValidationError("matrix entries must be a list of rows")
+        return IntMatrix.from_rows(
+            [intvec_from_json(r) for r in entries], ncols=int_from_json(obj["cols"])
+        )
     raise ValidationError("matrix must be a list of rows or a dict")
 
 
@@ -102,10 +123,10 @@ def cost_from_json(obj: Any) -> UnivariateCost:
                 frac_from_str(obj["a"]), frac_from_str(obj["b"]), frac_from_str(obj["c"])
             )
         if kind == "power":
-            return PowerCost(frac_from_str(obj["a"]), int(obj["k"]))
+            return PowerCost(frac_from_str(obj["a"]), int_from_json(obj["k"]))
         if kind == "piecewise_linear":
             return PiecewiseLinearCost(
-                breakpoints=tuple(int(b) for b in obj["breakpoints"]),
+                breakpoints=intvec_from_json(obj["breakpoints"]),
                 slopes=ratvec_from_json(obj["slopes"]),
                 c0=frac_from_str(obj["c0"]),
             )
@@ -132,13 +153,15 @@ def graver_to_json(basis: GraverBasis) -> dict:
 def graver_from_json(obj: Any) -> GraverBasis:
     return GraverBasis(
         matrix=matrix_from_json(obj["matrix"]),
-        elements=tuple(vec(g) for g in obj["elements"]),
+        elements=tuple(intvec_from_json(g) for g in obj["elements"]),
     )
 
 
 def nfold_spec_from_json(obj: Any) -> NfoldSpec:
     return NfoldSpec(
-        A=matrix_from_json(obj["A"]), B=matrix_from_json(obj["B"]), N=int(obj["N"])
+        A=matrix_from_json(obj["A"]),
+        B=matrix_from_json(obj["B"]),
+        N=int_from_json(obj["N"]),
     )
 
 
@@ -147,7 +170,7 @@ def catalog_from_json(obj: Any) -> TypeCatalog:
         types=tuple(
             (matrix_from_json(t["A"]), matrix_from_json(t["B"])) for t in obj["types"]
         ),
-        assignment=tuple(int(i) for i in obj["assignment"]),
+        assignment=intvec_from_json(obj["assignment"]),
     )
 
 
@@ -163,8 +186,8 @@ def ip_instance_to_json(inst: IpInstance) -> dict:
 def ip_instance_from_json(obj: Any) -> IpInstance:
     return IpInstance(
         D=matrix_from_json(obj["D"]),
-        d=vec(obj["d"]),
-        u=vec(obj["u"]),
+        d=intvec_from_json(obj["d"]),
+        u=intvec_from_json(obj["u"]),
         objective=objective_from_json(obj["objective"]),
     )
 
@@ -181,8 +204,8 @@ def player_to_json(p: PlayerSpec) -> dict:
 def player_from_json(obj: Any) -> PlayerSpec:
     return PlayerSpec(
         A=matrix_from_json(obj["A"]),
-        b=vec(obj["b"]),
-        u=vec(obj["u"]),
+        b=intvec_from_json(obj["b"]),
+        u=intvec_from_json(obj["u"]),
         B=matrix_from_json(obj["B"]),
     )
 
@@ -198,7 +221,7 @@ def game_to_json(game: GameInstance) -> dict:
 def game_from_json(obj: Any) -> GameInstance:
     return GameInstance(
         players=tuple(player_from_json(p) for p in obj["players"]),
-        b0=vec(obj["b0"]),
+        b0=intvec_from_json(obj["b0"]),
         costs=objective_from_json(obj["costs"]),
     )
 
@@ -208,7 +231,7 @@ def profile_to_json(profile: StrategyProfile) -> dict:
 
 
 def profile_from_json(obj: Any) -> StrategyProfile:
-    return StrategyProfile(strategies=tuple(vec(s) for s in obj["strategies"]))
+    return StrategyProfile(strategies=tuple(intvec_from_json(s) for s in obj["strategies"]))
 
 
 def iiop_to_json(inst: IiopInstance) -> dict:
@@ -224,9 +247,9 @@ def iiop_to_json(inst: IiopInstance) -> dict:
 def iiop_from_json(obj: Any) -> IiopInstance:
     return IiopInstance(
         D=matrix_from_json(obj["D"]),
-        d=vec(obj["d"]),
-        u=vec(obj["u"]),
-        xstar=vec(obj["xstar"]),
+        d=intvec_from_json(obj["d"]),
+        u=intvec_from_json(obj["u"]),
+        xstar=intvec_from_json(obj["xstar"]),
         shapes=objective_from_json(obj["shapes"]),
     )
 
@@ -249,7 +272,7 @@ def answer_from_json(obj: Any) -> IiopAnswer:
     shifts: tuple = ()
     if "certificate" in obj:
         certificate = tuple(frac_from_str(pair[0]) for pair in obj["certificate"])
-        shifts = tuple(vec(pair[1]) for pair in obj["certificate"])
+        shifts = tuple(intvec_from_json(pair[1]) for pair in obj["certificate"])
     return IiopAnswer(verdict=verdict, lam=lam, shifts=shifts, certificate=certificate)
 
 

@@ -1,12 +1,14 @@
 """Separable convex integer minimization by Graver-basis augmentation.
 
 Solves min { sum_j f_j(x_j) : D x = d, 0 <= x <= u, x integer } by
-computing the Graver basis of D, finding a feasible start via a phase-1
-problem with artificial columns, and then greedily augmenting: at each
-iteration the (direction, step) pair with the largest improvement is
-applied, until no Graver step improves the objective.  Since a feasible
-point is optimal exactly when no single Graver step improves it, the
-terminating point is optimal.
+computing the Graver basis G(D) once and using it twice.  Phase 1 takes
+an integer solution of D x = d from the kernel lattice of [D | -d],
+widens the box to contain it, and walks along G(D) to a point of the
+original box.  Phase 2 greedily augments from there: at each iteration
+the (direction, step) pair with the largest improvement is applied,
+until no Graver step improves the objective.  Since a feasible point is
+optimal exactly when no single Graver step improves it, both walks end
+at optima.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .costs import ZERO_COST, AffineCost, SeparableObjective
+from .costs import SeparableObjective
 from .errors import DimensionError, ValidationError
 from .graver import DEFAULT_ELEMENT_CAP, GraverBasis, graver_basis
-from .linalg import IntMatrix, IntVec, vadd, vscale
+from .linalg import IntMatrix, IntVec, hstack, kernel_lattice_basis, vadd, vscale, vsub
 
 
 @dataclass(frozen=True)
@@ -141,44 +143,63 @@ def check_optimal(
     return True, None
 
 
-def find_feasible(inst: IpInstance, cap: int = DEFAULT_ELEMENT_CAP) -> Optional[IntVec]:
-    """Phase 1: minimize the sum of artificial columns absorbing d.
+def _integer_solution(D: IntMatrix, d: IntVec) -> Optional[IntVec]:
+    """Some x in Z^n with D x = d, or None when there is none.
 
-    One artificial per row with nonzero right-hand side, entering with
-    coefficient +-1 so that x = 0 plus artificials |d_i| is feasible for
-    the extended system; the original instance is feasible iff the
-    minimum is zero.
+    The kernel lattice of [D | -d] holds (x, t) exactly when D x = t d.
+    Euclid's algorithm on the last coordinates of its basis, carried
+    along the vectors, leaves one lattice vector whose last coordinate
+    is their gcd g; D x = d is solvable over Z iff g = 1.
     """
-    ncols = inst.D.ncols
-    nrows = inst.D.nrows
-    if all(v == 0 for v in inst.d):
-        return tuple(0 for _ in range(ncols))
+    column = IntMatrix(len(d), 1, tuple((-v,) for v in d))
+    acc = (0,) * (D.ncols + 1)
+    for v in kernel_lattice_basis(hstack([D, column])):
+        while v[-1]:
+            acc, v = v, vsub(acc, vscale(acc[-1] // v[-1], v))
+    return vscale(acc[-1], acc)[:-1] if abs(acc[-1]) == 1 else None
 
-    hot_rows = [i for i in range(nrows) if inst.d[i] != 0]
-    ext_rows = []
-    for i, row in enumerate(inst.D.entries):
-        art = [0] * len(hot_rows)
-        if inst.d[i] != 0:
-            art[hot_rows.index(i)] = 1 if inst.d[i] > 0 else -1
-        ext_rows.append(tuple(row) + tuple(art))
-    ext_matrix = IntMatrix(nrows, ncols + len(hot_rows), tuple(ext_rows))
-    ext_u = inst.u + tuple(abs(inst.d[i]) for i in hot_rows)
-    ext_obj = SeparableObjective(
-        tuple([ZERO_COST] * ncols + [AffineCost(Fraction(1), Fraction(0))] * len(hot_rows))
+
+@dataclass(frozen=True)
+class _RangeDistance:
+    """Distance of y from [lo, hi]: the phase-1 penalty of one coordinate."""
+
+    lo: int
+    hi: int
+
+    def value(self, y: int) -> int:
+        return max(self.lo - y, 0, y - self.hi)
+
+
+def find_feasible(inst: IpInstance, basis: GraverBasis) -> Optional[IntVec]:
+    """Phase 1: a feasible point of `inst`, or None when it has none.
+
+    `basis` is G(D).  An integer solution x0 of D x = d lies in the
+    widened box [min(0, x0), max(u, x0)], shifted here to start at 0;
+    augmenting along G(D) minimizes the summed distance of the
+    coordinates from their original ranges [0, u_j], and the instance
+    is feasible exactly when that minimum is 0.
+    """
+    x0 = _integer_solution(inst.D, inst.d)
+    if x0 is None:
+        return None
+    low = tuple(min(0, v) for v in x0)
+    wide = IpInstance(
+        inst.D,
+        vsub(inst.d, inst.D.matvec(low)),
+        tuple(max(ub, v) - lo for ub, v, lo in zip(inst.u, x0, low)),
+        SeparableObjective(
+            tuple(_RangeDistance(-lo, ub - lo) for ub, lo in zip(inst.u, low))
+        ),
     )
-    ext_inst = IpInstance(ext_matrix, inst.d, ext_u, ext_obj)
-    start = tuple([0] * ncols + [abs(inst.d[i]) for i in hot_rows])
-    basis = graver_basis(ext_matrix, cap=cap)
-    result = greedy_augment(start, basis, ext_inst)
+    result = greedy_augment(vsub(x0, low), basis, wide)
     if result.objective != 0:
         return None
-    assert result.x is not None
-    return result.x[:ncols]
+    return vadd(result.x, low)
 
 
 def solve_ip(inst: IpInstance, cap: int = DEFAULT_ELEMENT_CAP) -> SolveResult:
     basis = graver_basis(inst.D, cap=cap)
-    x0 = find_feasible(inst, cap=cap)
+    x0 = find_feasible(inst, basis)
     if x0 is None:
         return SolveResult(
             status="infeasible",

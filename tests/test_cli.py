@@ -117,6 +117,18 @@ def test_best_response_command(tmp_path, capsys):
     assert report["result"]["strategy"] == [0, 1]
 
 
+@pytest.mark.parametrize("player", [-1, 5])
+def test_best_response_player_out_of_range(tmp_path, capsys, player):
+    inp = write(
+        tmp_path,
+        "br.json",
+        {"game": GAME, "profile": {"strategies": [[1, 0], [1, 0]]}, "player": player},
+    )
+    code, report = run(capsys, ["best-response", "--input", inp, "--quiet"])
+    assert code == 2
+    assert report["status"] == "input-error"
+
+
 def test_inverse_no_and_verify(tmp_path, capsys):
     inp = write(tmp_path, "iiop.json", IIOP_NO)
     code, report = run(capsys, ["inverse", "--input", inp])
@@ -186,6 +198,23 @@ def test_input_error_exit_codes(tmp_path, capsys):
     wrong = write(tmp_path, "wrong.json", {"unexpected": 1})
     code, report = run(capsys, ["graver", "--input", wrong, "--quiet"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("nfold", {"A": [[1, 1]], "B": [[1, 0]], "N": "x"}),
+        ("graver", [1, 2]),
+        ("solve", {"D": [[1, 1, 1]], "d": [3], "u": [2.5, True, 3], "objective": [SQ] * 3}),
+    ],
+)
+def test_malformed_input_is_one_json_report(tmp_path, capsys, command, data):
+    inp = write(tmp_path, "bad.json", data)
+    code = main([command, "--input", inp, "--quiet"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert len(lines) == 1
+    assert json.loads(lines[0])["status"] == "input-error"
 
 
 def test_cap_exit_code(tmp_path, capsys):

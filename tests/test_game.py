@@ -70,6 +70,13 @@ def test_player_cost_index_out_of_range():
         player_cost(game, StrategyProfile(((1, 0), (0, 1))), 2)
 
 
+@pytest.mark.parametrize("k", [-1, 2])
+def test_best_response_index_out_of_range(k):
+    game = two_player_game()
+    with pytest.raises(ValidationError):
+        best_response(game, StrategyProfile(((1, 0), (0, 1))), k)
+
+
 def test_best_response_examples():
     game = two_player_game()
     assert best_response(game, StrategyProfile(((0, 1), (1, 0))), 0) == (0, 1)

@@ -8,13 +8,23 @@ from gravernash import (
     brute_graver,
     conformal_reduce,
     graver_basis,
-    verify_graver_basis,
 )
 from gravernash.graver import GraverBasis
 from gravernash.linalg import conformal_leq, inf_norm, is_zero, one_norm, sign_compatible, vneg, vsub
 from gravernash.oracle import Box, enumerate_box_points
 
 from conftest import rand_matrix
+
+
+def verify_graver_basis(basis: GraverBasis, bound: int) -> bool:
+    """Cross-check against the brute-force enumeration oracle.
+
+    Compares the elements of `basis` with max-norm <= bound to the
+    exhaustive conformal-minimality computation over the same box.
+    """
+    expected = set(brute_graver(basis.matrix, bound).elements)
+    got = {g for g in basis.elements if inf_norm(g) <= bound}
+    return got == expected
 
 
 def test_known_bases():

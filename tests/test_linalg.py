@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gravernash import DimensionError, IntMatrix, conformal_leq, kernel_lattice_basis, sign_compatible
+from gravernash import (
+    CertificateError,
+    DimensionError,
+    IntMatrix,
+    conformal_leq,
+    kernel_lattice_basis,
+    sign_compatible,
+)
+from gravernash import linalg
 from gravernash.linalg import is_zero
 from gravernash.oracle import Box, enumerate_box_points
 
@@ -50,6 +58,12 @@ def test_kernel_basis_examples():
     assert kernel_lattice_basis(IntMatrix.from_rows([[1, 1]])) == [(1, -1)]
     assert kernel_lattice_basis(IntMatrix.from_rows([[2, 3]])) == [(3, -2)]
     assert kernel_lattice_basis(IntMatrix.identity(2)) == []
+
+
+def test_kernel_self_check_rejects_a_corrupted_basis(monkeypatch):
+    monkeypatch.setattr(linalg, "_sign_normalized", lambda v: (v[0] + 1,) + v[1:])
+    with pytest.raises(CertificateError):
+        kernel_lattice_basis(IntMatrix.from_rows([[1, 1]]))
 
 
 def _integer_combination(basis, target):

@@ -3,8 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from gravernash import DimensionError, FarkasRay, FeasiblePoint, rational_lp_feasibility
+from gravernash import (
+    CertificateError,
+    DimensionError,
+    FarkasRay,
+    FeasiblePoint,
+    rational_lp_feasibility,
+)
 from gravernash.linalg import dot
+from gravernash.lp import _check_point, _check_ray
 
 
 def F(x):
@@ -74,3 +81,19 @@ def test_random_systems_one_branch_verifies():
                 combo = sum(vi * r[j] for vi, r in zip(v, rows)) + strict[j]
                 assert combo <= 0
     assert feasible_seen and infeasible_seen
+
+
+def test_checks_reject_corrupted_answers():
+    rows = [(F(3), F(-1))]
+    strict = (F(1), F(1))
+    _check_point(rows, strict, (F(1), F(3)))
+    with pytest.raises(CertificateError):
+        _check_point(rows, strict, (F(1), F(4)))  # 3 - 4 < 0
+    with pytest.raises(CertificateError):
+        _check_point(rows, strict, (F(0), F(0)))  # strict row not positive
+    neg = [(F(-1), F(-1))]
+    _check_ray(neg, strict, (F(1),))
+    with pytest.raises(CertificateError):
+        _check_ray(neg, strict, (Fraction(1, 2),))  # -1/2 + 1 > 0
+    with pytest.raises(CertificateError):
+        _check_ray(neg, strict, (F(-1),))

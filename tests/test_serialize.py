@@ -31,6 +31,7 @@ from gravernash.serialize import (
     game_to_json,
     graver_from_json,
     graver_to_json,
+    int_from_json,
     ip_instance_from_json,
     ip_instance_to_json,
     matrix_from_json,
@@ -53,6 +54,20 @@ def test_frac_round_trip():
     for bad in ["abc", "1/0", None, True, 1.5]:
         with pytest.raises(ValidationError):
             frac_from_str(bad)
+
+
+def test_int_from_json_is_strict():
+    assert int_from_json(3) == 3
+    assert int_from_json("-4") == -4
+    for bad in (2.5, 3.0, True, "x", "2.5", None, [1]):
+        with pytest.raises(ValidationError):
+            int_from_json(bad)
+    with pytest.raises(ValidationError):
+        ip_instance_from_json(
+            {"D": [[1, 1]], "d": [2], "u": [1, False], "objective": []}
+        )
+    with pytest.raises(ValidationError):
+        matrix_from_json([[1, 0.5]])
 
 
 def test_matrix_round_trip():

@@ -30,11 +30,14 @@ def test_find_feasible_examples():
     inst = IpInstance(
         IntMatrix.from_rows([[1, 1]]), (2,), (1, 1), squares_objective(2)
     )
-    assert find_feasible(inst) == (1, 1)
+    assert find_feasible(inst, graver_basis(inst.D)) == (1, 1)
     tight = IpInstance(
         IntMatrix.from_rows([[1, 1]]), (3,), (1, 1), squares_objective(2)
     )
-    assert find_feasible(tight) is None
+    assert find_feasible(tight, graver_basis(tight.D)) is None
+    # solvable over the rationals and inside the box, but not over Z
+    odd = IpInstance(IntMatrix.from_rows([[2]]), (3,), (5,), squares_objective(1))
+    assert find_feasible(odd, graver_basis(odd.D)) is None
 
 
 def test_best_step_example():
@@ -121,16 +124,28 @@ def test_every_step_preserves_feasibility_and_decreases():
 
 def test_oracle_equivalence_random():
     rng = random.Random(17)
-    for _ in range(100):
+    infeasible_seen = 0
+    for i in range(100):
         nvars = rng.randint(1, 4)
         mat = rand_matrix(rng, rng.randint(1, 2), nvars, -2, 2)
         u = tuple(rng.randint(0, 4) for _ in range(nvars))
-        witness = tuple(rng.randint(0, ui) for ui in u)
-        inst = IpInstance(mat, mat.matvec(witness), u, random_convex_objective(rng, nvars))
+        if i % 2:
+            # a random right-hand side: mostly infeasible, over Z or in the box
+            d = tuple(rng.randint(-6, 6) for _ in range(mat.nrows))
+        else:
+            witness = tuple(rng.randint(0, ui) for ui in u)
+            d = mat.matvec(witness)
+        inst = IpInstance(mat, d, u, random_convex_objective(rng, nvars))
         result = solve_ip(inst)
-        value, _ = brute_ip_opt(inst)
+        try:
+            value, _ = brute_ip_opt(inst)
+        except InfeasibleError:
+            infeasible_seen += 1
+            assert result.status == "infeasible"
+            continue
         assert result.status == "optimal"
         assert result.objective == value
+    assert infeasible_seen
 
 
 def test_check_optimal_matches_value_optimality():

@@ -8,9 +8,6 @@ from .costs import (
     ScaledCost,
     SeparableObjective,
     ShiftedCost,
-    eval_cost,
-    eval_objective,
-    validate,
 )
 from .errors import (
     CertificateError,

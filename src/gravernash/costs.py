@@ -1,10 +1,16 @@
-"""Univariate convex, monotonously increasing cost functions.
+"""Univariate convex cost functions.
 
 Four closed-form parametric families cover the public surface (affine,
 quadratic, power, piecewise linear); evaluation is exact rational at
 nonnegative integer arguments.  Shifted and scaled wrappers exist for
 internal use (best responses shift by the other players' usage, inverse
 weights scale the fixed shapes) and preserve convexity and exactness.
+
+Validity is decided by the parameters alone.  `convex_ok` is the rule
+for any separable objective (`solve`, inverse shapes): the parameters
+are well formed and give a convex function on y >= 0.  `params_ok`
+builds on it with the sign conditions that make a cost nondecreasing,
+as a game's costs must be.
 """
 
 from __future__ import annotations
@@ -14,9 +20,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError, ValidationError
-from .linalg import IntVec
-
-DEFAULT_PROBE_RANGE = 100
 
 
 def _check_arg(y: int) -> None:
@@ -36,6 +39,9 @@ class AffineCost:
         _check_arg(y)
         return self.a * y + self.b
 
+    def convex_ok(self) -> bool:
+        return True
+
     def params_ok(self) -> bool:
         return self.a >= 0 and self.b >= 0
 
@@ -53,8 +59,11 @@ class QuadraticCost:
         _check_arg(y)
         return self.a * y * y + self.b * y + self.c
 
+    def convex_ok(self) -> bool:
+        return self.a >= 0
+
     def params_ok(self) -> bool:
-        return self.a >= 0 and self.b >= 0 and self.c >= 0
+        return self.convex_ok() and self.b >= 0 and self.c >= 0
 
 
 @dataclass(frozen=True)
@@ -69,8 +78,11 @@ class PowerCost:
         _check_arg(y)
         return self.a * Fraction(y) ** self.k
 
-    def params_ok(self) -> bool:
+    def convex_ok(self) -> bool:
         return self.a >= 0 and isinstance(self.k, int) and self.k >= 1
+
+    def params_ok(self) -> bool:
+        return self.convex_ok()
 
 
 @dataclass(frozen=True)
@@ -97,16 +109,17 @@ class PiecewiseLinearCost:
             prev = bp
         return total + self.slopes[-1] * (y - prev)
 
-    def params_ok(self) -> bool:
+    def convex_ok(self) -> bool:
         if len(self.slopes) != len(self.breakpoints) + 1:
-            return False
-        if any(s < 0 for s in self.slopes):
             return False
         if list(self.slopes) != sorted(self.slopes):
             return False
         if any(bp <= 0 for bp in self.breakpoints):
             return False
         return list(self.breakpoints) == sorted(set(self.breakpoints))
+
+    def params_ok(self) -> bool:
+        return self.convex_ok() and self.slopes[0] >= 0
 
 
 @dataclass(frozen=True)
@@ -120,6 +133,9 @@ class ShiftedCost:
     def value(self, y: int) -> Fraction:
         _check_arg(y)
         return self.base.value(y + self.shift)
+
+    def convex_ok(self) -> bool:
+        return self.shift >= 0 and self.base.convex_ok()
 
     def params_ok(self) -> bool:
         return self.shift >= 0 and self.base.params_ok()
@@ -137,6 +153,9 @@ class ScaledCost:
         _check_arg(y)
         return self.factor * self.base.value(y)
 
+    def convex_ok(self) -> bool:
+        return self.factor >= 0 and self.base.convex_ok()
+
     def params_ok(self) -> bool:
         return self.factor >= 0 and self.base.params_ok()
 
@@ -146,26 +165,6 @@ UnivariateCost = (
 )
 
 ZERO_COST = AffineCost(Fraction(0), Fraction(0))
-
-
-def eval_cost(cost: UnivariateCost, y: int) -> Fraction:
-    return cost.value(y)
-
-
-def validate(cost: UnivariateCost, probe_range: int = DEFAULT_PROBE_RANGE) -> bool:
-    """Parameter constraints plus a finite convexity/monotonicity probe.
-
-    The parametric constraints already imply convex monotone growth; the
-    probe over 0..probe_range re-checks the first differences as a
-    defense in depth.
-    """
-    if not cost.params_ok():
-        return False
-    values = [cost.value(y) for y in range(probe_range + 2)]
-    diffs = [b - a for a, b in zip(values, values[1:])]
-    if any(d < 0 for d in diffs):
-        return False
-    return all(d2 >= d1 for d1, d2 in zip(diffs, diffs[1:]))
 
 
 @dataclass(frozen=True)
@@ -181,7 +180,3 @@ class SeparableObjective:
                 f"objective has {len(self.terms)} terms but x has {len(x)} entries"
             )
         return sum((t.value(v) for t, v in zip(self.terms, x)), Fraction(0))
-
-
-def eval_objective(objective: SeparableObjective, x: IntVec) -> Fraction:
-    return objective.value(x)

@@ -9,6 +9,12 @@ which every player's strategy is marginal-cost-minimal given the others
 is a generalized Nash equilibrium; minimizing the provider cost over
 all feasible profiles always produces one, which is how equilibria are
 computed here.
+
+A best response is found the same way: player k's own program, given
+the others, is the equilibrium program of a one-player game whose
+coupling bound is what the rivals leave and whose costs are shifted by
+the rivals' usage.  A game's costs are valid by their parameters alone
+(`params_ok`: convex and nondecreasing on y >= 0).
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .costs import ZERO_COST, SeparableObjective, ShiftedCost, validate
+from .costs import ZERO_COST, SeparableObjective, ShiftedCost
 from .errors import DimensionError, InfeasibleError, ValidationError
 from .linalg import IntMatrix, IntVec, vadd, vsub
 from .nfold import TypeCatalog, build_multitype_matrix
@@ -70,9 +76,8 @@ class GameInstance:
             raise DimensionError("b0 length != coupling row count")
         if len(self.costs) != n:
             raise DimensionError("cost count != resource count")
-        for c in self.costs.terms:
-            if not validate(c):
-                raise ValidationError("cost functions must be convex monotone")
+        if not all(c.params_ok() for c in self.costs.terms):
+            raise ValidationError("cost functions must be convex monotone")
 
     @property
     def n(self) -> int:
@@ -132,73 +137,42 @@ def player_cost(game: GameInstance, profile: StrategyProfile, k: int) -> Fractio
     return game.costs.value(usage) - game.costs.value(without)
 
 
-def _rival_usage(game: GameInstance, profile: StrategyProfile, k: int) -> IntVec:
-    return vsub(aggregate_usage(profile), profile.strategies[k])
+def _residual_game(game: GameInstance, profile: StrategyProfile, k: int) -> GameInstance:
+    """Player k's own program, with the others held fixed, as a one-player game.
 
-
-def _best_response_instance(
-    game: GameInstance, profile: StrategyProfile, k: int
-) -> IpInstance:
-    """Player k's cost-minimization problem with the others held fixed.
-
-    The residual coupling inequality B^k z <= b^0 - sum_{i != k} B^i x^i
-    becomes an equality via a bounded slack; the shifted costs
-    c_j(. + r_j) stay convex monotone.
+    The coupling bound is what the rivals leave, b^0 - sum_{i != k} B^i x^i,
+    and each cost c_j(. + r_j) is shifted by the rivals' usage r.
     """
-    player = game.players[k]
-    n, m = game.n, game.m
-    rivals = _rival_usage(game, profile, k)
-    residual = list(game.b0)
+    residual, rivals = game.b0, (0,) * game.n
     for i, (other, x) in enumerate(zip(game.players, profile.strategies)):
-        if i == k:
-            continue
-        residual = list(vsub(tuple(residual), other.B.matvec(x)))
-
-    rows = []
-    for r in player.A.entries:
-        rows.append(tuple(r) + tuple(0 for _ in range(m)))
-    for i, r in enumerate(player.B.entries):
-        slack = [0] * m
-        slack[i] = 1
-        rows.append(tuple(r) + tuple(slack))
-    matrix = IntMatrix(player.A.nrows + m, n + m, tuple(rows))
-    rhs = tuple(player.b) + tuple(residual)
-    slack_ub = tuple(
-        max(0, residual[i] - sum(min(0, player.B.entries[i][j] * player.u[j]) for j in range(n)))
-        for i in range(m)
-    )
-    bounds = tuple(player.u) + slack_ub
-    terms = tuple(
-        ShiftedCost(c, r) for c, r in zip(game.costs.terms, rivals)
-    ) + tuple(ZERO_COST for _ in range(m))
-    return IpInstance(matrix, rhs, bounds, SeparableObjective(terms))
+        if i != k:
+            residual = vsub(residual, other.B.matvec(x))
+            rivals = vadd(rivals, x)
+    shifted = tuple(ShiftedCost(c, r) for c, r in zip(game.costs.terms, rivals))
+    return GameInstance((game.players[k],), residual, SeparableObjective(shifted))
 
 
 def best_response(
     game: GameInstance, profile: StrategyProfile, k: int, cap: int = DEFAULT_ELEMENT_CAP
 ) -> IntVec:
+    """A strategy of player k that minimizes their cost given the others.
+
+    It is the equilibrium of the one-player residual game; the player's
+    current strategy is feasible there, so that game is never infeasible.
+    """
     if not 0 <= k < game.num_players:
         raise ValidationError(f"player index {k} out of range")
     if not is_feasible_profile(game, profile):
         raise InfeasibleError("profile violates the game constraints")
-    inst = _best_response_instance(game, profile, k)
-    result = solve_ip(inst, cap=cap)
-    if result.status != "optimal":
-        # the player's current strategy is itself a candidate
-        raise AssertionError("best-response problem infeasible for a feasible profile")
-    assert result.x is not None
-    return result.x[: game.n]
+    return find_equilibrium(_residual_game(game, profile, k), cap=cap).strategies[0]
 
 
 def is_satisfied(
     game: GameInstance, profile: StrategyProfile, k: int, cap: int = DEFAULT_ELEMENT_CAP
 ) -> bool:
-    rivals = _rival_usage(game, profile, k)
     response = best_response(game, profile, k, cap=cap)
-    shifted = SeparableObjective(
-        tuple(ShiftedCost(c, r) for c, r in zip(game.costs.terms, rivals))
-    )
-    return shifted.value(profile.strategies[k]) == shifted.value(response)
+    costs = _residual_game(game, profile, k).costs
+    return costs.value(profile.strategies[k]) == costs.value(response)
 
 
 def is_generalized_nash(

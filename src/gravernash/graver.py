@@ -12,7 +12,6 @@ filters to the conformally minimal elements.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 
 from .errors import ResourceCapExceeded
@@ -67,56 +66,41 @@ def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
     lattice = kernel_lattice_basis(mat)
     seeds = sorted({v for b in lattice for v in (b, vneg(b))})
 
-    current: list[IntVec] = []
-    seen: set[IntVec] = set()
-    for s in seeds:
-        r = conformal_reduce(s, current)
-        if not is_zero(r) and r not in seen:
-            current.append(r)
-            seen.add(r)
-            if len(current) > cap:
-                raise ResourceCapExceeded(
-                    f"Graver completion exceeded the element cap of {cap}"
-                )
-
     # candidate sums of sign-compatible pairs reduce to zero immediately
     # (the first summand conformally divides the sum), so they are skipped;
     # the heap processes the rest by increasing 1-norm for faster closure.
+    # A nonzero normal form is never in `current` already: every element
+    # conformally divides itself.
+    current: list[IntVec] = []
     queue: list[tuple[int, IntVec]] = []
     queued: set[IntVec] = set()
 
-    def push_sums(f: IntVec) -> None:
+    def add(r: IntVec) -> None:
+        current.append(r)
+        if len(current) > cap:
+            raise ResourceCapExceeded(
+                f"Graver completion exceeded the element cap of {cap}"
+            )
         for g in current:
-            if sign_compatible(f, g):
+            if sign_compatible(r, g):
                 continue
-            s = vadd(f, g)
+            s = vadd(r, g)
             if is_zero(s) or s in queued:
                 continue
             queued.add(s)
             heapq.heappush(queue, (one_norm(s), s))
 
-    for f, g in itertools.combinations(current, 2):
-        if sign_compatible(f, g):
-            continue
-        s = vadd(f, g)
-        if not is_zero(s) and s not in queued:
-            queued.add(s)
-            heapq.heappush(queue, (one_norm(s), s))
-
+    for s in seeds:
+        r = conformal_reduce(s, current)
+        if not is_zero(r):
+            add(r)
     while queue:
         _, candidate = heapq.heappop(queue)
         r = conformal_reduce(candidate, current)
-        if is_zero(r) or r in seen:
-            continue
-        current.append(r)
-        seen.add(r)
-        if len(current) > cap:
-            raise ResourceCapExceeded(
-                f"Graver completion exceeded the element cap of {cap}"
-            )
-        push_sums(r)
+        if not is_zero(r):
+            add(r)
 
-    closed = sorted(seen | {vneg(g) for g in seen})
+    closed = sorted(set(current) | {vneg(g) for g in current})
     minimal = [
         g
         for g in closed

@@ -62,10 +62,6 @@ def one_norm(u: IntVec) -> int:
     return sum(abs(a) for a in u)
 
 
-def inf_norm(u: IntVec) -> int:
-    return max((abs(a) for a in u), default=0)
-
-
 def is_zero(u: Sequence) -> bool:
     return all(a == 0 for a in u)
 
@@ -120,9 +116,6 @@ class IntMatrix:
     def zero(nrows: int, ncols: int) -> "IntMatrix":
         return IntMatrix(nrows, ncols, tuple(tuple(0 for _ in range(ncols)) for _ in range(nrows)))
 
-    def row(self, i: int) -> IntVec:
-        return self.entries[i]
-
     def col(self, j: int) -> IntVec:
         return tuple(r[j] for r in self.entries)
 
@@ -130,9 +123,6 @@ class IntMatrix:
         if len(x) != self.ncols:
             raise DimensionError(f"matvec: {self.ncols} columns vs vector of length {len(x)}")
         return tuple(dot(r, x) for r in self.entries)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.ncols, self.nrows, tuple(self.col(j) for j in range(self.ncols)))
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]

@@ -92,7 +92,7 @@ def rational_lp_feasibility(
                     best = ratio
                     leaving = i
         if leaving < 0:
-            raise AssertionError("unbounded phase-1 simplex")
+            raise CertificateError("unbounded phase-1 simplex")
         _pivot(tableau, leaving, entering)
         basis[leaving] = entering
 

@@ -46,6 +46,18 @@ def frac_from_str(s: Any) -> Fraction:
     raise ValidationError(f"not a rational: {s!r}")
 
 
+def _object(obj: Any, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be a JSON object: {obj!r}")
+    return obj
+
+
+def _list(obj: Any, what: str) -> list:
+    if not isinstance(obj, list):
+        raise ValidationError(f"{what} must be a JSON list: {obj!r}")
+    return obj
+
+
 def int_from_json(x: Any) -> int:
     """An integer field: a JSON integer or an integral string, nothing else."""
     if isinstance(x, int) and not isinstance(x, bool):
@@ -59,9 +71,7 @@ def int_from_json(x: Any) -> int:
 
 
 def intvec_from_json(obj: Any) -> IntVec:
-    if not isinstance(obj, list):
-        raise ValidationError(f"not a list of integers: {obj!r}")
-    return tuple(int_from_json(x) for x in obj)
+    return tuple(int_from_json(x) for x in _list(obj, "an integer vector"))
 
 
 def matrix_to_json(m: IntMatrix) -> dict:
@@ -74,11 +84,9 @@ def matrix_from_json(obj: Any) -> IntMatrix:
             raise ValidationError("matrix without explicit dimensions must be nonempty")
         return IntMatrix.from_rows([intvec_from_json(r) for r in obj])
     if isinstance(obj, dict):
-        entries = obj["entries"]
-        if not isinstance(entries, list):
-            raise ValidationError("matrix entries must be a list of rows")
         return IntMatrix.from_rows(
-            [intvec_from_json(r) for r in entries], ncols=int_from_json(obj["cols"])
+            [intvec_from_json(r) for r in _list(obj["entries"], "matrix entries")],
+            ncols=int_from_json(obj["cols"]),
         )
     raise ValidationError("matrix must be a list of rows or a dict")
 
@@ -88,7 +96,7 @@ def ratvec_to_json(v: RatVec) -> list[str]:
 
 
 def ratvec_from_json(obj: Any) -> RatVec:
-    return tuple(frac_from_str(x) for x in obj)
+    return tuple(frac_from_str(x) for x in _list(obj, "a rational vector"))
 
 
 def cost_to_json(c: UnivariateCost) -> dict:
@@ -113,26 +121,34 @@ def cost_to_json(c: UnivariateCost) -> dict:
     raise ValidationError(f"cost kind {c.kind!r} has no JSON form")
 
 
+def _cost_fields(obj: dict) -> UnivariateCost:
+    kind = obj["kind"]
+    if kind == "affine":
+        return AffineCost(frac_from_str(obj["a"]), frac_from_str(obj["b"]))
+    if kind == "quadratic":
+        return QuadraticCost(
+            frac_from_str(obj["a"]), frac_from_str(obj["b"]), frac_from_str(obj["c"])
+        )
+    if kind == "power":
+        return PowerCost(frac_from_str(obj["a"]), int_from_json(obj["k"]))
+    if kind == "piecewise_linear":
+        return PiecewiseLinearCost(
+            breakpoints=intvec_from_json(obj["breakpoints"]),
+            slopes=ratvec_from_json(obj["slopes"]),
+            c0=frac_from_str(obj["c0"]),
+        )
+    raise ValidationError(f"unknown cost kind: {kind!r}")
+
+
 def cost_from_json(obj: Any) -> UnivariateCost:
+    """A cost function, which must be well formed and convex (`convex_ok`)."""
     try:
-        kind = obj["kind"]
-        if kind == "affine":
-            return AffineCost(frac_from_str(obj["a"]), frac_from_str(obj["b"]))
-        if kind == "quadratic":
-            return QuadraticCost(
-                frac_from_str(obj["a"]), frac_from_str(obj["b"]), frac_from_str(obj["c"])
-            )
-        if kind == "power":
-            return PowerCost(frac_from_str(obj["a"]), int_from_json(obj["k"]))
-        if kind == "piecewise_linear":
-            return PiecewiseLinearCost(
-                breakpoints=intvec_from_json(obj["breakpoints"]),
-                slopes=ratvec_from_json(obj["slopes"]),
-                c0=frac_from_str(obj["c0"]),
-            )
-    except (KeyError, TypeError) as exc:
+        cost = _cost_fields(_object(obj, "a cost"))
+    except KeyError as exc:
         raise ValidationError(f"malformed cost spec: {obj!r}") from exc
-    raise ValidationError(f"unknown cost kind: {obj.get('kind')!r}")
+    if not cost.convex_ok():
+        raise ValidationError(f"cost must be well formed and convex: {obj!r}")
+    return cost
 
 
 def objective_to_json(f: SeparableObjective) -> list[dict]:
@@ -140,7 +156,7 @@ def objective_to_json(f: SeparableObjective) -> list[dict]:
 
 
 def objective_from_json(obj: Any) -> SeparableObjective:
-    return SeparableObjective(tuple(cost_from_json(c) for c in obj))
+    return SeparableObjective(tuple(cost_from_json(c) for c in _list(obj, "an objective")))
 
 
 def graver_to_json(basis: GraverBasis) -> dict:
@@ -151,13 +167,15 @@ def graver_to_json(basis: GraverBasis) -> dict:
 
 
 def graver_from_json(obj: Any) -> GraverBasis:
+    obj = _object(obj, "a Graver basis")
     return GraverBasis(
         matrix=matrix_from_json(obj["matrix"]),
-        elements=tuple(intvec_from_json(g) for g in obj["elements"]),
+        elements=tuple(intvec_from_json(g) for g in _list(obj["elements"], "elements")),
     )
 
 
 def nfold_spec_from_json(obj: Any) -> NfoldSpec:
+    obj = _object(obj, "an N-fold spec")
     return NfoldSpec(
         A=matrix_from_json(obj["A"]),
         B=matrix_from_json(obj["B"]),
@@ -165,11 +183,15 @@ def nfold_spec_from_json(obj: Any) -> NfoldSpec:
     )
 
 
+def _type_from_json(obj: Any) -> tuple[IntMatrix, IntMatrix]:
+    obj = _object(obj, "a player type")
+    return matrix_from_json(obj["A"]), matrix_from_json(obj["B"])
+
+
 def catalog_from_json(obj: Any) -> TypeCatalog:
+    obj = _object(obj, "a type catalog")
     return TypeCatalog(
-        types=tuple(
-            (matrix_from_json(t["A"]), matrix_from_json(t["B"])) for t in obj["types"]
-        ),
+        types=tuple(_type_from_json(t) for t in _list(obj["types"], "types")),
         assignment=intvec_from_json(obj["assignment"]),
     )
 
@@ -184,6 +206,7 @@ def ip_instance_to_json(inst: IpInstance) -> dict:
 
 
 def ip_instance_from_json(obj: Any) -> IpInstance:
+    obj = _object(obj, "an IP instance")
     return IpInstance(
         D=matrix_from_json(obj["D"]),
         d=intvec_from_json(obj["d"]),
@@ -202,6 +225,7 @@ def player_to_json(p: PlayerSpec) -> dict:
 
 
 def player_from_json(obj: Any) -> PlayerSpec:
+    obj = _object(obj, "a player")
     return PlayerSpec(
         A=matrix_from_json(obj["A"]),
         b=intvec_from_json(obj["b"]),
@@ -219,8 +243,9 @@ def game_to_json(game: GameInstance) -> dict:
 
 
 def game_from_json(obj: Any) -> GameInstance:
+    obj = _object(obj, "a game")
     return GameInstance(
-        players=tuple(player_from_json(p) for p in obj["players"]),
+        players=tuple(player_from_json(p) for p in _list(obj["players"], "players")),
         b0=intvec_from_json(obj["b0"]),
         costs=objective_from_json(obj["costs"]),
     )
@@ -231,7 +256,8 @@ def profile_to_json(profile: StrategyProfile) -> dict:
 
 
 def profile_from_json(obj: Any) -> StrategyProfile:
-    return StrategyProfile(strategies=tuple(intvec_from_json(s) for s in obj["strategies"]))
+    strategies = _list(_object(obj, "a profile")["strategies"], "strategies")
+    return StrategyProfile(strategies=tuple(intvec_from_json(s) for s in strategies))
 
 
 def iiop_to_json(inst: IiopInstance) -> dict:
@@ -245,6 +271,7 @@ def iiop_to_json(inst: IiopInstance) -> dict:
 
 
 def iiop_from_json(obj: Any) -> IiopInstance:
+    obj = _object(obj, "an inverse instance")
     return IiopInstance(
         D=matrix_from_json(obj["D"]),
         d=intvec_from_json(obj["d"]),
@@ -265,14 +292,23 @@ def answer_to_json(answer: IiopAnswer) -> dict:
     return out
 
 
+def _certificate_pair(obj: Any) -> tuple:
+    pair = _list(obj, "a certificate entry")
+    if len(pair) != 2:
+        raise ValidationError(f"a certificate entry must be [coefficient, shift]: {obj!r}")
+    return frac_from_str(pair[0]), intvec_from_json(pair[1])
+
+
 def answer_from_json(obj: Any) -> IiopAnswer:
+    obj = _object(obj, "an inverse answer")
     verdict = obj["verdict"]
     lam = ratvec_from_json(obj["lambda"]) if "lambda" in obj else None
     certificate = None
     shifts: tuple = ()
     if "certificate" in obj:
-        certificate = tuple(frac_from_str(pair[0]) for pair in obj["certificate"])
-        shifts = tuple(intvec_from_json(pair[1]) for pair in obj["certificate"])
+        pairs = [_certificate_pair(p) for p in _list(obj["certificate"], "certificate")]
+        certificate = tuple(v for v, _ in pairs)
+        shifts = tuple(g for _, g in pairs)
     return IiopAnswer(verdict=verdict, lam=lam, shifts=shifts, certificate=certificate)
 
 

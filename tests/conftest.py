@@ -16,6 +16,10 @@ from gravernash.costs import (
 )
 
 
+def inf_norm(u) -> int:
+    return max((abs(a) for a in u), default=0)
+
+
 def rand_matrix(rng: random.Random, rows: int, cols: int, lo: int, hi: int) -> IntMatrix:
     return IntMatrix.from_rows(
         [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]

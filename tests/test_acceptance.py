@@ -30,10 +30,10 @@ from gravernash import (
 )
 from gravernash.cli import main as cli_main
 from gravernash.costs import QuadraticCost, SeparableObjective
-from gravernash.linalg import conformal_leq, inf_norm, is_zero, vneg
+from gravernash.linalg import conformal_leq, is_zero, vneg
 from gravernash.oracle import Box
 
-from conftest import rand_matrix, random_convex_objective, random_game, square_cost
+from conftest import inf_norm, rand_matrix, random_convex_objective, random_game, square_cost
 
 F = Fraction
 

@@ -200,12 +200,31 @@ def test_input_error_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def ip(objective, D=((1, 1),), d=(2,), u=(2, 2)):
+    return {"D": [list(r) for r in D], "d": list(d), "u": list(u), "objective": objective}
+
+
+def quadratic(a, b, c):
+    return {"kind": "quadratic", "a": str(a), "b": str(b), "c": str(c)}
+
+
+def piecewise(**fields):
+    """A piecewise-linear cost spec, by default slopes 1, 2, 3 changing at 1 and 2."""
+    spec = {"kind": "piecewise_linear", "breakpoints": [1, 2], "slopes": ["1", "2", "3"], "c0": "0"}
+    return dict(spec, **fields)
+
+
 @pytest.mark.parametrize(
     "command, data",
     [
         ("nfold", {"A": [[1, 1]], "B": [[1, 0]], "N": "x"}),
         ("graver", [1, 2]),
         ("solve", {"D": [[1, 1, 1]], "d": [3], "u": [2.5, True, 3], "objective": [SQ] * 3}),
+        # a nested value of the wrong JSON type
+        ("solve", ip(5)),
+        ("equilibrium", dict(GAME, players=[1])),
+        ("verify-inverse", {"instance": IIOP_NO, "answer": {"verdict": "yes", "lambda": 5}}),
+        ("solve", ip([piecewise(breakpoints=[1], slopes="12"), SQ])),
     ],
 )
 def test_malformed_input_is_one_json_report(tmp_path, capsys, command, data):
@@ -215,6 +234,40 @@ def test_malformed_input_is_one_json_report(tmp_path, capsys, command, data):
     assert code == 2
     assert len(lines) == 1
     assert json.loads(lines[0])["status"] == "input-error"
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        # brute_ip_opt gives -12 here, while augmentation stops at -9
+        (
+            "solve",
+            ip(
+                [quadratic(-1, 0, 0), quadratic(-2, 0, 0), quadratic(-2, 3, 0)],
+                D=((2, 1, 1),),
+                d=(6,),
+                u=(3, 1, 3),
+            ),
+        ),
+        ("solve", ip([{"kind": "power", "a": "1", "k": -1}, SQ])),
+        ("solve", ip([piecewise(breakpoints=[], slopes=[]), SQ])),
+        ("solve", ip([piecewise(slopes=["1"]), SQ])),
+        ("inverse", dict(IIOP_NO, shapes=[quadratic(-1, 0, 0), SQ])),
+    ],
+    ids=["negative-quadratics", "power-k-negative", "piecewise-empty", "piecewise-short", "inverse"],
+)
+def test_nonconvex_or_malformed_cost_is_input_error(tmp_path, capsys, command, data):
+    inp = write(tmp_path, "bad.json", data)
+    code, report = run(capsys, [command, "--input", inp, "--quiet"])
+    assert code == 2
+    assert report["status"] == "input-error"
+
+
+def test_convex_but_not_monotone_cost_is_solved(tmp_path, capsys):
+    inst = ip([quadratic(1, -4, 4), SQ], d=(4,), u=(4, 4))
+    code, report = run(capsys, ["solve", "--input", write(tmp_path, "ip.json", inst)])
+    assert code == 0
+    assert report["result"] == {"status": "optimal", "x": [3, 1], "objective": "2"}
 
 
 def test_cap_exit_code(tmp_path, capsys):

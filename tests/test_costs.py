@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from gravernash import DimensionError, ValidationError, eval_cost, eval_objective, validate
+from gravernash import DimensionError, ValidationError
 from gravernash.costs import (
     AffineCost,
     PiecewiseLinearCost,
@@ -17,28 +18,28 @@ F = Fraction
 
 
 def test_eval_examples():
-    assert eval_cost(QuadraticCost(F(1), F(0), F(0)), 3) == 9
-    assert eval_cost(AffineCost(F(2), F(1)), 0) == 1
+    assert QuadraticCost(F(1), F(0), F(0)).value(3) == 9
+    assert AffineCost(F(2), F(1)).value(0) == 1
     pw = PiecewiseLinearCost(breakpoints=(2,), slopes=(F(1), F(3)), c0=F(0))
-    assert eval_cost(pw, 4) == 2 * 1 + 2 * 3
-    assert eval_cost(pw, 2) == 2
-    assert eval_cost(pw, 0) == 0
+    assert pw.value(4) == 2 * 1 + 2 * 3
+    assert pw.value(2) == 2
+    assert pw.value(0) == 0
 
 
 def test_power_cost():
-    assert eval_cost(PowerCost(F(2), 3), 2) == 16
+    assert PowerCost(F(2), 3).value(2) == 16
 
 
 def test_negative_argument_rejected():
     with pytest.raises(ValidationError):
-        eval_cost(AffineCost(F(1), F(0)), -1)
+        AffineCost(F(1), F(0)).value(-1)
 
 
 def test_validate_examples():
-    assert validate(QuadraticCost(F(1), F(0), F(0)))
-    assert not validate(AffineCost(F(-1), F(0)))
+    assert QuadraticCost(F(1), F(0), F(0)).params_ok()
+    assert not AffineCost(F(-1), F(0)).params_ok()
     decreasing = PiecewiseLinearCost(breakpoints=(2,), slopes=(F(3), F(1)), c0=F(0))
-    assert not validate(decreasing)
+    assert not decreasing.params_ok()
 
 
 def test_validate_probe_catches_differences():
@@ -48,33 +49,98 @@ def test_validate_probe_catches_differences():
     diffs = [b - a for a, b in zip(values, values[1:])]
     assert all(d >= 0 for d in diffs)
     assert all(d2 >= d1 for d1, d2 in zip(diffs, diffs[1:]))
-    assert validate(cost, probe_range=10)
+    assert cost.params_ok()
+
+
+def test_convexity_rule_examples():
+    centered = QuadraticCost(F(1), F(-4), F(4))
+    assert centered.convex_ok() and not centered.params_ok()
+    malformed = [
+        QuadraticCost(F(-1), F(0), F(0)),
+        PowerCost(F(-1), 2),
+        PowerCost(F(1), 0),
+        PowerCost(F(1), -1),
+        PiecewiseLinearCost(breakpoints=(), slopes=(), c0=F(0)),
+        PiecewiseLinearCost(breakpoints=(1, 2), slopes=(F(1),), c0=F(0)),
+        PiecewiseLinearCost(breakpoints=(2,), slopes=(F(3), F(1)), c0=F(0)),
+        PiecewiseLinearCost(breakpoints=(0,), slopes=(F(1), F(2)), c0=F(0)),
+        PiecewiseLinearCost(breakpoints=(2, 2), slopes=(F(1), F(2), F(3)), c0=F(0)),
+    ]
+    for cost in malformed:
+        assert not cost.convex_ok()
+        assert not cost.params_ok()
+
+
+def _random_cost(rng: random.Random, wrap: bool = True):
+    """Parameters drawn so that valid and invalid ones both occur often."""
+
+    def rat() -> Fraction:
+        return F(rng.randint(-2, 4), rng.randint(1, 3))
+
+    pick = rng.randrange(6 if wrap else 4)
+    if pick == 0:
+        return AffineCost(rat(), rat())
+    if pick == 1:
+        return QuadraticCost(rat(), rat(), rat())
+    if pick == 2:
+        return PowerCost(rat(), rng.randint(-1, 4))
+    if pick == 3:
+        breakpoints = tuple(sorted(rng.sample(range(-1, 9), rng.randint(0, 3))))
+        slopes = [rat() for _ in range(len(breakpoints) + rng.choice((0, 1, 1, 1, 2)))]
+        if rng.random() < 0.7:
+            slopes.sort()
+        return PiecewiseLinearCost(breakpoints, tuple(slopes), rat())
+    if pick == 4:
+        return ShiftedCost(_random_cost(rng, wrap=False), rng.randint(-1, 5))
+    return ScaledCost(_random_cost(rng, wrap=False), rat())
+
+
+def test_parameter_rules_imply_the_probe():
+    """Reference check of the parameter rules by first differences over 0..101.
+
+    convex_ok must give nondecreasing differences (convexity); params_ok
+    must also give nonnegative ones (monotone growth).
+    """
+    rng = random.Random(101)
+    monotone = set()
+    for _ in range(400):
+        cost = _random_cost(rng)
+        if not cost.convex_ok():
+            assert not cost.params_ok(), cost
+            continue
+        values = [cost.value(y) for y in range(102)]
+        diffs = [b - a for a, b in zip(values, values[1:])]
+        assert all(d2 >= d1 for d1, d2 in zip(diffs, diffs[1:])), cost
+        if cost.params_ok():
+            assert all(d >= 0 for d in diffs), cost
+            monotone.add(cost.kind)
+    assert monotone == {"affine", "quadratic", "power", "piecewise_linear", "shifted", "scaled"}
 
 
 def test_objective_examples():
     sq = QuadraticCost(F(1), F(0), F(0))
     obj = SeparableObjective((sq, sq))
-    assert eval_objective(obj, (1, 2)) == 5
-    assert eval_objective(obj, (0, 0)) == 0
+    assert obj.value((1, 2)) == 5
+    assert obj.value((0, 0)) == 0
     mixed = SeparableObjective((AffineCost(F(2), F(1)), sq))
-    assert eval_objective(mixed, (3, 1)) == 7 + 1
+    assert mixed.value((3, 1)) == 7 + 1
 
 
 def test_objective_length_mismatch():
     obj = SeparableObjective((AffineCost(F(1), F(0)),))
     with pytest.raises(DimensionError):
-        eval_objective(obj, (1, 2))
+        obj.value((1, 2))
 
 
 def test_shifted_and_scaled_wrappers():
     sq = QuadraticCost(F(1), F(0), F(0))
     shifted = ShiftedCost(sq, 2)
     assert shifted.value(3) == 25
-    assert validate(shifted)
+    assert shifted.params_ok()
     scaled = ScaledCost(sq, F(1, 2))
     assert scaled.value(4) == 8
-    assert validate(scaled)
-    assert not validate(ScaledCost(sq, F(-1)))
+    assert scaled.params_ok()
+    assert not ScaledCost(sq, F(-1)).params_ok()
 
 
 def test_exactness_no_rounding():

@@ -195,3 +195,16 @@ def test_invalid_game_costs_rejected():
             b0=(0,),
             costs=SeparableObjective((AffineCost(F(-1), F(0)), AffineCost(F(1), F(0)))),
         )
+
+
+def test_is_generalized_nash_matches_oracle_on_every_profile(rng):
+    profiles = non_equilibria = 0
+    for _ in range(40):
+        game = random_game(rng)
+        feasible, _, equilibria = brute_nash_check(game)
+        for profile in feasible:
+            verdict = profile in equilibria
+            assert is_generalized_nash(game, profile) == verdict
+            profiles += 1
+            non_equilibria += not verdict
+    assert non_equilibria > 0 and profiles > non_equilibria

@@ -10,10 +10,10 @@ from gravernash import (
     graver_basis,
 )
 from gravernash.graver import GraverBasis
-from gravernash.linalg import conformal_leq, inf_norm, is_zero, one_norm, sign_compatible, vneg, vsub
+from gravernash.linalg import conformal_leq, is_zero, one_norm, sign_compatible, vneg, vsub
 from gravernash.oracle import Box, enumerate_box_points
 
-from conftest import rand_matrix
+from conftest import inf_norm, rand_matrix
 
 
 def verify_graver_basis(basis: GraverBasis, bound: int) -> bool:

@@ -21,6 +21,7 @@ from gravernash.costs import (
 )
 from gravernash.serialize import (
     answer_from_json,
+    catalog_from_json,
     answer_to_json,
     cost_from_json,
     cost_to_json,
@@ -40,6 +41,7 @@ from gravernash.serialize import (
     objective_to_json,
     profile_from_json,
     profile_to_json,
+    ratvec_from_json,
 )
 
 F = Fraction
@@ -94,6 +96,25 @@ def test_cost_round_trips():
         cost_from_json({"kind": "mystery"})
     with pytest.raises(ValidationError):
         cost_from_json({"kind": "affine"})
+
+
+@pytest.mark.parametrize(
+    "decode, obj",
+    [
+        (ratvec_from_json, "12"),
+        (objective_from_json, 5),
+        (cost_from_json, [1]),
+        (graver_from_json, {"matrix": [[1, 1]], "elements": 5}),
+        (catalog_from_json, {"types": [1], "assignment": [0]}),
+        (game_from_json, {"players": [1], "b0": [0], "costs": []}),
+        (profile_from_json, [[1, 0]]),
+        (answer_from_json, {"verdict": "no", "certificate": [["1"]]}),
+        (answer_from_json, {"verdict": "yes", "lambda": 5}),
+    ],
+)
+def test_nested_json_shapes_are_validation_errors(decode, obj):
+    with pytest.raises(ValidationError):
+        decode(obj)
 
 
 def test_objective_round_trip():

@@ -30,7 +30,7 @@ from .game import (
     is_generalized_nash,
     provider_cost,
 )
-from .graver import DEFAULT_ELEMENT_CAP, graver_basis
+from .graver import graver_basis
 from .inverse import solve_iiop, verify_answer
 from .linalg import IntMatrix
 from .nfold import build_c_matrix, build_multitype_matrix, build_nash_matrix, build_nfold
@@ -52,27 +52,27 @@ class _Negative(Exception):
         self.payload = payload
 
 
-def _cmd_graver(data, cap):
-    basis = graver_basis(serialize.matrix_from_json(data["D"]), cap=cap)
+def _cmd_graver(data, caps):
+    basis = graver_basis(serialize.matrix_from_json(data["D"]), **caps)
     return serialize.graver_to_json(basis), {"graver_size": len(basis)}
 
 
-def _cmd_nfold(data, cap):
+def _cmd_nfold(data, caps):
     if "types" in data:
         matrix = build_multitype_matrix(serialize.catalog_from_json(data))
     else:
         spec = serialize.nfold_spec_from_json(data)
         variant = data.get("variant", "nash")
         builders = {"plain": build_nfold, "nash": build_nash_matrix, "c": build_c_matrix}
-        if variant not in builders:
+        if not isinstance(variant, str) or variant not in builders:
             raise serialize.ValidationError(f"unknown variant {variant!r}")
         matrix = builders[variant](spec)
     return serialize.matrix_to_json(matrix), {}
 
 
-def _cmd_solve(data, cap):
+def _cmd_solve(data, caps):
     inst = serialize.ip_instance_from_json(data)
-    result = solve_ip(inst, cap=cap)
+    result = solve_ip(inst, **caps)
     counters = {
         "augmentation_count": result.augmentation_count,
         "graver_size": result.graver_size,
@@ -87,9 +87,9 @@ def _cmd_solve(data, cap):
     return payload, counters
 
 
-def _cmd_equilibrium(data, cap):
+def _cmd_equilibrium(data, caps):
     game = serialize.game_from_json(data)
-    profile = find_equilibrium(game, cap=cap)
+    profile = find_equilibrium(game, **caps)
     payload = {
         "strategies": [list(s) for s in profile.strategies],
         "usage": list(aggregate_usage(profile)),
@@ -98,29 +98,29 @@ def _cmd_equilibrium(data, cap):
     return payload, {}
 
 
-def _cmd_verify_equilibrium(data, cap):
+def _cmd_verify_equilibrium(data, caps):
     game = serialize.game_from_json(data["game"])
     profile = serialize.profile_from_json(data["profile"])
     if not is_feasible_profile(game, profile):
         raise _Negative("not-equilibrium", {"is_equilibrium": False, "feasible": False})
-    ok = is_generalized_nash(game, profile, cap=cap)
+    ok = is_generalized_nash(game, profile, **caps)
     payload = {"is_equilibrium": ok, "feasible": True}
     if not ok:
         raise _Negative("not-equilibrium", payload)
     return payload, {}
 
 
-def _cmd_best_response(data, cap):
+def _cmd_best_response(data, caps):
     game = serialize.game_from_json(data["game"])
     profile = serialize.profile_from_json(data["profile"])
     player = serialize.int_from_json(data["player"])
-    z = best_response(game, profile, player, cap=cap)
+    z = best_response(game, profile, player, **caps)
     return {"player": player, "strategy": list(z)}, {}
 
 
-def _cmd_inverse(data, cap):
+def _cmd_inverse(data, caps):
     inst = serialize.iiop_from_json(data)
-    basis = graver_basis(inst.D, cap=cap)
+    basis = graver_basis(inst.D, **caps)
     answer = solve_iiop(inst, basis)
     payload = serialize.answer_to_json(answer)
     counters = {"graver_size": len(basis), "feasible_shifts": len(answer.shifts)}
@@ -129,10 +129,10 @@ def _cmd_inverse(data, cap):
     return payload, counters
 
 
-def _cmd_verify_inverse(data, cap):
+def _cmd_verify_inverse(data, caps):
     inst = serialize.iiop_from_json(data["instance"])
     answer = serialize.answer_from_json(data["answer"])
-    basis = graver_basis(inst.D, cap=cap)
+    basis = graver_basis(inst.D, **caps)
     ok = verify_answer(inst, basis, answer)
     payload = {"valid": ok}
     if not ok:
@@ -140,7 +140,7 @@ def _cmd_verify_inverse(data, cap):
     return payload, {}
 
 
-def _cmd_oracle(data, cap, seed=None):
+def _cmd_oracle(data, caps, seed=None):
     op = data.get("op")
     if op == "random-graver":
         rng = random.Random(seed)
@@ -154,25 +154,25 @@ def _cmd_oracle(data, cap, seed=None):
             ]
         )
         bound = serialize.int_from_json(data.get("bound", 3))
-        basis = brute_graver(matrix, bound, cap=cap)
+        basis = brute_graver(matrix, bound, **caps)
         return serialize.graver_to_json(basis), {"graver_size": len(basis)}
     if op == "graver":
         basis = brute_graver(
             serialize.matrix_from_json(data["D"]),
             serialize.int_from_json(data["bound"]),
-            cap=cap,
+            **caps,
         )
         return serialize.graver_to_json(basis), {"graver_size": len(basis)}
     if op == "ip":
         inst = serialize.ip_instance_from_json(data["instance"])
-        value, argmins = brute_ip_opt(inst, cap=cap)
+        value, argmins = brute_ip_opt(inst, **caps)
         return {
             "value": frac_to_str(value),
             "argmins": [list(p) for p in argmins],
         }, {}
     if op == "nash":
         game = serialize.game_from_json(data["game"])
-        feasible, minima, equilibria = brute_nash_check(game, cap=cap)
+        feasible, minima, equilibria = brute_nash_check(game, **caps)
         return {
             "feasible_count": len(feasible),
             "potential_minima": [serialize.profile_to_json(p) for p in minima],
@@ -232,13 +232,14 @@ def main(argv=None) -> int:
         if not isinstance(data, dict):
             raise serialize.ValidationError("the input must be a JSON object")
 
-        cap = args.cap if args.cap is not None else DEFAULT_ELEMENT_CAP
+        # without --cap every library call keeps its own default cap
+        caps = {} if args.cap is None else {"cap": args.cap}
         start = time.perf_counter()
         handler = _COMMANDS[args.command]
         if args.command == "oracle":
-            payload, counters = handler(data, cap, seed=args.seed)
+            payload, counters = handler(data, caps, seed=args.seed)
         else:
-            payload, counters = handler(data, cap)
+            payload, counters = handler(data, caps)
         report["timings_ms"]["run"] = round((time.perf_counter() - start) * 1000, 3)
         report["counters"] = counters
     except _Negative as neg:

@@ -7,6 +7,12 @@ The completion seeds a kernel lattice basis (and its negations),
 repeatedly sums pairs, conformally reduces each candidate against the
 current set, keeps irreducible remainders until a fixpoint, and finally
 filters to the conformally minimal elements.
+
+Every element carries its positive- and negative-support bitmasks (see
+`sign_masks`).  A g conformally below z has its positive support inside
+z's and its negative support inside z's, so a candidate divisor whose
+supports do not nest is rejected with two integer ANDs before any entry
+is compared; the same masks decide sign-compatibility of pairs.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from .linalg import (
     is_zero,
     kernel_lattice_basis,
     one_norm,
-    sign_compatible,
     vadd,
     vneg,
     vsub,
@@ -45,17 +50,34 @@ class GraverBasis:
         return iter(self.elements)
 
 
-def conformal_reduce(z: IntVec, basis) -> IntVec:
+def sign_masks(g: IntVec) -> tuple[int, int, IntVec]:
+    """The record (pos, neg, g): bit i of pos is set iff g[i] > 0, of neg iff g[i] < 0."""
+    pos = neg = 0
+    for i, a in enumerate(g):
+        if a > 0:
+            pos |= 1 << i
+        elif a < 0:
+            neg |= 1 << i
+    return pos, neg, g
+
+
+def conformal_reduce(z: IntVec, reducers) -> IntVec:
     """Normal form of z: subtract conformal divisors until none applies.
 
-    Every subtraction of a nonzero g with g conformally below z strictly
-    shrinks the 1-norm of z, so this terminates.
+    `reducers` holds (pos, neg, g) records from `sign_masks`; the first
+    nonzero g conformally below z is subtracted.  Every such subtraction
+    strictly shrinks the 1-norm of z, so this terminates.
     """
     reduced = True
     while reduced and not is_zero(z):
         reduced = False
-        for g in basis:
-            if not is_zero(g) and conformal_leq(g, z):
+        zpos, zneg, _ = sign_masks(z)
+        out_pos, out_neg = ~zpos, ~zneg
+        for pos, neg, g in reducers:
+            # g cannot divide z unless its supports nest inside z's
+            if pos & out_pos or neg & out_neg or not (pos or neg):
+                continue
+            if conformal_leq(g, z):
                 z = vsub(z, g)
                 reduced = True
                 break
@@ -71,18 +93,20 @@ def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
     # the heap processes the rest by increasing 1-norm for faster closure.
     # A nonzero normal form is never in `current` already: every element
     # conformally divides itself.
-    current: list[IntVec] = []
+    current: list[tuple[int, int, IntVec]] = []
     queue: list[tuple[int, IntVec]] = []
     queued: set[IntVec] = set()
 
     def add(r: IntVec) -> None:
-        current.append(r)
+        record = sign_masks(r)
+        current.append(record)
         if len(current) > cap:
             raise ResourceCapExceeded(
                 f"Graver completion exceeded the element cap of {cap}"
             )
-        for g in current:
-            if sign_compatible(r, g):
+        rpos, rneg, _ = record
+        for pos, neg, g in current:
+            if not (rpos & neg or rneg & pos):  # sign-compatible
                 continue
             s = vadd(r, g)
             if is_zero(s) or s in queued:
@@ -100,11 +124,15 @@ def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
         if not is_zero(r):
             add(r)
 
-    closed = sorted(set(current) | {vneg(g) for g in current})
+    found = {g for _, _, g in current}
+    closed = [sign_masks(g) for g in sorted(found | {vneg(g) for g in found})]
     minimal = [
         g
-        for g in closed
-        if not any(h != g and conformal_leq(h, g) for h in closed if not is_zero(h))
+        for gpos, gneg, g in closed
+        if not any(
+            h != g and conformal_leq(h, g)
+            for hpos, hneg, h in closed
+            if not (hpos & ~gpos or hneg & ~gneg)
+        )
     ]
     return GraverBasis(matrix=mat, elements=tuple(minimal))
-

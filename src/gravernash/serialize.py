@@ -302,6 +302,8 @@ def _certificate_pair(obj: Any) -> tuple:
 def answer_from_json(obj: Any) -> IiopAnswer:
     obj = _object(obj, "an inverse answer")
     verdict = obj["verdict"]
+    if verdict not in ("yes", "no"):
+        raise ValidationError(f'the verdict must be "yes" or "no", not {verdict!r}')
     lam = ratvec_from_json(obj["lambda"]) if "lambda" in obj else None
     certificate = None
     shifts: tuple = ()

@@ -65,23 +65,27 @@ def best_step(x: IntVec, g: IntVec, inst: IpInstance) -> tuple[int, Fraction]:
     D g = 0 keeps the equations satisfied, so only the box limits the
     step.  The objective along the ray is convex, hence its first
     differences are nondecreasing; the smallest minimizer is the first
-    step whose difference is nonnegative, found by bisection.
+    step whose difference is nonnegative, found by bisection.  Only the
+    terms on the support of g change along the ray, so only they are
+    evaluated: differences and the improvement are exactly the same.
     Returns (step, improvement) with improvement >= 0.
     """
     lam_max = None
-    for xi, gi, ui in zip(x, g, inst.u):
+    moved = []  # (term, x_j, g_j) for every j with g_j != 0
+    for term, xi, gi, ui in zip(inst.objective.terms, x, g, inst.u):
         if gi > 0:
             room = (ui - xi) // gi
         elif gi < 0:
             room = xi // (-gi)
         else:
             continue
+        moved.append((term, xi, gi))
         lam_max = room if lam_max is None else min(lam_max, room)
     if lam_max is None or lam_max <= 0:
         return 0, Fraction(0)
 
     def phi(lam: int) -> Fraction:
-        return inst.objective.value(vadd(x, vscale(lam, g)))
+        return sum((t.value(xi + lam * gi) for t, xi, gi in moved), Fraction(0))
 
     # first lam in [0, lam_max-1] with phi(lam+1) - phi(lam) >= 0
     lo, hi = 0, lam_max

@@ -1,0 +1,60 @@
+"""Write reference_bases.json: Graver bases that later completions must reproduce.
+
+The snapshot holds the equilibrium matrices of the three (A, B) pairs of
+the N-fold growth experiments at N = 1..3 and seeded random matrices of
+1-3 rows and 2-6 columns with entries in [-2, 2], each with its basis in
+the canonical order `graver_basis` returns.  Run from the repository root:
+
+    PYTHONPATH=src python tests/data/make_reference_bases.py
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from pathlib import Path
+
+from gravernash import IntMatrix, graver_basis
+from gravernash.nfold import NfoldSpec, build_nash_matrix
+
+PAIRS = (
+    ([[1, 1]], [[1, 0]]),
+    ([[1, 1, 1]], [[1, 2, 0]]),
+    ([[1, -1, 2]], [[1, 1, 0]]),
+)
+PAIR_NS = (1, 2, 3)
+RANDOM_SEED = 2009
+RANDOM_COUNT = 60
+PATH = Path(__file__).with_name("reference_bases.json")
+
+
+def reference_matrices() -> list[tuple[str, IntMatrix]]:
+    cases = []
+    for a, b in PAIRS:
+        for big_n in PAIR_NS:
+            spec = NfoldSpec(IntMatrix.from_rows(a), IntMatrix.from_rows(b), big_n)
+            cases.append((f"nash A={a} B={b} N={big_n}", build_nash_matrix(spec)))
+    rng = random.Random(RANDOM_SEED)
+    for i in range(RANDOM_COUNT):
+        rows, cols = rng.randint(1, 3), rng.randint(2, 6)
+        entries = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+        cases.append((f"random {i}", IntMatrix.from_rows(entries)))
+    return cases
+
+
+def main() -> None:
+    snapshot = [
+        {
+            "name": name,
+            "rows": [list(r) for r in mat.entries],
+            "elements": [list(g) for g in graver_basis(mat).elements],
+        }
+        for name, mat in reference_matrices()
+    ]
+    # one case per line, so a changed basis shows as a changed line
+    lines = ",\n".join(json.dumps(case, separators=(",", ":")) for case in snapshot)
+    PATH.write_text("[\n" + lines + "\n]\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,6 +1,11 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravernash.cli import main
 
@@ -225,6 +230,9 @@ def piecewise(**fields):
         ("equilibrium", dict(GAME, players=[1])),
         ("verify-inverse", {"instance": IIOP_NO, "answer": {"verdict": "yes", "lambda": 5}}),
         ("solve", ip([piecewise(breakpoints=[1], slopes="12"), SQ])),
+        ("verify-inverse", {"instance": IIOP_NO, "answer": {"verdict": 5}}),
+        ("nfold", {"A": [[1, 1]], "B": [[1, 0]], "N": 2, "variant": []}),
+        ("verify-inverse", {"instance": IIOP_NO, "answer": {"verdict": "maybe"}}),
     ],
 )
 def test_malformed_input_is_one_json_report(tmp_path, capsys, command, data):
@@ -293,3 +301,106 @@ def test_payload_bytes_deterministic(tmp_path, capsys):
     main(["graver", "--input", inp, "--output", out2])
     capsys.readouterr()
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+def test_oracle_without_cap_keeps_its_point_cap(tmp_path, capsys):
+    # 100001 box points: above the Graver element cap, below the oracle's point cap
+    data = {"op": "ip", "instance": ip([SQ], D=((1,),), d=(7,), u=(100_000,))}
+    inp = write(tmp_path, "ip.json", data)
+    code, report = run(capsys, ["oracle", "--input", inp])
+    assert code == 0
+    assert report["result"] == {"value": "49", "argmins": [[7]]}
+
+
+def test_explicit_cap_overrides_the_default_of_each_command(tmp_path, capsys):
+    data = {"op": "ip", "instance": ip([SQ], D=((1,),), d=(7,), u=(20,))}
+    inp = write(tmp_path, "ip.json", data)
+    code, report = run(capsys, ["oracle", "--input", inp, "--cap", "20", "--quiet"])
+    assert code == 3
+    assert report["status"] == "cap-exceeded"
+    code, report = run(capsys, ["oracle", "--input", inp, "--cap", "21"])
+    assert code == 0
+    data = ip([SQ, SQ, SQ], D=((1, 1, 1), (0, 1, 2)), d=(2, 2), u=(2, 2, 2))
+    inp = write(tmp_path, "ip.json", data)
+    code, report = run(capsys, ["solve", "--input", inp, "--cap", "1", "--quiet"])
+    assert code == 3
+    assert report["status"] == "cap-exceeded"
+
+
+# One valid input per subcommand and oracle op; the fuzz test breaks them.
+PROFILE = {"strategies": [[1, 0], [0, 1]]}
+NO_ANSWER = {"certificate": [["0", [-1, 1]], ["1", [1, -1]]], "verdict": "no"}
+FUZZ_TEMPLATES = [
+    ("graver", {"D": [[1, 1, 1]]}),
+    ("nfold", {"A": [[1, 1]], "B": [[1, 0]], "N": 2, "variant": "c"}),
+    ("nfold", {"types": [{"A": [[1, 1]], "B": [[1, 0]]}], "assignment": [0, 0]}),
+    ("solve", ip([SQ, piecewise(breakpoints=[1], slopes=["1", "2"])])),
+    ("equilibrium", GAME),
+    ("verify-equilibrium", {"game": GAME, "profile": PROFILE}),
+    ("best-response", {"game": GAME, "profile": PROFILE, "player": 0}),
+    ("inverse", IIOP_NO),
+    ("verify-inverse", {"instance": IIOP_NO, "answer": NO_ANSWER}),
+    ("verify-inverse", {"instance": IIOP_NO, "answer": {"verdict": "yes", "lambda": ["1", "2"]}}),
+    ("oracle", {"op": "graver", "D": [[1, 1]], "bound": 2}),
+    ("oracle", {"op": "ip", "instance": ip([SQ, SQ])}),
+    ("oracle", {"op": "nash", "game": GAME}),
+    ("oracle", {"op": "random-graver", "rows": 1, "cols": 2}),
+]
+# small integers keep every run cheap: no large N, box or bound
+JSON_LEAVES = st.none() | st.booleans() | st.integers(-2, 3) | st.sampled_from(
+    [0.5, -1.0, "", "0", "1", "-2", "1/2", "1/0", "x", "yes", "no", "affine", "power"]
+)
+JSON_KEYS = st.sampled_from(["A", "B", "D", "N", "a", "b", "k", "kind", "u", "verdict", "op"])
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(JSON_KEYS, kids, max_size=3),
+    max_leaves=8,
+)
+
+
+def json_slots(value):
+    """(container, key) for every nested value, outermost first."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield value, key
+        yield from json_slots(child)
+
+
+@st.composite
+def fuzzed_inputs(draw):
+    """A subcommand's valid input with up to two nested values replaced or
+    deleted, or, one time in ten, an arbitrary JSON value."""
+    command, template = draw(st.sampled_from(FUZZ_TEMPLATES))
+    if draw(st.integers(0, 9)) == 0:
+        return command, draw(JSON_VALUES)
+    data = copy.deepcopy(template)
+    for _ in range(draw(st.integers(0, 2))):
+        slots = list(json_slots(data))
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        if isinstance(container, dict) and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(JSON_VALUES)
+    return command, data
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(fuzzed_inputs(), st.sampled_from([[], ["--cap", "100"]]))
+def test_fuzzed_input_gives_one_report_and_a_known_exit_code(tmp_path_factory, case, cap):
+    command, data = case
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(data))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([command, "--input", str(path), "--quiet", *cap])
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    assert isinstance(json.loads(lines[0]), dict)
+    assert code in (0, 1, 2, 3)

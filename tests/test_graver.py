@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,7 @@ from gravernash import (
     conformal_reduce,
     graver_basis,
 )
-from gravernash.graver import GraverBasis
+from gravernash.graver import GraverBasis, sign_masks
 from gravernash.linalg import conformal_leq, is_zero, one_norm, sign_compatible, vneg, vsub
 from gravernash.oracle import Box, enumerate_box_points
 
@@ -92,8 +94,8 @@ def test_oracle_equivalence_random():
 
 
 def test_conformal_reduce_examples():
-    assert conformal_reduce((2, -2), [(1, -1)]) == (0, 0)
-    assert conformal_reduce((1, 1), [(1, -1)]) == (1, 1)
+    assert conformal_reduce((2, -2), [sign_masks((1, -1))]) == (0, 0)
+    assert conformal_reduce((1, 1), [sign_masks((1, -1))]) == (1, 1)
 
 
 def test_conformal_reduce_shrinks_one_norm():
@@ -109,7 +111,49 @@ def test_conformal_reduce_shrinks_one_norm():
         reduced = vsub(current, divisor)
         assert one_norm(reduced) < one_norm(current)
         current = reduced
-    assert current == conformal_reduce(z, basis)
+    assert current == conformal_reduce(z, [sign_masks(g) for g in basis])
+
+
+def linear_scan_reduce(z, basis):
+    """Reference normal form: subtract the first conformal divisor, entries compared."""
+    while not is_zero(z):
+        divisor = next(
+            (g for g in basis if not is_zero(g) and conformal_leq(g, z)), None
+        )
+        if divisor is None:
+            break
+        z = vsub(z, divisor)
+    return z
+
+
+def test_masked_reduce_matches_linear_scan():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        basis = [
+            tuple(rng.randint(-2, 2) for _ in range(n))
+            for _ in range(rng.randint(0, 12))
+        ]
+        z = tuple(rng.randint(-6, 6) for _ in range(n))
+        assert conformal_reduce(z, [sign_masks(g) for g in basis]) == (
+            linear_scan_reduce(z, basis)
+        )
+
+
+def test_sign_masks():
+    assert sign_masks((3, 0, -1, 2)) == (0b1001, 0b0100, (3, 0, -1, 2))
+    assert sign_masks((0, 0)) == (0, 0, (0, 0))
+    assert sign_masks(()) == (0, 0, ())
+
+
+def test_reference_bases_snapshot():
+    """Bases equal, element for element, a committed snapshot of earlier completions."""
+    path = Path(__file__).parent / "data" / "reference_bases.json"
+    cases = json.loads(path.read_text())
+    assert len(cases) == 69
+    for case in cases:
+        basis = graver_basis(IntMatrix.from_rows(case["rows"]))
+        assert [list(g) for g in basis.elements] == case["elements"], case["name"]
 
 
 def test_verify_graver_basis():

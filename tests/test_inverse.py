@@ -1,5 +1,8 @@
+import importlib.util
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -199,3 +202,23 @@ def test_planted_yes_instances_random():
         assert answer.verdict == "yes"
         assert verify_answer(inst, basis, answer)
         produced += 1
+
+
+def _snapshot_runner():
+    path = Path(__file__).parent / "data" / "make_reference_inverse.py"
+    spec = importlib.util.spec_from_file_location("make_reference_inverse", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.run_case
+
+
+def test_reference_inverse_snapshot(tmp_path):
+    """`inverse` and `verify-inverse` answer byte for byte as a committed snapshot of earlier code."""
+    run_case = _snapshot_runner()
+    cases = json.loads((Path(__file__).parent / "data" / "reference_inverse.json").read_text())
+    assert len(cases) == 75
+    assert {c["inverse"]["status"] for c in cases} == {"ok", "no"}
+    for case in cases:
+        got = run_case(case["instance"], tmp_path)
+        assert got["inverse"] == case["inverse"], case["name"]
+        assert got["verify-inverse"] == case["verify-inverse"], case["name"]

@@ -199,14 +199,12 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="gravernash",
         description="Exact equilibria and inverse costs for integer congestion games.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--input", required=True, help="JSON instance file")
-        p.add_argument("--output", help="write the result payload to this file")
-        p.add_argument("--cap", type=int, default=None, help="override resource caps")
-        p.add_argument("--seed", type=int, default=None, help="seed for generated instances")
-        p.add_argument("--quiet", action="store_true", help="suppress diagnostics on stderr")
+    parser.add_argument("command", choices=list(_COMMANDS))
+    parser.add_argument("--input", required=True, help="JSON instance file")
+    parser.add_argument("--output", help="write the result payload to this file")
+    parser.add_argument("--cap", type=int, default=None, help="override resource caps")
+    parser.add_argument("--seed", type=int, default=None, help="seed for generated instances")
+    parser.add_argument("--quiet", action="store_true", help="suppress diagnostics on stderr")
     return parser
 
 

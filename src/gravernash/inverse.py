@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .costs import ScaledCost, SeparableObjective
 from .errors import ValidationError
@@ -66,11 +66,18 @@ def feasible_shifts(basis: GraverBasis, inst: IiopInstance) -> list[IntVec]:
     return out
 
 
-def _difference_row(inst: IiopInstance, g: IntVec) -> RatVec:
-    return tuple(
-        f.value(x + step) - f.value(x)
-        for f, x, step in zip(inst.shapes.terms, inst.xstar, g)
-    )
+def _difference_rows(inst: IiopInstance, shifts: Sequence[IntVec]) -> list[RatVec]:
+    """Row f_j(x*_j + g_j) - f_j(x*_j) for each shift g, each f_j(x*_j) evaluated once."""
+    terms = inst.shapes.terms
+    at_xstar = [f.value(x) for f, x in zip(terms, inst.xstar)]
+    zero = Fraction(0)
+    return [
+        tuple(
+            f.value(x + step) - fx if step else zero
+            for f, x, fx, step in zip(terms, inst.xstar, at_xstar, g)
+        )
+        for g in shifts
+    ]
 
 
 def solve_iiop(inst: IiopInstance, basis: GraverBasis) -> IiopAnswer:
@@ -79,7 +86,7 @@ def solve_iiop(inst: IiopInstance, basis: GraverBasis) -> IiopAnswer:
     if not shifts:
         uniform = tuple(Fraction(1, n) for _ in range(n))
         return IiopAnswer(verdict="yes", lam=uniform, shifts=())
-    rows = [_difference_row(inst, g) for g in shifts]
+    rows = _difference_rows(inst, shifts)
     strict = tuple(Fraction(1) for _ in range(n))
     outcome = rational_lp_feasibility(rows, strict)
     if isinstance(outcome, FeasiblePoint):
@@ -104,7 +111,7 @@ def verify_answer(inst: IiopInstance, basis: GraverBasis, answer: IiopAnswer) ->
     weighted difference sums are strictly negative in every coordinate.
     """
     shifts = feasible_shifts(basis, inst)
-    rows = [_difference_row(inst, g) for g in shifts]
+    rows = _difference_rows(inst, shifts)
     if answer.verdict == "yes":
         if answer.lam is None or len(answer.lam) != inst.n:
             return False

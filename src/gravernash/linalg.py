@@ -26,10 +26,6 @@ def vec(entries: Iterable[int]) -> IntVec:
     return tuple(int(e) for e in entries)
 
 
-def ratvec(entries: Iterable) -> RatVec:
-    return tuple(Fraction(e) for e in entries)
-
-
 def _check_same_length(u: Sequence, v: Sequence) -> None:
     if len(u) != len(v):
         raise DimensionError(f"vector lengths differ: {len(u)} vs {len(v)}")

@@ -260,16 +260,6 @@ def profile_from_json(obj: Any) -> StrategyProfile:
     return StrategyProfile(strategies=tuple(intvec_from_json(s) for s in strategies))
 
 
-def iiop_to_json(inst: IiopInstance) -> dict:
-    return {
-        "D": inst.D.to_lists(),
-        "d": list(inst.d),
-        "u": list(inst.u),
-        "xstar": list(inst.xstar),
-        "shapes": objective_to_json(inst.shapes),
-    }
-
-
 def iiop_from_json(obj: Any) -> IiopInstance:
     obj = _object(obj, "an inverse instance")
     return IiopInstance(

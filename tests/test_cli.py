@@ -292,6 +292,12 @@ def test_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_unknown_command_is_usage_error(tmp_path, capsys):
+    inp = write(tmp_path, "mat.json", {"D": [[1, 1]]})
+    assert main(["gravr", "--input", inp]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_payload_bytes_deterministic(tmp_path, capsys):
     inp = write(tmp_path, "mat.json", {"D": [[1, 1, 1]]})
     out1 = str(tmp_path / "a.json")

@@ -97,3 +97,97 @@ def test_checks_reject_corrupted_answers():
         _check_ray(neg, strict, (Fraction(1, 2),))  # -1/2 + 1 > 0
     with pytest.raises(CertificateError):
         _check_ray(neg, strict, (F(-1),))
+
+
+def reference_lp(rows, strict_row):
+    """The dense-Fraction phase-1 simplex that `rational_lp_feasibility` replaced.
+
+    Same standard form and Bland's rule, but it prices every column
+    against the original matrix with multipliers c_B B^{-1} rebuilt each
+    iteration, and divides in Fractions.  Returns ("point", lam) or
+    ("ray", coefficients), unchecked.
+    """
+    n, m = len(strict_row), len(rows)
+    ncols, nrows = n + m + 1, m + 1
+    matrix = []
+    for i, r in enumerate(rows):
+        row = [-F(x) for x in r] + [F(0)] * (m + 1)
+        row[n + i] = F(1)
+        matrix.append(row)
+    last = [F(x) for x in strict_row] + [F(0)] * (m + 1)
+    last[n + m] = F(1)
+    matrix.append(last)
+    rhs = [F(0)] * m + [F(1)]
+    cost = [F(0)] * ncols
+    cost[n + m] = F(1)
+    basis = [n + i for i in range(nrows)]
+    tableau = [matrix[i][:] + [rhs[i]] for i in range(nrows)]
+
+    def multipliers():
+        # the slack and artificial columns are unit vectors, so B^{-1} e_i is column n+i
+        return [sum(cost[basis[r]] * tableau[r][n + i] for r in range(nrows)) for i in range(nrows)]
+
+    while True:
+        y = multipliers()
+        entering = next(
+            (j for j in range(ncols)
+             if cost[j] - sum(y[i] * matrix[i][j] for i in range(nrows)) < 0),
+            -1,
+        )
+        if entering < 0:
+            break
+        leaving, best = -1, None
+        for i in range(nrows):
+            a = tableau[i][entering]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best, leaving = ratio, i
+        if leaving < 0:
+            raise CertificateError("unbounded phase-1 simplex")
+        piv = tableau[leaving][entering]
+        tableau[leaving] = [x / piv for x in tableau[leaving]]
+        for i in range(nrows):
+            factor = tableau[i][entering]
+            if i != leaving and factor:
+                tableau[i] = [x - factor * p for x, p in zip(tableau[i], tableau[leaving])]
+        basis[leaving] = entering
+
+    if sum(cost[basis[i]] * tableau[i][-1] for i in range(nrows)) == 0:
+        lam = [F(0)] * n
+        for i, b in enumerate(basis):
+            if b < n:
+                lam[b] = tableau[i][-1]
+        return "point", tuple(lam)
+    y = multipliers()
+    return "ray", tuple(-y[i] / y[m] for i in range(m))
+
+
+def _random_entry(rng, den):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, den))
+
+
+def test_matches_the_dense_fraction_reference():
+    """Same pivots as the dense-Fraction simplex: equal lam and equal Farkas coefficients."""
+    rng = random.Random(2009)
+    kinds = {"point": 0, "ray": 0}
+    for case in range(300):
+        n = rng.randint(1, 7)
+        m = 0 if case % 10 == 0 else rng.randint(1, 12)
+        den = 1 + case % 6  # denominators 1..6
+        rows = [tuple(_random_entry(rng, den) for _ in range(n)) for _ in range(m)]
+        if m and case % 3 == 0:
+            # repeated and scaled rows make ties in the ratio test
+            rows += [tuple(2 * x for x in rng.choice(rows)) for _ in range(rng.randint(1, 3))]
+        if case % 7 == 0:
+            strict = tuple(F(0) for _ in range(n))
+        else:
+            strict = tuple(_random_entry(rng, den) for _ in range(n))
+        kind, want = reference_lp(rows, strict)
+        got = rational_lp_feasibility(rows, strict)
+        if kind == "point":
+            assert isinstance(got, FeasiblePoint) and got.lam == want, case
+        else:
+            assert isinstance(got, FarkasRay) and got.coefficients == want, case
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 50, kinds

@@ -39,12 +39,7 @@ from .inverse import (
     verify_answer,
     weighted_objective,
 )
-from .linalg import (
-    IntMatrix,
-    conformal_leq,
-    kernel_lattice_basis,
-    sign_compatible,
-)
+from .linalg import IntMatrix, conformal_leq, kernel_lattice_basis
 from .lp import FarkasRay, FeasiblePoint, rational_lp_feasibility
 from .nfold import (
     NfoldSpec,

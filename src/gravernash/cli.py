@@ -6,9 +6,12 @@ and writes a single JSON run report to standard output:
     {"command": ..., "input_digest": ..., "status": ...,
      "timings_ms": {...}, "counters": {...}, "result": ...}
 
-Exit codes: 0 success, 1 infeasible / "no" verdict / failed check,
-2 usage or input error, 3 resource cap exceeded.  Result payloads are
-deterministic: identical inputs give byte-identical payloads.
+Each handler returns its outcome as (status, payload, counters), so the
+report of every completed run, negative outcomes included, carries
+`timings_ms.run` and the handler's counters.  Exit codes: 0 success,
+1 infeasible / "no" verdict / failed check, 2 usage or input error,
+3 resource cap exceeded.  Result payloads are deterministic: identical
+inputs give byte-identical payloads.
 """
 
 from __future__ import annotations
@@ -44,17 +47,9 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 
 
-class _Negative(Exception):
-    """Completed run whose outcome is infeasible / "no" / failed check."""
-
-    def __init__(self, status: str, payload):
-        self.status = status
-        self.payload = payload
-
-
 def _cmd_graver(data, caps):
     basis = graver_basis(serialize.matrix_from_json(data["D"]), **caps)
-    return serialize.graver_to_json(basis), {"graver_size": len(basis)}
+    return "ok", serialize.graver_to_json(basis), {"graver_size": len(basis)}
 
 
 def _cmd_nfold(data, caps):
@@ -67,7 +62,7 @@ def _cmd_nfold(data, caps):
         if not isinstance(variant, str) or variant not in builders:
             raise serialize.ValidationError(f"unknown variant {variant!r}")
         matrix = builders[variant](spec)
-    return serialize.matrix_to_json(matrix), {}
+    return "ok", serialize.matrix_to_json(matrix), {}
 
 
 def _cmd_solve(data, caps):
@@ -78,13 +73,13 @@ def _cmd_solve(data, caps):
         "graver_size": result.graver_size,
     }
     if result.status != "optimal":
-        raise _Negative("infeasible", {"status": "infeasible"})
+        return "infeasible", {"status": "infeasible"}, counters
     payload = {
         "status": "optimal",
         "x": list(result.x),
         "objective": frac_to_str(result.objective),
     }
-    return payload, counters
+    return "ok", payload, counters
 
 
 def _cmd_equilibrium(data, caps):
@@ -95,19 +90,16 @@ def _cmd_equilibrium(data, caps):
         "usage": list(aggregate_usage(profile)),
         "provider_cost": frac_to_str(provider_cost(game, profile)),
     }
-    return payload, {}
+    return "ok", payload, {}
 
 
 def _cmd_verify_equilibrium(data, caps):
     game = serialize.game_from_json(data["game"])
     profile = serialize.profile_from_json(data["profile"])
     if not is_feasible_profile(game, profile):
-        raise _Negative("not-equilibrium", {"is_equilibrium": False, "feasible": False})
+        return "not-equilibrium", {"is_equilibrium": False, "feasible": False}, {}
     ok = is_generalized_nash(game, profile, **caps)
-    payload = {"is_equilibrium": ok, "feasible": True}
-    if not ok:
-        raise _Negative("not-equilibrium", payload)
-    return payload, {}
+    return "ok" if ok else "not-equilibrium", {"is_equilibrium": ok, "feasible": True}, {}
 
 
 def _cmd_best_response(data, caps):
@@ -115,7 +107,7 @@ def _cmd_best_response(data, caps):
     profile = serialize.profile_from_json(data["profile"])
     player = serialize.int_from_json(data["player"])
     z = best_response(game, profile, player, **caps)
-    return {"player": player, "strategy": list(z)}, {}
+    return "ok", {"player": player, "strategy": list(z)}, {}
 
 
 def _cmd_inverse(data, caps):
@@ -124,9 +116,7 @@ def _cmd_inverse(data, caps):
     answer = solve_iiop(inst, basis)
     payload = serialize.answer_to_json(answer)
     counters = {"graver_size": len(basis), "feasible_shifts": len(answer.shifts)}
-    if answer.verdict == "no":
-        raise _Negative("no", payload)
-    return payload, counters
+    return "ok" if answer.verdict == "yes" else "no", payload, counters
 
 
 def _cmd_verify_inverse(data, caps):
@@ -134,10 +124,7 @@ def _cmd_verify_inverse(data, caps):
     answer = serialize.answer_from_json(data["answer"])
     basis = graver_basis(inst.D, **caps)
     ok = verify_answer(inst, basis, answer)
-    payload = {"valid": ok}
-    if not ok:
-        raise _Negative("invalid", payload)
-    return payload, {}
+    return "ok" if ok else "invalid", {"valid": ok}, {}
 
 
 def _cmd_oracle(data, caps, seed=None):
@@ -155,25 +142,25 @@ def _cmd_oracle(data, caps, seed=None):
         )
         bound = serialize.int_from_json(data.get("bound", 3))
         basis = brute_graver(matrix, bound, **caps)
-        return serialize.graver_to_json(basis), {"graver_size": len(basis)}
+        return "ok", serialize.graver_to_json(basis), {"graver_size": len(basis)}
     if op == "graver":
         basis = brute_graver(
             serialize.matrix_from_json(data["D"]),
             serialize.int_from_json(data["bound"]),
             **caps,
         )
-        return serialize.graver_to_json(basis), {"graver_size": len(basis)}
+        return "ok", serialize.graver_to_json(basis), {"graver_size": len(basis)}
     if op == "ip":
         inst = serialize.ip_instance_from_json(data["instance"])
         value, argmins = brute_ip_opt(inst, **caps)
-        return {
+        return "ok", {
             "value": frac_to_str(value),
             "argmins": [list(p) for p in argmins],
         }, {}
     if op == "nash":
         game = serialize.game_from_json(data["game"])
         feasible, minima, equilibria = brute_nash_check(game, **caps)
-        return {
+        return "ok", {
             "feasible_count": len(feasible),
             "potential_minima": [serialize.profile_to_json(p) for p in minima],
             "equilibria": [serialize.profile_to_json(p) for p in equilibria],
@@ -214,12 +201,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
 
-    report = {"command": args.command, "status": "ok", "timings_ms": {}, "counters": {}}
-    code = EXIT_OK
+    report = {"command": args.command, "timings_ms": {}, "counters": {}}
     payload = None
     try:
         try:
-            raw = open(args.input, "rb").read()
+            with open(args.input, "rb") as fh:
+                raw = fh.read()
         except OSError as exc:
             raise serialize.ValidationError(f"cannot read input: {exc}") from exc
         report["input_digest"] = hashlib.sha256(raw).hexdigest()
@@ -235,15 +222,13 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         handler = _COMMANDS[args.command]
         if args.command == "oracle":
-            payload, counters = handler(data, caps, seed=args.seed)
+            status, payload, counters = handler(data, caps, seed=args.seed)
         else:
-            payload, counters = handler(data, caps)
+            status, payload, counters = handler(data, caps)
         report["timings_ms"]["run"] = round((time.perf_counter() - start) * 1000, 3)
         report["counters"] = counters
-    except _Negative as neg:
-        report["status"] = neg.status
-        payload = neg.payload
-        code = EXIT_NEGATIVE
+        report["status"] = status
+        code = EXIT_OK if status == "ok" else EXIT_NEGATIVE
     except ResourceCapExceeded as exc:
         report["status"] = "cap-exceeded"
         _diag(args, str(exc))

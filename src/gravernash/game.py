@@ -191,16 +191,10 @@ def equilibrium_instance(game: GameInstance) -> IpInstance:
     interval arithmetic over the strategy boxes.
     """
     n, m, N = game.n, game.m, game.num_players
-    types: list[tuple[IntMatrix, IntMatrix]] = []
-    assignment = []
-    for p in game.players:
-        key = (p.A, p.B)
-        if key not in types:
-            types.append(key)
-        assignment.append(types.index(key))
-    matrix = build_multitype_matrix(
-        TypeCatalog(types=tuple(types), assignment=tuple(assignment))
+    catalog = TypeCatalog(
+        types=tuple((p.A, p.B) for p in game.players), assignment=tuple(range(N))
     )
+    matrix = build_multitype_matrix(catalog)
 
     rhs = tuple([0] * n) + tuple(game.b0)
     for p in game.players:
@@ -235,7 +229,6 @@ def find_equilibrium(
     result = solve_ip(inst, cap=cap)
     if result.status != "optimal":
         raise InfeasibleError("no profile satisfies the coupling constraint")
-    assert result.x is not None
     n, N = game.n, game.num_players
     strategies = tuple(
         tuple(result.x[i * n : (i + 1) * n]) for i in range(N)

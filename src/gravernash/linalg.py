@@ -62,12 +62,6 @@ def is_zero(u: Sequence) -> bool:
     return all(a == 0 for a in u)
 
 
-def sign_compatible(u: IntVec, v: IntVec) -> bool:
-    """True iff u_j * v_j >= 0 in every coordinate."""
-    _check_same_length(u, v)
-    return all(a * b >= 0 for a, b in zip(u, v))
-
-
 def conformal_leq(u: IntVec, v: IntVec) -> bool:
     """Conformal partial order: u_j * v_j >= 0 and |u_j| <= |v_j| everywhere."""
     _check_same_length(u, v)

@@ -141,6 +141,7 @@ def _check_point(rows, strict_row, lam) -> None:
 
 
 def _check_ray(rows, strict_row, v) -> None:
-    combos = [sum(vi * r[j] for vi, r in zip(v, rows)) + s for j, s in enumerate(strict_row)]
+    support = [(vi, r) for vi, r in zip(v, rows) if vi]
+    combos = [sum(vi * r[j] for vi, r in support) + s for j, s in enumerate(strict_row)]
     if not (all(x >= 0 for x in v) and all(c <= 0 for c in combos)):
         raise CertificateError("Farkas ray does not certify infeasibility")

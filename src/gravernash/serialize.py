@@ -1,4 +1,4 @@
-"""JSON encoding and decoding for all public data types.
+"""JSON decoding of the CLI's inputs and encoding of its payloads.
 
 Rationals travel as strings "p/q" (or "p") so that no precision is ever
 lost to JSON numbers.  Serialization is deterministic: keys are sorted
@@ -99,28 +99,6 @@ def ratvec_from_json(obj: Any) -> RatVec:
     return tuple(frac_from_str(x) for x in _list(obj, "a rational vector"))
 
 
-def cost_to_json(c: UnivariateCost) -> dict:
-    if isinstance(c, AffineCost):
-        return {"kind": "affine", "a": frac_to_str(c.a), "b": frac_to_str(c.b)}
-    if isinstance(c, QuadraticCost):
-        return {
-            "kind": "quadratic",
-            "a": frac_to_str(c.a),
-            "b": frac_to_str(c.b),
-            "c": frac_to_str(c.c),
-        }
-    if isinstance(c, PowerCost):
-        return {"kind": "power", "a": frac_to_str(c.a), "k": c.k}
-    if isinstance(c, PiecewiseLinearCost):
-        return {
-            "kind": "piecewise_linear",
-            "breakpoints": list(c.breakpoints),
-            "slopes": ratvec_to_json(c.slopes),
-            "c0": frac_to_str(c.c0),
-        }
-    raise ValidationError(f"cost kind {c.kind!r} has no JSON form")
-
-
 def _cost_fields(obj: dict) -> UnivariateCost:
     kind = obj["kind"]
     if kind == "affine":
@@ -151,10 +129,6 @@ def cost_from_json(obj: Any) -> UnivariateCost:
     return cost
 
 
-def objective_to_json(f: SeparableObjective) -> list[dict]:
-    return [cost_to_json(c) for c in f.terms]
-
-
 def objective_from_json(obj: Any) -> SeparableObjective:
     return SeparableObjective(tuple(cost_from_json(c) for c in _list(obj, "an objective")))
 
@@ -164,14 +138,6 @@ def graver_to_json(basis: GraverBasis) -> dict:
         "matrix": basis.matrix.to_lists(),
         "elements": [list(g) for g in basis.elements],
     }
-
-
-def graver_from_json(obj: Any) -> GraverBasis:
-    obj = _object(obj, "a Graver basis")
-    return GraverBasis(
-        matrix=matrix_from_json(obj["matrix"]),
-        elements=tuple(intvec_from_json(g) for g in _list(obj["elements"], "elements")),
-    )
 
 
 def nfold_spec_from_json(obj: Any) -> NfoldSpec:
@@ -196,15 +162,6 @@ def catalog_from_json(obj: Any) -> TypeCatalog:
     )
 
 
-def ip_instance_to_json(inst: IpInstance) -> dict:
-    return {
-        "D": inst.D.to_lists(),
-        "d": list(inst.d),
-        "u": list(inst.u),
-        "objective": objective_to_json(inst.objective),
-    }
-
-
 def ip_instance_from_json(obj: Any) -> IpInstance:
     obj = _object(obj, "an IP instance")
     return IpInstance(
@@ -215,15 +172,6 @@ def ip_instance_from_json(obj: Any) -> IpInstance:
     )
 
 
-def player_to_json(p: PlayerSpec) -> dict:
-    return {
-        "A": p.A.to_lists(),
-        "b": list(p.b),
-        "u": list(p.u),
-        "B": p.B.to_lists(),
-    }
-
-
 def player_from_json(obj: Any) -> PlayerSpec:
     obj = _object(obj, "a player")
     return PlayerSpec(
@@ -232,14 +180,6 @@ def player_from_json(obj: Any) -> PlayerSpec:
         u=intvec_from_json(obj["u"]),
         B=matrix_from_json(obj["B"]),
     )
-
-
-def game_to_json(game: GameInstance) -> dict:
-    return {
-        "players": [player_to_json(p) for p in game.players],
-        "b0": list(game.b0),
-        "costs": objective_to_json(game.costs),
-    }
 
 
 def game_from_json(obj: Any) -> GameInstance:

@@ -20,6 +20,11 @@ def inf_norm(u) -> int:
     return max((abs(a) for a in u), default=0)
 
 
+def sign_compatible(u, v) -> bool:
+    """True iff u_j * v_j >= 0 in every coordinate."""
+    return all(a * b >= 0 for a, b in zip(u, v))
+
+
 def rand_matrix(rng: random.Random, rows: int, cols: int, lo: int, hi: int) -> IntMatrix:
     return IntMatrix.from_rows(
         [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]

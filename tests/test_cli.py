@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -49,7 +50,7 @@ def test_graver_command(tmp_path, capsys):
     assert code == 0
     assert report["status"] == "ok"
     assert report["counters"]["graver_size"] == 6
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     assert len(payload["elements"]) == 6
     assert report["result"] == payload
 
@@ -147,6 +148,47 @@ def test_inverse_no_and_verify(tmp_path, capsys):
     code, report = run(capsys, ["verify-inverse", "--input", check])
     assert code == 0
     assert report["result"]["valid"] is True
+
+
+@pytest.mark.parametrize(
+    "command, data, status, counters",
+    [
+        ("inverse", IIOP_NO, "no", {"graver_size": 2, "feasible_shifts": 2}),
+        (
+            "solve",
+            {"D": [[1, 1]], "d": [3], "u": [1, 1], "objective": [SQ, SQ]},
+            "infeasible",
+            {"graver_size": 2, "augmentation_count": 0},
+        ),
+        (
+            "verify-inverse",
+            {"instance": IIOP_NO, "answer": {"verdict": "yes", "lambda": ["1", "1"]}},
+            "invalid",
+            {},
+        ),
+        (
+            "verify-equilibrium",
+            {"game": GAME, "profile": {"strategies": [[1, 0], [1, 0]]}},
+            "not-equilibrium",
+            {},
+        ),
+        (
+            "verify-equilibrium",
+            {"game": GAME, "profile": {"strategies": [[1, 1], [1, 0]]}},
+            "not-equilibrium",
+            {},
+        ),
+    ],
+)
+def test_negative_outcome_reports_its_timing_and_counters(
+    tmp_path, capsys, command, data, status, counters
+):
+    inp = write(tmp_path, "in.json", data)
+    code, report = run(capsys, [command, "--input", inp])
+    assert code == 1
+    assert report["status"] == status
+    assert report["counters"] == counters
+    assert report["timings_ms"]["run"] >= 0
 
 
 def test_inverse_yes(tmp_path, capsys):
@@ -306,7 +348,7 @@ def test_payload_bytes_deterministic(tmp_path, capsys):
     capsys.readouterr()
     main(["graver", "--input", inp, "--output", out2])
     capsys.readouterr()
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_oracle_without_cap_keeps_its_point_cap(tmp_path, capsys):

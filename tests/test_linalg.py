@@ -11,7 +11,6 @@ from gravernash import (
     IntMatrix,
     conformal_leq,
     kernel_lattice_basis,
-    sign_compatible,
 )
 from gravernash import linalg
 from gravernash.linalg import is_zero
@@ -20,17 +19,6 @@ from gravernash.oracle import Box, enumerate_box_points
 from conftest import rand_matrix
 
 short_vec = st.lists(st.integers(-5, 5), min_size=1, max_size=5)
-
-
-def test_sign_compatible_examples():
-    assert sign_compatible((1, 0, -2), (3, 0, -1))
-    assert not sign_compatible((1, -1), (1, 1))
-    assert sign_compatible((0, 0), (5, -7))
-
-
-def test_sign_compatible_length_mismatch():
-    with pytest.raises(DimensionError):
-        sign_compatible((1,), (1, 2))
 
 
 def test_conformal_leq_examples():

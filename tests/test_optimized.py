@@ -1,5 +1,6 @@
 """The self-checks must hold under `python -O`, which strips `assert`."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -23,3 +24,15 @@ def test_checks_survive_optimized_mode():
         timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_package_has_no_assert():
+    """`-O` strips `assert` and sets `__debug__` false; no module may rely on either."""
+    found = []
+    for path in sorted((ROOT / "src" / "gravernash").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert) or (
+                isinstance(node, ast.Name) and node.id == "__debug__"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

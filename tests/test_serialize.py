@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,6 @@ from gravernash import (
     GameInstance,
     IiopAnswer,
     IntMatrix,
-    IpInstance,
     PlayerSpec,
     StrategyProfile,
     ValidationError,
@@ -21,24 +21,21 @@ from gravernash.costs import (
 )
 from gravernash.serialize import (
     answer_from_json,
-    catalog_from_json,
     answer_to_json,
+    catalog_from_json,
     cost_from_json,
-    cost_to_json,
     dumps,
     frac_from_str,
     frac_to_str,
     game_from_json,
-    game_to_json,
-    graver_from_json,
     graver_to_json,
+    iiop_from_json,
     int_from_json,
+    intvec_from_json,
     ip_instance_from_json,
-    ip_instance_to_json,
     matrix_from_json,
     matrix_to_json,
     objective_from_json,
-    objective_to_json,
     profile_from_json,
     profile_to_json,
     ratvec_from_json,
@@ -83,15 +80,19 @@ def test_matrix_round_trip():
 
 
 def test_cost_round_trips():
-    costs = [
-        AffineCost(F(2), F(1, 3)),
-        QuadraticCost(F(1), F(-4), F(4)),
-        PowerCost(F(3), 3),
-        PiecewiseLinearCost(breakpoints=(1, 3), slopes=(F(1), F(2), F(5, 2)), c0=F(0)),
+    """Each cost kind in the README's JSON form decodes to the cost built in Python."""
+    documented = [
+        ('{"kind": "affine", "a": "2", "b": "1/3"}', AffineCost(F(2), F(1, 3))),
+        ('{"kind": "quadratic", "a": "1", "b": "-4", "c": "4"}', QuadraticCost(F(1), F(-4), F(4))),
+        ('{"kind": "power", "a": "3", "k": 3}', PowerCost(F(3), 3)),
+        (
+            '{"kind": "piecewise_linear", "breakpoints": [1, 3],'
+            ' "slopes": ["1/2", "2", "5/2"], "c0": "0"}',
+            PiecewiseLinearCost(breakpoints=(1, 3), slopes=(F(1, 2), F(2), F(5, 2)), c0=F(0)),
+        ),
     ]
-    for c in costs:
-        back = cost_from_json(cost_to_json(c))
-        assert back == c
+    for text, cost in documented:
+        assert cost_from_json(json.loads(text)) == cost
     with pytest.raises(ValidationError):
         cost_from_json({"kind": "mystery"})
     with pytest.raises(ValidationError):
@@ -104,7 +105,7 @@ def test_cost_round_trips():
         (ratvec_from_json, "12"),
         (objective_from_json, 5),
         (cost_from_json, [1]),
-        (graver_from_json, {"matrix": [[1, 1]], "elements": 5}),
+        (iiop_from_json, {"D": [[1]], "d": [1], "u": [1], "xstar": [1], "shapes": {}}),
         (catalog_from_json, {"types": [1], "assignment": [0]}),
         (game_from_json, {"players": [1], "b0": [0], "costs": []}),
         (profile_from_json, [[1, 0]]),
@@ -118,32 +119,44 @@ def test_nested_json_shapes_are_validation_errors(decode, obj):
 
 
 def test_objective_round_trip():
+    text = """[{"kind": "affine", "a": "1", "b": "0"},
+              {"kind": "quadratic", "a": "1", "b": "0", "c": "0"}]"""
     obj = SeparableObjective((AffineCost(F(1), F(0)), QuadraticCost(F(1), F(0), F(0))))
-    assert objective_from_json(objective_to_json(obj)) == obj
+    assert objective_from_json(json.loads(text)) == obj
 
 
 def test_graver_round_trip():
+    """The `graver` payload's JSON form decodes back to the basis."""
     basis = graver_basis(IntMatrix.from_rows([[1, 1, 1]]))
-    back = graver_from_json(graver_to_json(basis))
-    assert back.matrix == basis.matrix
-    assert back.elements == basis.elements
+    payload = json.loads(dumps(graver_to_json(basis)))
+    assert payload == {
+        "matrix": [[1, 1, 1]],
+        "elements": [[-1, 0, 1], [-1, 1, 0], [0, -1, 1], [0, 1, -1], [1, -1, 0], [1, 0, -1]],
+    }
+    assert matrix_from_json(payload["matrix"]) == basis.matrix
+    assert tuple(intvec_from_json(g) for g in payload["elements"]) == basis.elements
 
 
 def test_ip_instance_round_trip():
-    inst = IpInstance(
-        IntMatrix.from_rows([[1, 1]]),
-        (2,),
-        (2, 2),
-        SeparableObjective((AffineCost(F(1), F(0)), AffineCost(F(2), F(0)))),
-    )
-    back = ip_instance_from_json(ip_instance_to_json(inst))
-    assert back.D == inst.D
-    assert back.d == inst.d
-    assert back.u == inst.u
-    assert back.objective == inst.objective
+    text = """{"D": [[1, 1]], "d": [2], "u": [2, 2],
+              "objective": [{"kind": "affine", "a": "1", "b": "0"},
+                            {"kind": "affine", "a": "2", "b": "0"}]}"""
+    inst = ip_instance_from_json(json.loads(text))
+    assert inst.D == IntMatrix.from_rows([[1, 1]])
+    assert inst.d == (2,)
+    assert inst.u == (2, 2)
+    assert inst.objective == SeparableObjective((AffineCost(F(1), F(0)), AffineCost(F(2), F(0))))
 
 
 def test_game_and_profile_round_trip():
+    """A `verify-equilibrium` input: a game and a profile in the README's form."""
+    text = """{"game": {"players": [{"A": [[1, 1]], "b": [1], "u": [1, 1], "B": [[0, 0]]},
+                                {"A": [[1, 1]], "b": [1], "u": [1, 1], "B": [[0, 0]]}],
+                        "b0": [0],
+                        "costs": [{"kind": "quadratic", "a": "1", "b": "0", "c": "0"},
+                                  {"kind": "quadratic", "a": "1", "b": "0", "c": "0"}]},
+               "profile": {"strategies": [[1, 0], [0, 1]]}}"""
+    data = json.loads(text)
     player = PlayerSpec(
         A=IntMatrix.from_rows([[1, 1]]), b=(1,), u=(1, 1), B=IntMatrix.zero(1, 2)
     )
@@ -154,10 +167,10 @@ def test_game_and_profile_round_trip():
             (QuadraticCost(F(1), F(0), F(0)), QuadraticCost(F(1), F(0), F(0)))
         ),
     )
-    back = game_from_json(game_to_json(game))
-    assert back == game
+    assert game_from_json(data["game"]) == game
     profile = StrategyProfile(((1, 0), (0, 1)))
-    assert profile_from_json(profile_to_json(profile)) == profile
+    assert profile_from_json(data["profile"]) == profile
+    assert profile_to_json(profile) == data["profile"]
 
 
 def test_answer_round_trip():

@@ -43,7 +43,6 @@ from .linalg import IntMatrix, conformal_leq, kernel_lattice_basis
 from .lp import FarkasRay, FeasiblePoint, rational_lp_feasibility
 from .nfold import (
     NfoldSpec,
-    TypeCatalog,
     build_c_matrix,
     build_multitype_matrix,
     build_nash_matrix,

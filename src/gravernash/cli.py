@@ -54,7 +54,7 @@ def _cmd_graver(data, caps):
 
 def _cmd_nfold(data, caps):
     if "types" in data:
-        matrix = build_multitype_matrix(serialize.catalog_from_json(data))
+        matrix = build_multitype_matrix(*serialize.catalog_from_json(data))
     else:
         spec = serialize.nfold_spec_from_json(data)
         variant = data.get("variant", "nash")
@@ -221,10 +221,14 @@ def main(argv=None) -> int:
         caps = {} if args.cap is None else {"cap": args.cap}
         start = time.perf_counter()
         handler = _COMMANDS[args.command]
-        if args.command == "oracle":
-            status, payload, counters = handler(data, caps, seed=args.seed)
-        else:
-            status, payload, counters = handler(data, caps)
+        try:
+            if args.command == "oracle":
+                status, payload, counters = handler(data, caps, seed=args.seed)
+            else:
+                status, payload, counters = handler(data, caps)
+        except InfeasibleError as exc:
+            _diag(args, f"{type(exc).__name__}: {exc}")
+            status, payload, counters = "infeasible", None, {}
         report["timings_ms"]["run"] = round((time.perf_counter() - start) * 1000, 3)
         report["counters"] = counters
         report["status"] = status
@@ -234,13 +238,9 @@ def main(argv=None) -> int:
         _diag(args, str(exc))
         code = EXIT_CAP
     # a CertificateError is a program fault, not an input error: it propagates
-    except (serialize.ValidationError, DimensionError, InfeasibleError, KeyError) as exc:
-        if isinstance(exc, InfeasibleError):
-            report["status"] = "infeasible"
-            code = EXIT_NEGATIVE
-        else:
-            report["status"] = "input-error"
-            code = EXIT_INPUT
+    except (serialize.ValidationError, DimensionError, KeyError) as exc:
+        report["status"] = "input-error"
+        code = EXIT_INPUT
         _diag(args, f"{type(exc).__name__}: {exc}")
 
     report["result"] = payload

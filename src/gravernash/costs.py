@@ -33,7 +33,6 @@ class AffineCost:
 
     a: Fraction
     b: Fraction
-    kind = "affine"
 
     def value(self, y: int) -> Fraction:
         _check_arg(y)
@@ -53,7 +52,6 @@ class QuadraticCost:
     a: Fraction
     b: Fraction
     c: Fraction
-    kind = "quadratic"
 
     def value(self, y: int) -> Fraction:
         _check_arg(y)
@@ -72,7 +70,6 @@ class PowerCost:
 
     a: Fraction
     k: int
-    kind = "power"
 
     def value(self, y: int) -> Fraction:
         _check_arg(y)
@@ -96,7 +93,6 @@ class PiecewiseLinearCost:
     breakpoints: tuple[int, ...]
     slopes: tuple[Fraction, ...]
     c0: Fraction
-    kind = "piecewise_linear"
 
     def value(self, y: int) -> Fraction:
         _check_arg(y)
@@ -128,7 +124,6 @@ class ShiftedCost:
 
     base: "UnivariateCost"
     shift: int
-    kind = "shifted"
 
     def value(self, y: int) -> Fraction:
         _check_arg(y)
@@ -147,7 +142,6 @@ class ScaledCost:
 
     base: "UnivariateCost"
     factor: Fraction
-    kind = "scaled"
 
     def value(self, y: int) -> Fraction:
         _check_arg(y)

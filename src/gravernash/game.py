@@ -25,7 +25,7 @@ from fractions import Fraction
 from .costs import ZERO_COST, SeparableObjective, ShiftedCost
 from .errors import DimensionError, InfeasibleError, ValidationError
 from .linalg import IntMatrix, IntVec, vadd, vsub
-from .nfold import TypeCatalog, build_multitype_matrix
+from .nfold import build_multitype_matrix
 from .solver import DEFAULT_ELEMENT_CAP, IpInstance, solve_ip
 
 
@@ -191,10 +191,7 @@ def equilibrium_instance(game: GameInstance) -> IpInstance:
     interval arithmetic over the strategy boxes.
     """
     n, m, N = game.n, game.m, game.num_players
-    catalog = TypeCatalog(
-        types=tuple((p.A, p.B) for p in game.players), assignment=tuple(range(N))
-    )
-    matrix = build_multitype_matrix(catalog)
+    matrix = build_multitype_matrix([(p.A, p.B) for p in game.players], range(N))
 
     rhs = tuple([0] * n) + tuple(game.b0)
     for p in game.players:

@@ -124,14 +124,16 @@ def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
         if not is_zero(r):
             add(r)
 
-    found = {g for _, _, g in current}
-    closed = [sign_masks(g) for g in sorted(found | {vneg(g) for g in found})]
+    # every element of G(D) is in `current`: the completion reduces it to
+    # zero, and only the element itself divides it conformally.  So the
+    # minimal elements of `current` are exactly G(D).
+    records = sorted(current, key=lambda record: record[2])
     minimal = [
         g
-        for gpos, gneg, g in closed
+        for gpos, gneg, g in records
         if not any(
             h != g and conformal_leq(h, g)
-            for hpos, hneg, h in closed
+            for hpos, hneg, h in records
             if not (hpos & ~gpos or hneg & ~gneg)
         )
     ]

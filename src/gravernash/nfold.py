@@ -12,13 +12,14 @@ with equal column count n and a player count N:
   the zero-padding embedding of kernel elements.
 
 The equilibrium matrix has one builder, `build_multitype_matrix`, which
-takes a small catalog of per-player (A, B) pairs; the nash matrix is its
-one-type case.
+takes per-type (A, B) pairs and a type index per player; the nash matrix
+is its one-type case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import DimensionError, ValidationError
 from .linalg import (
@@ -57,45 +58,6 @@ class NfoldSpec:
         return self.B.nrows
 
 
-@dataclass(frozen=True)
-class TypeCatalog:
-    """Per-type (A, B) pairs and a 0-based type assignment per player."""
-
-    types: tuple[tuple[IntMatrix, IntMatrix], ...]
-    assignment: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.types:
-            raise ValidationError("catalog needs at least one type")
-        m = self.types[0][1].nrows
-        for a, b in self.types:
-            if a.ncols != b.ncols:
-                raise DimensionError("type pair with mismatched column counts")
-            if b.nrows != m:
-                raise DimensionError("all coupling matrices must share a row count")
-        n = self.types[0][0].ncols
-        for a, _ in self.types:
-            if a.ncols != n:
-                raise DimensionError("all types must share the variable dimension n")
-        if not self.assignment:
-            raise ValidationError("empty player assignment")
-        for t in self.assignment:
-            if not 0 <= t < len(self.types):
-                raise ValidationError(f"assignment index {t} out of range")
-
-    @property
-    def n(self) -> int:
-        return self.types[0][0].ncols
-
-    @property
-    def m(self) -> int:
-        return self.types[0][1].nrows
-
-    @property
-    def N(self) -> int:
-        return len(self.assignment)
-
-
 def build_nfold(spec: NfoldSpec) -> IntMatrix:
     """(m + N*d) x (N*n) matrix: B repeated on top, A block-diagonal below."""
     top = hstack([spec.B] * spec.N)
@@ -105,9 +67,7 @@ def build_nfold(spec: NfoldSpec) -> IntMatrix:
 
 def build_nash_matrix(spec: NfoldSpec) -> IntMatrix:
     """Equilibrium matrix of N players sharing (A, B); see build_multitype_matrix."""
-    return build_multitype_matrix(
-        TypeCatalog(types=((spec.A, spec.B),), assignment=(0,) * spec.N)
-    )
+    return build_multitype_matrix(((spec.A, spec.B),), (0,) * spec.N)
 
 
 def _linking_rows(bs: list[IntMatrix], n: int, m: int) -> IntMatrix:
@@ -168,16 +128,39 @@ def pad_to_c(g: IntVec, spec: NfoldSpec) -> IntVec:
     return tuple(padded)
 
 
-def build_multitype_matrix(catalog: TypeCatalog) -> IntMatrix:
+def build_multitype_matrix(
+    types: Sequence[tuple[IntMatrix, IntMatrix]], assignment: Sequence[int]
+) -> IntMatrix:
     """Equilibrium matrix for players of differing types.
 
+    `types` holds per-type (A, B) pairs and `assignment` the 0-based type
+    t(i) of each player i.
     Columns: N x-blocks of width n, then y (n), then s (m).
     Rows: aggregation (sum_i x^i - y = 0, n rows), coupling with slack
     (sum_i B_t(i) x^i + s = b^0, m rows), then A_t(i) x^i = b^i per
-    player, where t(i) is player i's type.
+    player.
+
+    Every type is checked, including types no player uses: each A and B
+    must have n columns and each B m rows (DimensionError).  No types, an
+    empty assignment or an index outside [0, len(types)) is a
+    ValidationError.
     """
-    n, m = catalog.n, catalog.m
-    pairs = [catalog.types[t] for t in catalog.assignment]
+    if not types:
+        raise ValidationError("catalog needs at least one type")
+    n, m = types[0][0].ncols, types[0][1].nrows
+    for a, b in types:
+        # hstack and vstack alone accept widths that compensate across
+        # players, so every width is checked against n
+        if a.ncols != n or b.ncols != n:
+            raise DimensionError("every type's A and B must have n columns")
+        if b.nrows != m:
+            raise DimensionError("all coupling matrices must share a row count")
+    if not assignment:
+        raise ValidationError("empty player assignment")
+    for t in assignment:
+        if not 0 <= t < len(types):
+            raise ValidationError(f"assignment index {t} out of range")
+    pairs = [types[t] for t in assignment]
     players = block_diagonal([a for a, _ in pairs])
     return vstack(
         [

@@ -24,7 +24,7 @@ from .game import GameInstance, PlayerSpec, StrategyProfile
 from .graver import GraverBasis
 from .inverse import IiopAnswer, IiopInstance
 from .linalg import IntMatrix, IntVec, RatVec
-from .nfold import NfoldSpec, TypeCatalog
+from .nfold import NfoldSpec
 from .solver import IpInstance
 
 
@@ -154,12 +154,11 @@ def _type_from_json(obj: Any) -> tuple[IntMatrix, IntMatrix]:
     return matrix_from_json(obj["A"]), matrix_from_json(obj["B"])
 
 
-def catalog_from_json(obj: Any) -> TypeCatalog:
+def catalog_from_json(obj: Any) -> tuple[list[tuple[IntMatrix, IntMatrix]], IntVec]:
+    """The `nfold` command's (types, assignment); build_multitype_matrix checks them."""
     obj = _object(obj, "a type catalog")
-    return TypeCatalog(
-        types=tuple(_type_from_json(t) for t in _list(obj["types"], "types")),
-        assignment=intvec_from_json(obj["assignment"]),
-    )
+    types = [_type_from_json(t) for t in _list(obj["types"], "types")]
+    return types, intvec_from_json(obj["assignment"])
 
 
 def ip_instance_from_json(obj: Any) -> IpInstance:

@@ -21,6 +21,16 @@ GAME = {
     "costs": [SQ, SQ],
 }
 
+# each player takes one unit, but the coupling row admits only one in total
+CROWDED = {
+    "players": [
+        {"A": [[1, 1]], "b": [1], "u": [1, 1], "B": [[1, 1]]},
+        {"A": [[1, 1]], "b": [1], "u": [1, 1], "B": [[1, 1]]},
+    ],
+    "b0": [1],
+    "costs": [SQ, SQ],
+}
+
 IIOP_NO = {
     "D": [[1, 1]],
     "d": [2],
@@ -178,6 +188,20 @@ def test_inverse_no_and_verify(tmp_path, capsys):
             "not-equilibrium",
             {},
         ),
+        # an empty feasible set, raised as InfeasibleError inside the handler
+        ("equilibrium", CROWDED, "infeasible", {}),
+        (
+            "best-response",
+            {"game": CROWDED, "profile": {"strategies": [[1, 0], [0, 1]]}, "player": 0},
+            "infeasible",
+            {},
+        ),
+        (
+            "oracle",
+            {"op": "ip", "instance": {"D": [[2]], "d": [3], "u": [3], "objective": [SQ]}},
+            "infeasible",
+            {},
+        ),
     ],
 )
 def test_negative_outcome_reports_its_timing_and_counters(
@@ -247,6 +271,9 @@ def test_input_error_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+TYPE = {"A": [[1, 1]], "B": [[1, 0]]}
+
+
 def ip(objective, D=((1, 1),), d=(2,), u=(2, 2)):
     return {"D": [list(r) for r in D], "d": list(d), "u": list(u), "objective": objective}
 
@@ -275,6 +302,11 @@ def piecewise(**fields):
         ("verify-inverse", {"instance": IIOP_NO, "answer": {"verdict": 5}}),
         ("nfold", {"A": [[1, 1]], "B": [[1, 0]], "N": 2, "variant": []}),
         ("verify-inverse", {"instance": IIOP_NO, "answer": {"verdict": "maybe"}}),
+        ("nfold", {"types": [TYPE], "assignment": [0, 1]}),
+        ("nfold", {"types": [TYPE], "assignment": []}),
+        ("nfold", {"types": [TYPE], "assignment": [-1]}),
+        # a malformed type that no player uses
+        ("nfold", {"types": [TYPE, {"A": [[1, 1, 1]], "B": [[1, 0]]}], "assignment": [0, 0]}),
     ],
 )
 def test_malformed_input_is_one_json_report(tmp_path, capsys, command, data):

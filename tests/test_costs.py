@@ -113,8 +113,15 @@ def test_parameter_rules_imply_the_probe():
         assert all(d2 >= d1 for d1, d2 in zip(diffs, diffs[1:])), cost
         if cost.params_ok():
             assert all(d >= 0 for d in diffs), cost
-            monotone.add(cost.kind)
-    assert monotone == {"affine", "quadratic", "power", "piecewise_linear", "shifted", "scaled"}
+            monotone.add(type(cost).__name__)
+    assert monotone == {
+        "AffineCost",
+        "QuadraticCost",
+        "PowerCost",
+        "PiecewiseLinearCost",
+        "ShiftedCost",
+        "ScaledCost",
+    }
 
 
 def test_objective_examples():

@@ -6,7 +6,7 @@ from gravernash import (
     DimensionError,
     IntMatrix,
     NfoldSpec,
-    TypeCatalog,
+    ValidationError,
     build_c_matrix,
     build_multitype_matrix,
     build_nash_matrix,
@@ -107,15 +107,13 @@ def test_padded_graver_elements_in_c_kernel():
 
 def test_multitype_single_type_matches_nash():
     spec = NfoldSpec(A=A11, B=B10, N=3)
-    catalog = TypeCatalog(types=((A11, B10),), assignment=(0, 0, 0))
-    assert build_multitype_matrix(catalog) == build_nash_matrix(spec)
+    assert build_multitype_matrix(((A11, B10),), (0, 0, 0)) == build_nash_matrix(spec)
 
 
 def test_multitype_two_types_hand_built():
     a2 = IntMatrix.from_rows([[1, 0]])
     b2 = IntMatrix.from_rows([[0, 1]])
-    catalog = TypeCatalog(types=((A11, B10), (a2, b2)), assignment=(0, 1))
-    mat = build_multitype_matrix(catalog)
+    mat = build_multitype_matrix(((A11, B10), (a2, b2)), (0, 1))
     # rows: n + m + d_1 + d_2 = 2 + 1 + 1 + 1; cols: 2*2 + 2 + 1
     assert (mat.nrows, mat.ncols) == (5, 7)
     expected = IntMatrix.from_rows(
@@ -131,8 +129,21 @@ def test_multitype_two_types_hand_built():
 
 
 def test_multitype_assignment_out_of_range():
-    with pytest.raises(Exception):
-        TypeCatalog(types=((A11, B10),), assignment=(0, 1))
+    for assignment in ((0, 1), (-1,)):
+        with pytest.raises(ValidationError):
+            build_multitype_matrix(((A11, B10),), assignment)
+
+
+def test_multitype_widths_that_compensate_are_rejected():
+    # player widths 3 + 1 match the 2 + 2 columns of their B blocks, so
+    # only the per-type check against n rejects this catalog
+    types = [
+        (A11, B10),
+        (IntMatrix.from_rows([[1, 1, 1]]), B10),
+        (IntMatrix.from_rows([[1]]), B10),
+    ]
+    with pytest.raises(DimensionError):
+        build_multitype_matrix(types, (1, 2))
 
 
 def test_multitype_kernel_is_padded_embedding_of_supermatrix():
@@ -140,15 +151,15 @@ def test_multitype_kernel_is_padded_embedding_of_supermatrix():
     # zero-padding: check by enumerating small kernels of both matrices
     a2 = IntMatrix.from_rows([[1, 0]])
     b2 = IntMatrix.from_rows([[0, 1]])
-    catalog = TypeCatalog(types=((A11, B10), (a2, b2)), assignment=(0, 1))
-    small = build_multitype_matrix(catalog)
+    types, assignment = ((A11, B10), (a2, b2)), (0, 1)
+    small = build_multitype_matrix(types, assignment)
     n = small.ncols
     box = Box((-1,) * n, (1,) * n)
     small_kernel = enumerate_box_points(box, predicate=lambda p: is_zero(small.matvec(p)))
 
     # the undeleted matrix: both slots present for both players
-    full = _full_multitype(catalog)
-    slot_cols = _kept_columns(catalog)
+    full = _full_multitype(types, len(assignment))
+    slot_cols = _kept_columns(types, assignment)
     for p in small_kernel:
         padded = [0] * full.ncols
         for value, col in zip(p, slot_cols):
@@ -156,17 +167,17 @@ def test_multitype_kernel_is_padded_embedding_of_supermatrix():
         assert is_zero(full.matvec(tuple(padded)))
 
 
-def _full_multitype(catalog: TypeCatalog):
+def _full_multitype(types, N):
     # the super-brick matrix with every type slot kept
     from gravernash.linalg import block_diagonal, hstack, vstack
 
-    n, m, N, t = catalog.n, catalog.m, catalog.N, len(catalog.types)
+    n, m, t = types[0][0].ncols, types[0][1].nrows, len(types)
     eye_n = IntMatrix.identity(n)
     neg = IntMatrix(n, n, tuple(tuple(-x for x in r) for r in eye_n.entries))
-    super_a = block_diagonal([a for a, _ in catalog.types])
+    super_a = block_diagonal([a for a, _ in types])
     agg = hstack([hstack([eye_n] * t)] * N + [neg, IntMatrix.zero(n, m)])
     coupling = hstack(
-        [hstack([b for _, b in catalog.types])] * N
+        [hstack([b for _, b in types])] * N
         + [IntMatrix.zero(m, n), IntMatrix.identity(m)]
     )
     players = hstack(
@@ -179,10 +190,10 @@ def _full_multitype(catalog: TypeCatalog):
     return vstack([agg, coupling, players])
 
 
-def _kept_columns(catalog: TypeCatalog):
-    n, m, N, t = catalog.n, catalog.m, catalog.N, len(catalog.types)
+def _kept_columns(types, assignment):
+    n, m, N, t = types[0][0].ncols, types[0][1].nrows, len(assignment), len(types)
     cols = []
-    for i, ty in enumerate(catalog.assignment):
+    for i, ty in enumerate(assignment):
         base = i * t * n + ty * n
         cols.extend(range(base, base + n))
     cols.extend(range(N * t * n, N * t * n + n + m))

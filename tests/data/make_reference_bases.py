@@ -1,9 +1,10 @@
 """Write reference_bases.json: Graver bases that later completions must reproduce.
 
 The snapshot holds the equilibrium matrices of the three (A, B) pairs of
-the N-fold growth experiments at N = 1..3 and seeded random matrices of
-1-3 rows and 2-6 columns with entries in [-2, 2], each with its basis in
-the canonical order `graver_basis` returns.  Run from the repository root:
+the N-fold growth experiments (the first at N = 1..6, the second at
+N = 1..4, the third at N = 1..3) and seeded random matrices of 1-3 rows
+and 2-6 columns with entries in [-2, 2], each with its basis in the
+canonical order `graver_basis` returns.  Run from the repository root:
 
     PYTHONPATH=src python tests/data/make_reference_bases.py
 """
@@ -22,7 +23,8 @@ PAIRS = (
     ([[1, 1, 1]], [[1, 2, 0]]),
     ([[1, -1, 2]], [[1, 1, 0]]),
 )
-PAIR_NS = (1, 2, 3)
+# per pair; the second pair's basis at N = 4 has 308 elements
+PAIR_NS = ((1, 2, 3, 4, 5, 6), (1, 2, 3, 4), (1, 2, 3))
 RANDOM_SEED = 2009
 RANDOM_COUNT = 60
 PATH = Path(__file__).with_name("reference_bases.json")
@@ -30,8 +32,8 @@ PATH = Path(__file__).with_name("reference_bases.json")
 
 def reference_matrices() -> list[tuple[str, IntMatrix]]:
     cases = []
-    for a, b in PAIRS:
-        for big_n in PAIR_NS:
+    for (a, b), big_ns in zip(PAIRS, PAIR_NS):
+        for big_n in big_ns:
             spec = NfoldSpec(IntMatrix.from_rows(a), IntMatrix.from_rows(b), big_n)
             cases.append((f"nash A={a} B={b} N={big_n}", build_nash_matrix(spec)))
     rng = random.Random(RANDOM_SEED)

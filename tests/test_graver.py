@@ -150,7 +150,7 @@ def test_reference_bases_snapshot():
     """Bases equal, element for element, a committed snapshot of earlier completions."""
     path = Path(__file__).parent / "data" / "reference_bases.json"
     cases = json.loads(path.read_text())
-    assert len(cases) == 69
+    assert len(cases) == 73
     for case in cases:
         basis = graver_basis(IntMatrix.from_rows(case["rows"]))
         assert [list(g) for g in basis.elements] == case["elements"], case["name"]

@@ -53,15 +53,16 @@ def _cmd_graver(data, caps):
 
 
 def _cmd_nfold(data, caps):
+    variant = data.get("variant", "nash")
+    builders = {"plain": build_nfold, "nash": build_nash_matrix, "c": build_c_matrix}
+    # a catalog of player types builds the equilibrium matrix only
+    variants = ("nash",) if "types" in data else builders
+    if not isinstance(variant, str) or variant not in variants:
+        raise serialize.ValidationError(f"unknown variant {variant!r} for this input")
     if "types" in data:
         matrix = build_multitype_matrix(*serialize.catalog_from_json(data))
     else:
-        spec = serialize.nfold_spec_from_json(data)
-        variant = data.get("variant", "nash")
-        builders = {"plain": build_nfold, "nash": build_nash_matrix, "c": build_c_matrix}
-        if not isinstance(variant, str) or variant not in builders:
-            raise serialize.ValidationError(f"unknown variant {variant!r}")
-        matrix = builders[variant](spec)
+        matrix = builders[variant](serialize.nfold_spec_from_json(data))
     return "ok", serialize.matrix_to_json(matrix), {}
 
 
@@ -134,6 +135,8 @@ def _cmd_oracle(data, caps, seed=None):
         rows = serialize.int_from_json(data["rows"])
         cols = serialize.int_from_json(data["cols"])
         entry_bound = serialize.int_from_json(data.get("entry_bound", 2))
+        if cols < 0 or entry_bound < 0:
+            raise serialize.ValidationError("cols and entry_bound must be nonnegative")
         matrix = IntMatrix.from_rows(
             [
                 [rng.randint(-entry_bound, entry_bound) for _ in range(cols)]

@@ -3,10 +3,10 @@
 The Graver basis of an integer matrix D is the set of nonzero elements
 of ker(D) over Z that are minimal in the conformal order: none of them
 splits into a sum of two nonzero sign-compatible kernel vectors.
-The completion seeds a kernel lattice basis (and its negations),
-repeatedly sums pairs, conformally reduces each candidate against the
-current set, keeps irreducible remainders until a fixpoint, and finally
-filters to the conformally minimal elements.
+The completion queues a kernel lattice basis, repeatedly sums pairs,
+conformally reduces each candidate against the current set, keeps
+irreducible remainders and their negations until a fixpoint, and
+finally filters to the conformally minimal elements.
 
 Every element carries its positive- and negative-support bitmasks (see
 `sign_masks`).  A g conformally below z has its positive support inside
@@ -24,6 +24,7 @@ from .errors import ResourceCapExceeded
 from .linalg import (
     IntMatrix,
     IntVec,
+    _sign_normalized,
     conformal_leq,
     is_zero,
     kernel_lattice_basis,
@@ -85,21 +86,26 @@ def conformal_reduce(z: IntVec, reducers) -> IntVec:
 
 
 def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
-    lattice = kernel_lattice_basis(mat)
-    seeds = sorted({v for b in lattice for v in (b, vneg(b))})
-
-    # candidate sums of sign-compatible pairs reduce to zero immediately
-    # (the first summand conformally divides the sum), so they are skipped;
-    # the heap processes the rest by increasing 1-norm for faster closure.
-    # A nonzero normal form is never in `current` already: every element
-    # conformally divides itself.
+    # `current` is closed under negation, so each ± pair of candidates is
+    # queued and reduced once, in its sign-normalized form s: -s reduces by
+    # the negated steps to -r, which joins `current` with r, and each sum
+    # of (-r, g) is the negation of a sum of (r, -g).  Sums of
+    # sign-compatible pairs reduce to zero at once (the first summand
+    # conformally divides the sum), so they are skipped; the heap pops the
+    # rest by increasing 1-norm.  A nonzero normal form is never in
+    # `current` already: every element conformally divides itself.
+    lattice = kernel_lattice_basis(mat)  # sign-normalized
     current: list[tuple[int, int, IntVec]] = []
-    queue: list[tuple[int, IntVec]] = []
-    queued: set[IntVec] = set()
-
-    def add(r: IntVec) -> None:
+    queue = [(one_norm(b), b) for b in lattice]
+    heapq.heapify(queue)
+    queued: set[IntVec] = set(lattice)
+    while queue:
+        _, candidate = heapq.heappop(queue)
+        r = _sign_normalized(conformal_reduce(candidate, current))
+        if is_zero(r):
+            continue
         record = sign_masks(r)
-        current.append(record)
+        current += (record, sign_masks(vneg(r)))
         if len(current) > cap:
             raise ResourceCapExceeded(
                 f"Graver completion exceeded the element cap of {cap}"
@@ -108,21 +114,11 @@ def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
         for pos, neg, g in current:
             if not (rpos & neg or rneg & pos):  # sign-compatible
                 continue
-            s = vadd(r, g)
+            s = _sign_normalized(vadd(r, g))
             if is_zero(s) or s in queued:
                 continue
             queued.add(s)
             heapq.heappush(queue, (one_norm(s), s))
-
-    for s in seeds:
-        r = conformal_reduce(s, current)
-        if not is_zero(r):
-            add(r)
-    while queue:
-        _, candidate = heapq.heappop(queue)
-        r = conformal_reduce(candidate, current)
-        if not is_zero(r):
-            add(r)
 
     # every element of G(D) is in `current`: the completion reduces it to
     # zero, and only the element itself divides it conformally.  So the

@@ -71,6 +71,8 @@ def brute_graver(
     those with no nonzero kernel point strictly below them in the
     conformal order.
     """
+    if bound < 0:
+        raise ValidationError(f"the box bound must be nonnegative, not {bound}")
     n = mat.ncols
     box = Box(tuple([-bound] * n), tuple([bound] * n))
     kernel = [

@@ -84,9 +84,11 @@ def matrix_from_json(obj: Any) -> IntMatrix:
             raise ValidationError("matrix without explicit dimensions must be nonempty")
         return IntMatrix.from_rows([intvec_from_json(r) for r in obj])
     if isinstance(obj, dict):
-        return IntMatrix.from_rows(
-            [intvec_from_json(r) for r in _list(obj["entries"], "matrix entries")],
-            ncols=int_from_json(obj["cols"]),
+        # IntMatrix rejects a row count or width that the entries do not have
+        return IntMatrix(
+            int_from_json(obj["rows"]),
+            int_from_json(obj["cols"]),
+            tuple(intvec_from_json(r) for r in _list(obj["entries"], "matrix entries")),
         )
     raise ValidationError("matrix must be a list of rows or a dict")
 

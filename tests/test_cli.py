@@ -307,6 +307,14 @@ def piecewise(**fields):
         ("nfold", {"types": [TYPE], "assignment": [-1]}),
         # a malformed type that no player uses
         ("nfold", {"types": [TYPE, {"A": [[1, 1, 1]], "B": [[1, 0]]}], "assignment": [0, 0]}),
+        # a catalog of types builds the equilibrium matrix only
+        ("nfold", {"types": [TYPE], "assignment": [0, 0], "variant": "bogus"}),
+        ("nfold", {"types": [TYPE], "assignment": [0, 0], "variant": "plain"}),
+        # a declared row count the entries do not have
+        ("graver", {"D": {"rows": 5, "cols": 2, "entries": [[1, 1]]}}),
+        ("oracle", {"op": "random-graver", "rows": 1, "cols": 2, "entry_bound": -1}),
+        ("oracle", {"op": "random-graver", "rows": 1, "cols": -3}),
+        ("oracle", {"op": "graver", "D": [[1, 1]], "bound": -1}),
     ],
 )
 def test_malformed_input_is_one_json_report(tmp_path, capsys, command, data):

@@ -72,6 +72,8 @@ def test_int_from_json_is_strict():
 def test_matrix_round_trip():
     m = IntMatrix.from_rows([[1, -2], [0, 3]])
     assert matrix_from_json(matrix_to_json(m)) == m
+    empty = IntMatrix.zero(0, 3)
+    assert matrix_from_json(matrix_to_json(empty)) == empty
     assert matrix_from_json([[1, -2], [0, 3]]) == m
     with pytest.raises(ValidationError):
         matrix_from_json([])

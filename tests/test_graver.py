@@ -12,6 +12,7 @@ from gravernash import (
     graver_basis,
 )
 from gravernash.graver import GraverBasis, sign_masks
+from gravernash.nfold import NfoldSpec, build_nash_matrix
 from gravernash.linalg import conformal_leq, is_zero, one_norm, vneg, vsub
 from gravernash.oracle import Box, enumerate_box_points
 
@@ -146,14 +147,35 @@ def test_sign_masks():
     assert sign_masks(()) == (0, 0, ())
 
 
+# completed through the builder only: with no declared bricks each takes seconds
+BUILDER_ONLY_CASES = {
+    "nash A=[[1, 1, 1]] B=[[1, 2, 0]] N=5",
+    "nash A=[[1, -1, 2]] B=[[1, 1, 0]] N=4",
+}
+
+
 def test_reference_bases_snapshot():
-    """Bases equal, element for element, a committed snapshot of earlier completions."""
+    """Bases equal, element for element, a committed snapshot of earlier completions.
+
+    Every case but the two largest is completed from its rows alone; every
+    nash case is also completed as `build_nash_matrix` builds it.
+    """
     path = Path(__file__).parent / "data" / "reference_bases.json"
     cases = json.loads(path.read_text())
-    assert len(cases) == 73
+    assert len(cases) == 75
     for case in cases:
-        basis = graver_basis(IntMatrix.from_rows(case["rows"]))
-        assert [list(g) for g in basis.elements] == case["elements"], case["name"]
+        matrices = []
+        if case["name"] not in BUILDER_ONLY_CASES:
+            matrices.append(IntMatrix.from_rows(case["rows"]))
+        if "N" in case:
+            spec = NfoldSpec(
+                IntMatrix.from_rows(case["A"]), IntMatrix.from_rows(case["B"]), case["N"]
+            )
+            matrices.append(build_nash_matrix(spec))
+            assert matrices[-1].entries == tuple(map(tuple, case["rows"])), case["name"]
+        for mat in matrices:
+            basis = graver_basis(mat)
+            assert [list(g) for g in basis.elements] == case["elements"], case["name"]
 
 
 def test_verify_graver_basis():

@@ -184,6 +184,13 @@ _COMMANDS = {
 }
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative: {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gravernash",
@@ -192,7 +199,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--input", required=True, help="JSON instance file")
     parser.add_argument("--output", help="write the result payload to this file")
-    parser.add_argument("--cap", type=int, default=None, help="override resource caps")
+    parser.add_argument(
+        "--cap", type=_nonnegative_int, default=None, help="override resource caps"
+    )
     parser.add_argument("--seed", type=int, default=None, help="seed for generated instances")
     parser.add_argument("--quiet", action="store_true", help="suppress diagnostics on stderr")
     return parser

@@ -18,7 +18,9 @@ is compared; the same masks decide sign-compatibility of pairs.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
+from itertools import chain, permutations, product
 
 from .errors import ResourceCapExceeded
 from .linalg import (
@@ -85,36 +87,97 @@ def conformal_reduce(z: IntVec, reducers) -> IntVec:
     return z
 
 
+def _orbit_maps(mat: IntMatrix):
+    """(key, images) for the group the declared `bricks` of `mat` generate.
+
+    key(v) is the canonical form of the orbit of ±v: each class's brick
+    slices sorted, the larger of the forms for v and for -v.  images(r)
+    lists every distinct image of r.  With no bricks the group is trivial:
+    key is `_sign_normalized` and r is its own only image.
+    """
+    if not mat.bricks:
+        return _sign_normalized, lambda r: [r]
+    # a class's columns are gathered after the vector's own entries into a
+    # pool, from which `place` reads the columns back in order
+    sources = list(range(mat.ncols))
+    classes = []
+    pool_size = mat.ncols
+    for blocks in mat.bricks:
+        cols = [j for block in blocks for j in block]
+        for offset, j in enumerate(cols, start=pool_size):
+            sources[j] = offset
+        pool_size += len(cols)
+        width = len(blocks[0])
+        slices = [slice(i, i + width) for i in range(0, len(cols), width)]
+        classes.append((operator.itemgetter(*cols), slices, (0,) * width))
+    place = operator.itemgetter(*sources)
+
+    def key(v: IntVec) -> IntVec:
+        pool, flipped = list(v), list(v)
+        for gather, slices, _ in classes:
+            bricks = sorted(map(gather(v).__getitem__, slices))
+            pool += chain.from_iterable(bricks)
+            # -v's sorted bricks are v's in reverse order, negated
+            flipped += chain.from_iterable(reversed(bricks))
+        return max(place(pool), vneg(place(flipped)))
+
+    def images(r: IntVec) -> list[IntVec]:
+        arrangements = []
+        for gather, slices, zero in classes:
+            bricks = list(map(gather(r).__getitem__, slices))
+            nonzero = [b for b in bricks if any(b)]
+            # place the nonzero bricks; the zero bricks fill the rest
+            distinct = {}
+            for positions in permutations(range(len(bricks)), len(nonzero)):
+                arranged = [zero] * len(bricks)
+                for position, brick in zip(positions, nonzero):
+                    arranged[position] = brick
+                distinct[tuple(chain.from_iterable(arranged))] = None
+            arrangements.append(distinct)
+        return [place([*r, *chain.from_iterable(a)]) for a in product(*arrangements)]
+
+    return key, images
+
+
 def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
-    # `current` is closed under negation, so each ± pair of candidates is
-    # queued and reduced once, in its sign-normalized form s: -s reduces by
-    # the negated steps to -r, which joins `current` with r, and each sum
-    # of (-r, g) is the negation of a sum of (r, -g).  Sums of
-    # sign-compatible pairs reduce to zero at once (the first summand
-    # conformally divides the sum), so they are skipped; the heap pops the
-    # rest by increasing 1-norm.  A nonzero normal form is never in
+    # A column permutation that permutes the rows of D maps ker(D) onto
+    # itself and keeps the conformal order, so G(D) is a union of orbits of
+    # the group the declared bricks generate.  The completion queues,
+    # reduces and pairs one canonical representative per orbit of ±v, and
+    # `current` holds every image of each remainder r and of -r, so it is
+    # closed under the group and under negation:
+    # - if z reduces to zero by subtracting g1, g2, ..., then σ(z) and -z
+    #   reduce to zero by σ(g1), ... and -g1, ..., all in `current`;
+    # - so pairing r alone with `current` covers every pair: σ(r) + g =
+    #   σ(r + σ⁻¹g), -r + g = -(r - g), with σ⁻¹g and -g in `current`.
+    # With no bricks the group is trivial and the orbit of ±r is {r, -r}.
+    # Sums of sign-compatible pairs reduce to zero at once (the first
+    # summand conformally divides the sum), so they are skipped; the heap
+    # pops the rest by increasing 1-norm.  A nonzero normal form is never in
     # `current` already: every element conformally divides itself.
-    lattice = kernel_lattice_basis(mat)  # sign-normalized
+    key, images = _orbit_maps(mat)
     current: list[tuple[int, int, IntVec]] = []
-    queue = [(one_norm(b), b) for b in lattice]
+    queued = set(map(key, kernel_lattice_basis(mat)))
+    queue = [(one_norm(b), b) for b in queued]
     heapq.heapify(queue)
-    queued: set[IntVec] = set(lattice)
     while queue:
         _, candidate = heapq.heappop(queue)
-        r = _sign_normalized(conformal_reduce(candidate, current))
+        r = key(conformal_reduce(candidate, current))
         if is_zero(r):
             continue
-        record = sign_masks(r)
-        current += (record, sign_masks(vneg(r)))
+        orbit = images(r)
+        current += map(sign_masks, orbit)
+        if vneg(r) not in orbit:
+            current += map(sign_masks, map(vneg, orbit))
         if len(current) > cap:
             raise ResourceCapExceeded(
                 f"Graver completion exceeded the element cap of {cap}"
             )
-        rpos, rneg, _ = record
+        rpos, rneg, _ = sign_masks(r)
         for pos, neg, g in current:
             if not (rpos & neg or rneg & pos):  # sign-compatible
                 continue
-            s = _sign_normalized(vadd(r, g))
+            s = key(vadd(r, g))
             if is_zero(s) or s in queued:
                 continue
             queued.add(s)

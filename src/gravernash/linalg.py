@@ -8,7 +8,8 @@ No floating point is used anywhere in this package.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -33,16 +34,16 @@ def _check_same_length(u: Sequence, v: Sequence) -> None:
 
 def vadd(u: IntVec, v: IntVec) -> IntVec:
     _check_same_length(u, v)
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(operator.add, u, v))
 
 
 def vsub(u: IntVec, v: IntVec) -> IntVec:
     _check_same_length(u, v)
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(operator.sub, u, v))
 
 
 def vneg(u: IntVec) -> IntVec:
-    return tuple(-a for a in u)
+    return tuple(map(operator.neg, u))
 
 
 def vscale(k: int, u: IntVec) -> IntVec:
@@ -51,15 +52,15 @@ def vscale(k: int, u: IntVec) -> IntVec:
 
 def dot(u: Sequence, v: Sequence):
     _check_same_length(u, v)
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def one_norm(u: IntVec) -> int:
-    return sum(abs(a) for a in u)
+    return sum(map(abs, u))
 
 
 def is_zero(u: Sequence) -> bool:
-    return all(a == 0 for a in u)
+    return not any(u)
 
 
 def conformal_leq(u: IntVec, v: IntVec) -> bool:
@@ -74,11 +75,22 @@ def conformal_leq(u: IntVec, v: IntVec) -> bool:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix stored row-major."""
+    """Immutable integer matrix stored row-major.
+
+    `bricks` declares classes of interchangeable column blocks: each class
+    is a tuple of at least two disjoint nonempty blocks of equal width, a
+    block a tuple of column indices.  Every permutation of a class's
+    blocks (each block's j-th column moving to the j-th column of the
+    block it replaces) must map the rows onto a permutation of themselves;
+    it then maps ker(D) onto itself and keeps the conformal order, which
+    `graver_basis` uses.  Anything else is a ValidationError.  Equality
+    and hashing ignore `bricks`.
+    """
 
     nrows: int
     ncols: int
     entries: tuple[IntVec, ...]
+    bricks: tuple[tuple[tuple[int, ...], ...], ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         if self.nrows < 0 or self.ncols < 0:
@@ -88,6 +100,35 @@ class IntMatrix:
         for r in self.entries:
             if len(r) != self.ncols:
                 raise ValidationError("ragged matrix rows")
+        if self.bricks:
+            self._check_bricks()
+
+    def _check_bricks(self) -> None:
+        seen: set[int] = set()
+        rows = sorted(self.entries)
+        for blocks in self.bricks:
+            if len(blocks) < 2 or len({len(b) for b in blocks}) != 1 or not blocks[0]:
+                raise ValidationError(
+                    "a brick class needs at least two nonempty blocks of equal width"
+                )
+            for block in blocks:
+                for j in block:
+                    if type(j) is not int or not 0 <= j < self.ncols or j in seen:
+                        raise ValidationError(
+                            "brick columns must be distinct indices in range"
+                        )
+                    seen.add(j)
+            # a swap and a cyclic shift of the blocks generate every permutation
+            for order in ((1, 0, *range(2, len(blocks))), (*range(1, len(blocks)), 0)):
+                sigma = list(range(self.ncols))
+                for block, source in zip(blocks, order):
+                    for j, k in zip(block, blocks[source]):
+                        sigma[j] = k
+                permute = operator.itemgetter(*sigma)
+                if sorted(map(permute, self.entries)) != rows:
+                    raise ValidationError(
+                        "permuting a brick class does not permute the rows"
+                    )
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], ncols: int | None = None) -> "IntMatrix":

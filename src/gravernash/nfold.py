@@ -70,17 +70,20 @@ def build_nash_matrix(spec: NfoldSpec) -> IntMatrix:
     return build_multitype_matrix(((spec.A, spec.B),), (0,) * spec.N)
 
 
-def _linking_rows(bs: list[IntMatrix], n: int, m: int) -> IntMatrix:
+def _linking_rows(bs: list[IntMatrix], n: int, m: int) -> list[IntVec]:
     """Aggregation and coupling-with-slack rows, one x-block per B in `bs`.
 
     Columns: the x-blocks, then y (n), then s (m).  Rows: aggregation
     (I_n per block, -I_n, 0) and coupling (B per block, 0, I_m).
     """
-    eye_n = IntMatrix.identity(n)
-    neg_eye_n = IntMatrix(n, n, tuple(tuple(-x for x in r) for r in eye_n.entries))
-    agg = hstack([eye_n] * len(bs) + [neg_eye_n, IntMatrix.zero(n, m)])
-    coupling = hstack(list(bs) + [IntMatrix.zero(m, n), IntMatrix.identity(m)])
-    return vstack([agg, coupling])
+    rows = []
+    for j in range(n):
+        unit = (0,) * j + (1,) + (0,) * (n - 1 - j)
+        rows.append(unit * len(bs) + tuple(-x for x in unit) + (0,) * m)
+    for i in range(m):
+        coupling = tuple(x for b in bs for x in b.entries[i])
+        rows.append(coupling + (0,) * (n + i) + (1,) + (0,) * (m - 1 - i))
+    return rows
 
 
 def build_c_matrix(spec: NfoldSpec) -> IntMatrix:
@@ -95,7 +98,7 @@ def build_c_matrix(spec: NfoldSpec) -> IntMatrix:
     # merging the slack identity into the B rows is what makes the
     # zero-padding of equilibrium-matrix kernel elements land in the
     # kernel of the enlarged matrix
-    brick = _linking_rows([spec.B], n, m)
+    brick = IntMatrix.from_rows(_linking_rows([spec.B], n, m), 2 * n + m)
     return build_nfold(NfoldSpec(A=a_prime, B=brick, N=spec.N))
 
 
@@ -138,7 +141,8 @@ def build_multitype_matrix(
     Columns: N x-blocks of width n, then y (n), then s (m).
     Rows: aggregation (sum_i x^i - y = 0, n rows), coupling with slack
     (sum_i B_t(i) x^i + s = b^0, m rows), then A_t(i) x^i = b^i per
-    player.
+    player.  The x-blocks of the players of each type with two or more
+    players form one class of the matrix's `bricks`.
 
     Every type is checked, including types no player uses: each A and B
     must have n columns and each B m rows (DimensionError).  No types, an
@@ -149,8 +153,8 @@ def build_multitype_matrix(
         raise ValidationError("catalog needs at least one type")
     n, m = types[0][0].ncols, types[0][1].nrows
     for a, b in types:
-        # hstack and vstack alone accept widths that compensate across
-        # players, so every width is checked against n
+        # a coupling row concatenates the players' B rows, which lets widths
+        # that compensate across players through, so every width is checked
         if a.ncols != n or b.ncols != n:
             raise DimensionError("every type's A and B must have n columns")
         if b.nrows != m:
@@ -160,11 +164,13 @@ def build_multitype_matrix(
     for t in assignment:
         if not 0 <= t < len(types):
             raise ValidationError(f"assignment index {t} out of range")
-    pairs = [types[t] for t in assignment]
-    players = block_diagonal([a for a, _ in pairs])
-    return vstack(
-        [
-            _linking_rows([b for _, b in pairs], n, m),
-            hstack([players, IntMatrix.zero(players.nrows, n + m)]),
-        ]
-    )
+    N = len(assignment)
+    rows = _linking_rows([types[t][1] for t in assignment], n, m)
+    blocks_of_type: dict[int, list[tuple[int, ...]]] = {}
+    for i, t in enumerate(assignment):
+        left, right = (0,) * (i * n), (0,) * ((N - 1 - i) * n + n + m)
+        rows.extend(left + r + right for r in types[t][0].entries)
+        blocks_of_type.setdefault(t, []).append(tuple(range(i * n, i * n + n)))
+    # players of one type are interchangeable; a block needs a column
+    bricks = tuple(tuple(b) for b in blocks_of_type.values() if len(b) > 1 and n)
+    return IntMatrix(len(rows), N * n + n + m, tuple(rows), bricks)

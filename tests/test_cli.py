@@ -367,6 +367,14 @@ def test_cap_exit_code(tmp_path, capsys):
     assert report["status"] == "cap-exceeded"
 
 
+@pytest.mark.parametrize("cap, code", [("-5", 2), ("0", 3)])
+def test_negative_cap_is_a_usage_error(tmp_path, capsys, cap, code):
+    inp = write(tmp_path, "mat.json", {"D": [[1, 1]]})
+    assert main(["graver", "--input", inp, "--cap", cap, "--quiet"]) == code
+    err = capsys.readouterr().err
+    assert ("must be nonnegative" in err) == (code == 2)
+
+
 def test_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()

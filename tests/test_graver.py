@@ -12,7 +12,7 @@ from gravernash import (
     graver_basis,
 )
 from gravernash.graver import GraverBasis, sign_masks
-from gravernash.nfold import NfoldSpec, build_nash_matrix
+from gravernash.nfold import NfoldSpec, build_multitype_matrix, build_nash_matrix
 from gravernash.linalg import conformal_leq, is_zero, one_norm, vneg, vsub
 from gravernash.oracle import Box, enumerate_box_points
 
@@ -200,3 +200,55 @@ def test_sums_of_compatible_elements_are_not_minimal():
         for g in basis:
             if f != g and sign_compatible(f, g):
                 assert tuple(a + b for a, b in zip(f, g)) not in set(basis.elements)
+
+
+def random_nash_spec(rng):
+    n = rng.randint(1, 3)
+    return NfoldSpec(
+        A=rand_matrix(rng, rng.randint(1, 2), n, -1, 1),
+        B=rand_matrix(rng, rng.randint(1, 2), n, -1, 1),
+        N=rng.randint(1, 4),
+    )
+
+
+def test_orbit_completion_matches_the_trivial_group():
+    """Declared bricks change no basis: G(D) is unique."""
+    rng = random.Random(31)
+    for _ in range(200):
+        built = build_nash_matrix(random_nash_spec(rng))
+        plain = IntMatrix.from_rows(built.entries, built.ncols)
+        assert graver_basis(built).elements == graver_basis(plain).elements
+    for _ in range(50):
+        n, m = rng.randint(1, 2), rng.randint(1, 2)
+        types = [
+            (rand_matrix(rng, 1, n, -1, 1), rand_matrix(rng, m, n, -1, 1))
+            for _ in range(rng.randint(1, 3))
+        ]
+        repeated = rng.randrange(len(types))
+        assignment = [repeated, repeated] + [
+            rng.randrange(len(types)) for _ in range(rng.randint(1, 2))
+        ]
+        rng.shuffle(assignment)
+        built = build_multitype_matrix(types, assignment)
+        assert built.bricks
+        plain = IntMatrix.from_rows(built.entries, built.ncols)
+        assert graver_basis(built).elements == graver_basis(plain).elements
+
+
+def test_orbit_completion_matches_the_oracle():
+    rng = random.Random(32)
+    specs = [NfoldSpec(IntMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[1, 0]]), 2)]
+    while len(specs) < 6:
+        spec = random_nash_spec(rng)
+        if spec.N >= 2 and spec.n + spec.m + spec.N * spec.n <= 6:
+            specs.append(spec)
+    for spec in specs:
+        built = build_nash_matrix(spec)
+        assert built.bricks
+        assert verify_graver_basis(graver_basis(built), 2)
+
+
+def test_resource_cap_with_declared_bricks():
+    spec = NfoldSpec(IntMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[1, 0]]), 3)
+    with pytest.raises(ResourceCapExceeded):
+        graver_basis(build_nash_matrix(spec), cap=1)

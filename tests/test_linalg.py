@@ -9,6 +9,7 @@ from gravernash import (
     CertificateError,
     DimensionError,
     IntMatrix,
+    ValidationError,
     conformal_leq,
     kernel_lattice_basis,
 )
@@ -105,3 +106,54 @@ def test_matrix_shape_validation():
         IntMatrix(2, 2, ((1, 2),))
     with pytest.raises(DimensionError):
         IntMatrix.identity(2).matvec((1, 2, 3))
+
+
+@given(st.data())
+def test_vector_kernels_match_their_definitions(data):
+    n = data.draw(st.integers(0, 6))
+    u = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+    v = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+    assert linalg.vadd(u, v) == tuple(a + b for a, b in zip(u, v))
+    assert linalg.vsub(u, v) == tuple(a - b for a, b in zip(u, v))
+    assert linalg.vneg(u) == tuple(-a for a in u)
+    assert linalg.dot(u, v) == sum(a * b for a, b in zip(u, v))
+    assert linalg.one_norm(u) == sum(abs(a) for a in u)
+    assert is_zero(u) == all(a == 0 for a in u)
+
+
+def test_vector_kernels_check_lengths():
+    # map() stops at the shorter argument, so only the check catches these
+    for kernel in (linalg.vadd, linalg.vsub, linalg.dot):
+        with pytest.raises(DimensionError):
+            kernel((1, 2, 3), (1, 2))
+
+
+# swapping the two blocks exchanges the last two rows and fixes the first
+SWAPPABLE = ((1, 2, 1, 2), (1, 1, 0, 0), (0, 0, 1, 1))
+
+
+def test_declared_bricks_are_checked():
+    IntMatrix(3, 4, SWAPPABLE, (((0, 1), (2, 3)),))
+    bad = [
+        (SWAPPABLE, (((0, 1), (3, 2)),)),  # not a symmetry: columns crossed
+        (((1, 2, 2, 1),), (((0, 1), (2, 3)),)),  # not a symmetry
+        # the swap of the first two blocks fixes the row, the cyclic shift does not
+        (((1, 1, 2),), (((0,), (1,), (2,)),)),
+        (SWAPPABLE, (((0, 1), (1, 2)),)),  # overlapping blocks
+        (SWAPPABLE, (((0, 1), (2,)),)),  # unequal widths
+        (SWAPPABLE, (((0, 1), (2, 4)),)),  # out of range
+        (SWAPPABLE, (((-1,), (0,)),)),  # out of range
+        (SWAPPABLE, (((0, 1),),)),  # a single block
+        (SWAPPABLE, (((), ()),)),  # empty blocks
+        (SWAPPABLE, (((0,), (2,)), ((0,), (1,)))),  # classes overlap
+    ]
+    for rows, bricks in bad:
+        with pytest.raises(ValidationError):
+            IntMatrix(len(rows), len(rows[0]), rows, bricks)
+
+
+def test_declared_bricks_do_not_change_equality():
+    declared = IntMatrix(3, 4, SWAPPABLE, (((0, 1), (2, 3)),))
+    plain = IntMatrix.from_rows(SWAPPABLE)
+    assert declared == plain
+    assert hash(declared) == hash(plain)

@@ -128,6 +128,20 @@ def test_multitype_two_types_hand_built():
     assert mat == expected
 
 
+def test_players_of_one_type_declare_a_brick_class():
+    nash = build_nash_matrix(NfoldSpec(A=A11, B=B10, N=3))
+    assert nash.bricks == (((0, 1), (2, 3), (4, 5)),)
+    plain = IntMatrix.from_rows(nash.entries)
+    assert plain.bricks == ()
+    assert nash == plain
+    assert hash(nash) == hash(plain)
+    a2 = IntMatrix.from_rows([[1, 0]])
+    b2 = IntMatrix.from_rows([[0, 1]])
+    mat = build_multitype_matrix(((A11, B10), (a2, b2)), (1, 0, 1, 1))
+    assert mat.bricks == (((0, 1), (4, 5), (6, 7)),)
+    assert build_multitype_matrix(((A11, B10), (a2, b2)), (0, 1)).bricks == ()
+
+
 def test_multitype_assignment_out_of_range():
     for assignment in ((0, 1), (-1,)):
         with pytest.raises(ValidationError):

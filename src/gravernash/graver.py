@@ -6,7 +6,10 @@ splits into a sum of two nonzero sign-compatible kernel vectors.
 The completion queues a kernel lattice basis, repeatedly sums pairs,
 conformally reduces each candidate against the current set, keeps
 irreducible remainders and their negations until a fixpoint, and
-finally filters to the conformally minimal elements.
+finally filters to the conformally minimal elements.  When the matrix
+declares interchangeable column bricks (`IntMatrix.bricks`), it works on
+orbits of the brick permutations: one representative per orbit is
+queued, reduced and paired, and every image of it is kept.
 
 Every element carries its positive- and negative-support bitmasks (see
 `sign_masks`).  A g conformally below z has its positive support inside
@@ -97,8 +100,9 @@ def _orbit_maps(mat: IntMatrix):
     """
     if not mat.bricks:
         return _sign_normalized, lambda r: [r]
-    # a class's columns are gathered after the vector's own entries into a
-    # pool, from which `place` reads the columns back in order
+    # a form is read from a pool: the vector's own entries, then each
+    # class's bricks in their new order; `place` takes a column outside
+    # every class from the vector and a class column from the bricks
     sources = list(range(mat.ncols))
     classes = []
     pool_size = mat.ncols

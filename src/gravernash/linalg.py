@@ -83,8 +83,8 @@ class IntMatrix:
     blocks (each block's j-th column moving to the j-th column of the
     block it replaces) must map the rows onto a permutation of themselves;
     it then maps ker(D) onto itself and keeps the conformal order, which
-    `graver_basis` uses.  Anything else is a ValidationError.  Equality
-    and hashing ignore `bricks`.
+    `graver_basis` uses.  A declaration that breaks these rules is a
+    ValidationError.  Equality and hashing ignore `bricks`.
     """
 
     nrows: int

@@ -12,8 +12,8 @@ from gravernash import (
     graver_basis,
 )
 from gravernash.graver import GraverBasis, sign_masks
-from gravernash.nfold import NfoldSpec, build_multitype_matrix, build_nash_matrix
 from gravernash.linalg import conformal_leq, is_zero, one_norm, vneg, vsub
+from gravernash.nfold import NfoldSpec, build_multitype_matrix, build_nash_matrix
 from gravernash.oracle import Box, enumerate_box_points
 
 from conftest import inf_norm, rand_matrix, sign_compatible
@@ -236,16 +236,19 @@ def test_orbit_completion_matches_the_trivial_group():
 
 
 def test_orbit_completion_matches_the_oracle():
-    rng = random.Random(32)
-    specs = [NfoldSpec(IntMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[1, 0]]), 2)]
-    while len(specs) < 6:
-        spec = random_nash_spec(rng)
-        if spec.N >= 2 and spec.n + spec.m + spec.N * spec.n <= 6:
-            specs.append(spec)
-    for spec in specs:
+    pairs = [
+        ([[1, 1]], [[1, 0]], 3),
+        ([[1, 2]], [[1, 0]], 2),
+        ([[1, 1]], [[1, 2]], 2),
+        ([[0, 1]], [[1, -1]], 2),
+    ]
+    for a, b, big_n in pairs:
+        spec = NfoldSpec(IntMatrix.from_rows(a), IntMatrix.from_rows(b), big_n)
         built = build_nash_matrix(spec)
         assert built.bricks
-        assert verify_graver_basis(graver_basis(built), 2)
+        basis = graver_basis(built)
+        bound = max(inf_norm(g) for g in basis.elements)
+        assert set(basis.elements) == set(brute_graver(built, bound).elements)
 
 
 def test_resource_cap_with_declared_bricks():

@@ -1,5 +1,8 @@
+import importlib.util
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -170,3 +173,17 @@ def test_brute_ip_opt_infeasible():
     inst = IpInstance(IntMatrix.from_rows([[1, 1]]), (5,), (1, 1), squares_objective(2))
     with pytest.raises(InfeasibleError):
         brute_ip_opt(inst)
+
+
+def test_reference_solve_snapshot(tmp_path):
+    """`solve`, `equilibrium`, `best-response` and `verify-equilibrium` answer byte for byte as a committed snapshot of earlier code."""
+    path = Path(__file__).parent / "data" / "make_reference_solve.py"
+    spec = importlib.util.spec_from_file_location("make_reference_solve", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    cases = json.loads((Path(__file__).parent / "data" / "reference_solve.json").read_text())
+    assert len(cases) == 122
+    assert {c["exit"] for c in cases} == {0, 1, 2}
+    for case in cases:
+        got = module.run_command(case["command"], case["input"], tmp_path)
+        assert got == {k: case[k] for k in got}, (case["name"], case["command"])

@@ -8,15 +8,22 @@ weights scale the fixed shapes) and preserve convexity and exactness.
 
 Validity is decided by the parameters alone.  `convex_ok` is the rule
 for any separable objective (`solve`, inverse shapes): the parameters
-are well formed and give a convex function on y >= 0.  `params_ok`
-builds on it with the sign conditions that make a cost nondecreasing,
-as a game's costs must be.
+are exact (an int or a Fraction, an int where an integer is due) and
+give a convex function on y >= 0.  `params_ok` builds on it with the
+sign conditions that make a cost nondecreasing, as a game's costs must
+be.
+
+Every valid cost has an integer form: `scale()` is a positive integer L
+such that L*f(y) is an integer at every integer y >= 0, and `times(M)`,
+for any multiple M of L, is M*f with integer parameters, whose values
+are plain ints.  The augmentation evaluates these forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import DimensionError, ValidationError
@@ -25,6 +32,28 @@ from .errors import DimensionError, ValidationError
 def _check_arg(y: int) -> None:
     if y < 0:
         raise ValidationError(f"cost functions are defined on y >= 0, got {y}")
+
+
+def _integers(*values) -> bool:
+    # exact types: a bool is not an integer here
+    return all(type(v) is int for v in values)
+
+
+def _rationals(*values) -> bool:
+    """Exact rationals only: ints and Fractions, never a float or a bool."""
+    return all(type(v) is int or type(v) is Fraction for v in values)
+
+
+def _denominators(*values) -> int:
+    return lcm(*(v.denominator for v in values))
+
+
+def _times(m: int, q) -> int:
+    """m*q as an int; `times(m)` makes integral parameters only when m is a multiple of `scale()`."""
+    numerator, denominator = m * q.numerator, q.denominator
+    if numerator % denominator:
+        raise ValueError(f"{m} * {q} is not an integer: times() takes a multiple of scale()")
+    return numerator // denominator
 
 
 @dataclass(frozen=True)
@@ -39,10 +68,16 @@ class AffineCost:
         return self.a * y + self.b
 
     def convex_ok(self) -> bool:
-        return True
+        return _rationals(self.a, self.b)
 
     def params_ok(self) -> bool:
-        return self.a >= 0 and self.b >= 0
+        return self.convex_ok() and self.a >= 0 and self.b >= 0
+
+    def scale(self) -> int:
+        return _denominators(self.a, self.b)
+
+    def times(self, m: int) -> AffineCost:
+        return AffineCost(_times(m, self.a), _times(m, self.b))
 
 
 @dataclass(frozen=True)
@@ -58,10 +93,16 @@ class QuadraticCost:
         return self.a * y * y + self.b * y + self.c
 
     def convex_ok(self) -> bool:
-        return self.a >= 0
+        return _rationals(self.a, self.b, self.c) and self.a >= 0
 
     def params_ok(self) -> bool:
         return self.convex_ok() and self.b >= 0 and self.c >= 0
+
+    def scale(self) -> int:
+        return _denominators(self.a, self.b, self.c)
+
+    def times(self, m: int) -> QuadraticCost:
+        return QuadraticCost(_times(m, self.a), _times(m, self.b), _times(m, self.c))
 
 
 @dataclass(frozen=True)
@@ -73,13 +114,22 @@ class PowerCost:
 
     def value(self, y: int) -> Fraction:
         _check_arg(y)
+        if _integers(self.k) and self.k >= 1:
+            return self.a * y**self.k
+        # a negative or non-integer exponent must not turn y into a float
         return self.a * Fraction(y) ** self.k
 
     def convex_ok(self) -> bool:
-        return self.a >= 0 and isinstance(self.k, int) and self.k >= 1
+        return _rationals(self.a) and _integers(self.k) and self.a >= 0 and self.k >= 1
 
     def params_ok(self) -> bool:
         return self.convex_ok()
+
+    def scale(self) -> int:
+        return _denominators(self.a)
+
+    def times(self, m: int) -> PowerCost:
+        return PowerCost(_times(m, self.a), self.k)
 
 
 @dataclass(frozen=True)
@@ -106,6 +156,8 @@ class PiecewiseLinearCost:
         return total + self.slopes[-1] * (y - prev)
 
     def convex_ok(self) -> bool:
+        if not (_integers(*self.breakpoints) and _rationals(self.c0, *self.slopes)):
+            return False
         if len(self.slopes) != len(self.breakpoints) + 1:
             return False
         if list(self.slopes) != sorted(self.slopes):
@@ -116,6 +168,14 @@ class PiecewiseLinearCost:
 
     def params_ok(self) -> bool:
         return self.convex_ok() and self.slopes[0] >= 0
+
+    def scale(self) -> int:
+        return _denominators(self.c0, *self.slopes)
+
+    def times(self, m: int) -> PiecewiseLinearCost:
+        return PiecewiseLinearCost(
+            self.breakpoints, tuple(_times(m, s) for s in self.slopes), _times(m, self.c0)
+        )
 
 
 @dataclass(frozen=True)
@@ -130,10 +190,16 @@ class ShiftedCost:
         return self.base.value(y + self.shift)
 
     def convex_ok(self) -> bool:
-        return self.shift >= 0 and self.base.convex_ok()
+        return _integers(self.shift) and self.shift >= 0 and self.base.convex_ok()
 
     def params_ok(self) -> bool:
-        return self.shift >= 0 and self.base.params_ok()
+        return self.convex_ok() and self.base.params_ok()
+
+    def scale(self) -> int:
+        return self.base.scale()
+
+    def times(self, m: int) -> ShiftedCost:
+        return ShiftedCost(self.base.times(m), self.shift)
 
 
 @dataclass(frozen=True)
@@ -148,17 +214,25 @@ class ScaledCost:
         return self.factor * self.base.value(y)
 
     def convex_ok(self) -> bool:
-        return self.factor >= 0 and self.base.convex_ok()
+        return _rationals(self.factor) and self.factor >= 0 and self.base.convex_ok()
 
     def params_ok(self) -> bool:
-        return self.factor >= 0 and self.base.params_ok()
+        return self.convex_ok() and self.base.params_ok()
+
+    def scale(self) -> int:
+        # the least L with L * factor a multiple of the base's scale
+        base = self.base.scale()
+        return self.factor.denominator * base // gcd(self.factor.numerator, base)
+
+    def times(self, m: int) -> UnivariateCost:
+        return self.base.times(_times(m, self.factor))
 
 
 UnivariateCost = (
     AffineCost | QuadraticCost | PowerCost | PiecewiseLinearCost | ShiftedCost | ScaledCost
 )
 
-ZERO_COST = AffineCost(Fraction(0), Fraction(0))
+ZERO_COST = AffineCost(0, 0)
 
 
 @dataclass(frozen=True)
@@ -173,4 +247,9 @@ class SeparableObjective:
             raise DimensionError(
                 f"objective has {len(self.terms)} terms but x has {len(x)} entries"
             )
-        return sum((t.value(v) for t, v in zip(self.terms, x)), Fraction(0))
+        # int-valued terms add as ints; the first Fraction carries the sum
+        return Fraction(sum(t.value(v) for t, v in zip(self.terms, x)))
+
+    def scale(self) -> int:
+        """The least common multiple of the terms' scales."""
+        return lcm(*(t.scale() for t in self.terms))

@@ -9,15 +9,22 @@ the (direction, step) pair with the largest improvement is applied,
 until no Graver step improves the objective.  Since a feasible point is
 optimal exactly when no single Graver step improves it, both walks end
 at optima.
+
+Both walks run in integers: the objective is multiplied once by its
+scale L, a positive integer that makes every term's values integral, and
+a positive factor changes no comparison between steps.  Improvements
+are reported divided by L, and the objective of a result, like the
+optimality certificate, is evaluated on the unscaled objective.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
-from .costs import SeparableObjective
+from .costs import AffineCost, ScaledCost, SeparableObjective
 from .errors import DimensionError, ValidationError
 from .graver import DEFAULT_ELEMENT_CAP, GraverBasis, graver_basis
 from .linalg import IntMatrix, IntVec, hstack, kernel_lattice_basis, vadd, vscale, vsub
@@ -41,6 +48,24 @@ class IpInstance:
             raise DimensionError("objective length != column count")
         if any(b < 0 for b in self.u):
             raise ValidationError("upper bounds must be nonnegative")
+        # the augmentation relies on convexity and on exact rational values
+        if not all(t.convex_ok() for t in self.objective.terms):
+            raise ValidationError(
+                "objective terms must be convex with int or Fraction parameters"
+            )
+
+    @cached_property
+    def integer_objective(self) -> tuple[int, tuple[Optional[Callable[[int], int]], ...]]:
+        """(L, f): L times the objective as one int-valued function per column.
+
+        A constant column's function is None: it moves no difference and no
+        improvement, so `best_step` does not evaluate it.
+        """
+        scale = self.objective.scale()
+        forms = (t.times(scale) for t in self.objective.terms)
+        return scale, tuple(
+            None if isinstance(f, AffineCost) and f.a == 0 else f.value for f in forms
+        )
 
     def is_feasible(self, x: IntVec) -> bool:
         return (
@@ -59,33 +84,38 @@ class SolveResult:
     graver_size: int
 
 
-def best_step(x: IntVec, g: IntVec, inst: IpInstance) -> tuple[int, Fraction]:
+def best_step(x: IntVec, g: IntVec, inst: IpInstance) -> tuple[int, Fraction | int]:
     """Smallest integer step minimizing the objective along g from x.
 
     D g = 0 keeps the equations satisfied, so only the box limits the
     step.  The objective along the ray is convex, hence its first
     differences are nondecreasing; the smallest minimizer is the first
     step whose difference is nonnegative, found by bisection.  Only the
-    terms on the support of g change along the ray, so only they are
-    evaluated: differences and the improvement are exactly the same.
-    Returns (step, improvement) with improvement >= 0.
+    non-constant terms on the support of g change along the ray, so only
+    they are evaluated, in the integer form L*f: differences and the
+    improvement are exactly L times the objective's.
+    Returns (step, improvement) with improvement >= 0, in the
+    objective's own units: an int when L = 1, else a Fraction.
     """
+    scale, forms = inst.integer_objective
     lam_max = None
-    moved = []  # (term, x_j, g_j) for every j with g_j != 0
-    for term, xi, gi, ui in zip(inst.objective.terms, x, g, inst.u):
+    moved = []  # (L*f_j, x_j, g_j) for every non-constant j with g_j != 0
+    for f, xi, gi, ui in zip(forms, x, g, inst.u):
         if gi > 0:
             room = (ui - xi) // gi
         elif gi < 0:
             room = xi // (-gi)
         else:
             continue
-        moved.append((term, xi, gi))
-        lam_max = room if lam_max is None else min(lam_max, room)
-    if lam_max is None or lam_max <= 0:
-        return 0, Fraction(0)
+        if f is not None:
+            moved.append((f, xi, gi))
+        if lam_max is None or room < lam_max:
+            lam_max = room
+    if lam_max is None or lam_max <= 0 or not moved:
+        return 0, 0
 
-    def phi(lam: int) -> Fraction:
-        return sum((t.value(xi + lam * gi) for t, xi, gi in moved), Fraction(0))
+    def phi(lam: int) -> int:
+        return sum(f(xi + lam * gi) for f, xi, gi in moved)
 
     # first lam in [0, lam_max-1] with phi(lam+1) - phi(lam) >= 0
     lo, hi = 0, lam_max
@@ -97,9 +127,9 @@ def best_step(x: IntVec, g: IntVec, inst: IpInstance) -> tuple[int, Fraction]:
             lo = mid + 1
     step = lo
     improvement = phi(0) - phi(step)
-    if improvement < 0:  # cannot happen along a convex ray
-        return 0, Fraction(0)
-    return step, improvement
+    if improvement <= 0:  # a positive step always improves along a convex ray
+        return 0, 0
+    return step, improvement if scale == 1 else Fraction(improvement, scale)
 
 
 def greedy_augment(x0: IntVec, basis: GraverBasis, inst: IpInstance) -> SolveResult:
@@ -111,7 +141,7 @@ def greedy_augment(x0: IntVec, basis: GraverBasis, inst: IpInstance) -> SolveRes
     while True:
         best_g = None
         best_lam = 0
-        best_gain = Fraction(0)
+        best_gain = 0
         for g in basis.elements:
             lam, gain = best_step(x, g, inst)
             if gain > best_gain:
@@ -172,6 +202,15 @@ class _RangeDistance:
 
     def value(self, y: int) -> int:
         return max(self.lo - y, 0, y - self.hi)
+
+    def convex_ok(self) -> bool:
+        return type(self.lo) is int and type(self.hi) is int and self.lo <= self.hi
+
+    def scale(self) -> int:
+        return 1
+
+    def times(self, m: int):
+        return self if m == 1 else ScaledCost(self, m)
 
 
 def find_feasible(inst: IpInstance, basis: GraverBasis) -> Optional[IntVec]:

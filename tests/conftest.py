@@ -9,11 +9,16 @@ import pytest
 
 from gravernash import GameInstance, IntMatrix, PlayerSpec
 from gravernash.costs import (
+    ZERO_COST,
     AffineCost,
+    PiecewiseLinearCost,
     PowerCost,
     QuadraticCost,
+    ScaledCost,
     SeparableObjective,
+    ShiftedCost,
 )
+from gravernash.linalg import vadd, vscale
 
 
 def inf_norm(u) -> int:
@@ -81,6 +86,88 @@ def random_game(rng: random.Random, max_players: int = 3, max_resources: int = 3
     return GameInstance(
         players=tuple(players), b0=b0, costs=random_convex_objective(rng, n)
     )
+
+
+def random_rational_cost(rng: random.Random, depth: int = 2):
+    """A convex cost of any of the six families, coefficients with denominators up to 6.
+
+    Shifted and scaled wrappers nest up to `depth` deep; one draw in ten
+    is ZERO_COST, and a scale factor may be 0.
+    """
+
+    def rat(lo: int, hi: int) -> Fraction:
+        return Fraction(rng.randint(lo, hi), rng.randint(1, 6))
+
+    pick = rng.randrange(10 if depth else 7)
+    if pick == 0:
+        return ZERO_COST
+    if pick == 1:
+        return AffineCost(rat(-6, 6), rat(-3, 3))
+    if pick in (2, 3):
+        return QuadraticCost(rat(0, 6), rat(-12, 6), rat(-3, 3))
+    if pick == 4:
+        return PowerCost(rat(0, 4), rng.randint(1, 3))
+    if pick in (5, 6):
+        breakpoints = tuple(sorted(rng.sample(range(1, 7), rng.randint(0, 3))))
+        slopes = tuple(sorted(rat(-6, 6) for _ in range(len(breakpoints) + 1)))
+        return PiecewiseLinearCost(breakpoints, slopes, rat(-3, 3))
+    if pick in (7, 8):
+        return ShiftedCost(random_rational_cost(rng, depth - 1), rng.randint(0, 3))
+    return ScaledCost(random_rational_cost(rng, depth - 1), rat(0, 6))
+
+
+def fraction_best_step(x, g, inst):
+    """The augmentation step as computed before the integer scaling: every term, in Fractions.
+
+    A test oracle for `solver.best_step`: same contract, no scaling and
+    no skipped terms.
+    """
+    lam_max = None
+    moved = []
+    for term, xi, gi, ui in zip(inst.objective.terms, x, g, inst.u):
+        if gi > 0:
+            room = (ui - xi) // gi
+        elif gi < 0:
+            room = xi // (-gi)
+        else:
+            continue
+        moved.append((term, xi, gi))
+        lam_max = room if lam_max is None else min(lam_max, room)
+    if lam_max is None or lam_max <= 0:
+        return 0, Fraction(0)
+
+    def phi(lam: int) -> Fraction:
+        return sum((t.value(xi + lam * gi) for t, xi, gi in moved), Fraction(0))
+
+    lo, hi = 0, lam_max
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if phi(mid + 1) - phi(mid) >= 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    improvement = phi(0) - phi(lo)
+    if improvement < 0:
+        return 0, Fraction(0)
+    return lo, improvement
+
+
+def fraction_greedy_augment(x0, basis, inst):
+    """Oracle for `solver.greedy_augment` on `fraction_best_step`: (path, count, objective).
+
+    `path` lists every point visited, the start included.
+    """
+    path = [x0]
+    while True:
+        best_g, best_lam, best_gain = None, 0, Fraction(0)
+        for g in basis.elements:
+            lam, gain = fraction_best_step(path[-1], g, inst)
+            if gain > best_gain:
+                best_g, best_lam, best_gain = g, lam, gain
+        if best_g is None:
+            break
+        path.append(vadd(path[-1], vscale(best_lam, best_g)))
+    return path, len(path) - 1, inst.objective.value(path[-1])
 
 
 @pytest.fixture

@@ -14,6 +14,8 @@ from gravernash.costs import (
     ShiftedCost,
 )
 
+from conftest import random_rational_cost
+
 F = Fraction
 
 
@@ -153,3 +155,57 @@ def test_shifted_and_scaled_wrappers():
 def test_exactness_no_rounding():
     pw = PiecewiseLinearCost(breakpoints=(1, 3), slopes=(F(1, 3), F(1, 2), F(2)), c0=F(1, 7))
     assert pw.value(5) == F(1, 7) + F(1, 3) + 2 * F(1, 2) + 2 * F(2)
+
+
+def test_convexity_rule_wants_exact_parameters():
+    sq = QuadraticCost(F(1), F(0), F(0))
+    inexact = [
+        AffineCost(0.5, F(0)),
+        AffineCost(F(1), True),
+        QuadraticCost(F(1), 0.0, F(0)),
+        PowerCost(1.0, 2),
+        PowerCost(F(1), 2.0),
+        PowerCost(F(1), True),
+        PiecewiseLinearCost(breakpoints=(1.5,), slopes=(F(0), F(1)), c0=F(0)),
+        PiecewiseLinearCost(breakpoints=(1,), slopes=(F(0), 1.0), c0=F(0)),
+        ShiftedCost(sq, 1.0),
+        ScaledCost(sq, 0.5),
+        ScaledCost(AffineCost(0.5, 0), F(1)),
+    ]
+    for cost in inexact:
+        assert not cost.convex_ok(), cost
+        assert not cost.params_ok(), cost
+    assert AffineCost(1, 2).params_ok() and PowerCost(2, 3).params_ok()
+    # an exponent outside the rule still evaluates exactly, never to a float
+    assert PowerCost(F(1), -1).value(2) == F(1, 2)
+    assert type(PowerCost(F(1), -1).value(2)) is Fraction
+
+
+def test_integer_forms_scale_every_value():
+    """times(scale()) is scale() times the cost, in ints, for every family and nesting."""
+    rng = random.Random(2012)
+    seen = set()
+    for _ in range(400):
+        cost = random_rational_cost(rng)
+        scale = cost.scale()
+        assert type(scale) is int and scale >= 1
+        for m in (scale, 3 * scale):
+            form = cost.times(m)
+            for y in range(13):
+                value = form.value(y)
+                assert type(value) is int and value == m * cost.value(y), (cost, m, y)
+        seen.add(type(cost).__name__)
+    assert len(seen) == 6
+    assert ScaledCost(QuadraticCost(F(1, 2), F(0), F(0)), F(4, 3)).scale() == 3
+    assert ScaledCost(QuadraticCost(F(1, 2), F(0), F(0)), F(0)).scale() == 1
+    with pytest.raises(ValueError):
+        AffineCost(F(1, 2), F(0)).times(3)
+
+
+def test_objective_scale_is_the_lcm():
+    obj = SeparableObjective(
+        (AffineCost(F(1, 2), F(0)), QuadraticCost(F(1, 3), F(0), F(1, 4)), ShiftedCost(PowerCost(F(5, 6), 2), 1))
+    )
+    assert obj.scale() == 12
+    assert SeparableObjective(()).scale() == 1
+    assert type(obj.value((1, 2, 3))) is Fraction

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from gravernash import solver
 from gravernash import (
     InfeasibleError,
     IntMatrix,
     IpInstance,
+    ValidationError,
     best_step,
     brute_ip_opt,
     check_optimal,
@@ -18,10 +20,17 @@ from gravernash import (
     greedy_augment,
     solve_ip,
 )
-from gravernash.costs import AffineCost, SeparableObjective
+from gravernash.costs import ZERO_COST, AffineCost, PowerCost, QuadraticCost, SeparableObjective
 from gravernash.oracle import Box, enumerate_box_points
 
-from conftest import rand_matrix, random_convex_objective, squares_objective
+from conftest import (
+    fraction_best_step,
+    fraction_greedy_augment,
+    rand_matrix,
+    random_convex_objective,
+    random_rational_cost,
+    squares_objective,
+)
 
 F = Fraction
 
@@ -173,6 +182,78 @@ def test_brute_ip_opt_infeasible():
     inst = IpInstance(IntMatrix.from_rows([[1, 1]]), (5,), (1, 1), squares_objective(2))
     with pytest.raises(InfeasibleError):
         brute_ip_opt(inst)
+
+
+def test_library_rejects_objectives_it_cannot_minimize_exactly():
+    """A float parameter or a concave term is an input error, not a float or a wrong "optimal"."""
+    floats = SeparableObjective(tuple(AffineCost(0.5, 0) for _ in range(3)))
+    with pytest.raises(ValidationError):
+        solve_ip(IpInstance(D111, (3,), (3, 3, 3), floats))
+    concave = SeparableObjective((QuadraticCost(-1, 0, 0), AffineCost(F(1), F(0)), AffineCost(F(1), F(0))))
+    with pytest.raises(ValidationError):
+        solve_ip(IpInstance(D111, (3,), (3, 3, 3), concave))
+    for bad in (PowerCost(F(1), 2.0), PowerCost(F(1), True), AffineCost(F(1), 0.0)):
+        with pytest.raises(ValidationError):
+            IpInstance(D111, (3,), (3, 3, 3), SeparableObjective((bad, bad, bad)))
+    # ints and Fractions are both exact
+    mixed = SeparableObjective((AffineCost(1, F(1, 2)), QuadraticCost(F(1, 3), -1, 0), PowerCost(2, 3)))
+    inst = IpInstance(D111, (3,), (3, 3, 3), mixed)
+    result = solve_ip(inst)
+    assert result.objective == brute_ip_opt(inst)[0] == F(1, 2)
+    assert type(result.objective) is Fraction
+
+
+def test_range_distance_rules():
+    dist = solver._RangeDistance(1, 3)
+    assert dist.convex_ok() and dist.scale() == 1
+    assert [dist.value(y) for y in range(6)] == [1, 0, 0, 0, 1, 2]
+    assert all(dist.times(4).value(y) == 4 * dist.value(y) for y in range(13))
+    assert not solver._RangeDistance(3, 1).convex_ok()
+    assert not solver._RangeDistance(F(1), 3).convex_ok()
+
+
+def test_integer_augmentation_matches_the_fraction_oracle(monkeypatch):
+    """Both phases of solve_ip against the Fraction augmentation, step by step.
+
+    Every greedy_augment call (phase 1 on the distance objective, phase 2
+    on the instance's) is replayed by the oracle; at every point on the
+    oracle's path each basis element must give the same (step, gain),
+    and the end point, augmentation count and objective must agree.
+    """
+    calls = []
+    real = solver.greedy_augment
+
+    def recording(x0, basis, inst):
+        result = real(x0, basis, inst)
+        calls.append((x0, basis, inst, result))
+        return result
+
+    monkeypatch.setattr(solver, "greedy_augment", recording)
+    rng = random.Random(2011)
+    scales, families, augmented = set(), set(), 0
+    for _ in range(300):
+        nvars = rng.randint(2, 5)
+        mat = rand_matrix(rng, rng.randint(1, 2), nvars, -2, 2)
+        u = tuple(rng.randint(0, 5) for _ in range(nvars))
+        witness = tuple(rng.randint(0, ui) for ui in u)
+        objective = SeparableObjective(tuple(random_rational_cost(rng) for _ in range(nvars)))
+        inst = IpInstance(mat, mat.matvec(witness), u, objective)
+        calls.clear()
+        result = solve_ip(inst)
+        assert result.status == "optimal" and len(calls) == 2
+        for x0, basis, sub, got in calls:
+            path, count, value = fraction_greedy_augment(x0, basis, sub)
+            for x in path:
+                for g in basis.elements:
+                    assert best_step(x, g, sub) == fraction_best_step(x, g, sub)
+            assert (got.x, got.augmentation_count, got.objective) == (path[-1], count, value)
+            assert type(got.objective) is Fraction
+        assert check_optimal(result.x, basis, inst) == (True, None)
+        scales.add(objective.scale())
+        families |= {type(t).__name__ for t in objective.terms}
+        families |= {"ZERO_COST"} if ZERO_COST in objective.terms else set()
+        augmented += result.augmentation_count > 0
+    assert len(scales) > 10 and augmented > 100 and len(families) == 7
 
 
 def test_reference_solve_snapshot(tmp_path):

@@ -34,14 +34,18 @@ def _check_arg(y: int) -> None:
         raise ValidationError(f"cost functions are defined on y >= 0, got {y}")
 
 
+# exact types, so that a bool is no integer here
+_INT = frozenset({int})
+_RATIONAL = frozenset({int, Fraction})
+
+
 def _integers(*values) -> bool:
-    # exact types: a bool is not an integer here
-    return all(type(v) is int for v in values)
+    return _INT.issuperset(map(type, values))
 
 
 def _rationals(*values) -> bool:
     """Exact rationals only: ints and Fractions, never a float or a bool."""
-    return all(type(v) is int or type(v) is Fraction for v in values)
+    return _RATIONAL.issuperset(map(type, values))
 
 
 def _denominators(*values) -> int:

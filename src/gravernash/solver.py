@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional
 
-from .costs import AffineCost, ScaledCost, SeparableObjective
+from .costs import ZERO_COST, AffineCost, PiecewiseLinearCost, SeparableObjective
 from .errors import DimensionError, ValidationError
 from .graver import DEFAULT_ELEMENT_CAP, GraverBasis, graver_basis
 from .linalg import IntMatrix, IntVec, hstack, kernel_lattice_basis, vadd, vscale, vsub
@@ -193,24 +193,18 @@ def _integer_solution(D: IntMatrix, d: IntVec) -> Optional[IntVec]:
     return vscale(acc[-1], acc)[:-1] if abs(acc[-1]) == 1 else None
 
 
-@dataclass(frozen=True)
-class _RangeDistance:
-    """Distance of y from [lo, hi]: the phase-1 penalty of one coordinate."""
+def _range_distance(v: int, ub: int) -> AffineCost | PiecewiseLinearCost:
+    """Distance of y from the range [0, ub] of a coordinate with x0_j = v.
 
-    lo: int
-    hi: int
-
-    def value(self, y: int) -> int:
-        return max(self.lo - y, 0, y - self.hi)
-
-    def convex_ok(self) -> bool:
-        return type(self.lo) is int and type(self.hi) is int and self.lo <= self.hi
-
-    def scale(self) -> int:
-        return 1
-
-    def times(self, m: int):
-        return self if m == 1 else ScaledCost(self, m)
+    In phase 1's box [min(0, v), max(ub, v)], shifted to start at 0, y
+    can leave the shifted range on one side only: below it when v < 0,
+    above it when v > ub.  When 0 <= v <= ub the range is the whole box.
+    """
+    if v < 0:
+        return PiecewiseLinearCost((-v,), (-1, 0), -v)
+    if v <= ub:
+        return ZERO_COST
+    return PiecewiseLinearCost((ub,), (0, 1), 0) if ub else AffineCost(1, 0)
 
 
 def find_feasible(inst: IpInstance, basis: GraverBasis) -> Optional[IntVec]:
@@ -230,9 +224,7 @@ def find_feasible(inst: IpInstance, basis: GraverBasis) -> Optional[IntVec]:
         inst.D,
         vsub(inst.d, inst.D.matvec(low)),
         tuple(max(ub, v) - lo for ub, v, lo in zip(inst.u, x0, low)),
-        SeparableObjective(
-            tuple(_RangeDistance(-lo, ub - lo) for ub, lo in zip(inst.u, low))
-        ),
+        SeparableObjective(tuple(_range_distance(v, ub) for v, ub in zip(x0, inst.u))),
     )
     result = greedy_augment(vsub(x0, low), basis, wide)
     if result.objective != 0:

@@ -203,13 +203,18 @@ def test_library_rejects_objectives_it_cannot_minimize_exactly():
     assert type(result.objective) is Fraction
 
 
-def test_range_distance_rules():
-    dist = solver._RangeDistance(1, 3)
-    assert dist.convex_ok() and dist.scale() == 1
-    assert [dist.value(y) for y in range(6)] == [1, 0, 0, 0, 1, 2]
-    assert all(dist.times(4).value(y) == 4 * dist.value(y) for y in range(13))
-    assert not solver._RangeDistance(3, 1).convex_ok()
-    assert not solver._RangeDistance(F(1), 3).convex_ok()
+def test_phase_one_terms_are_range_distances():
+    """Each phase-1 term is the distance from the shifted range on the widened box."""
+    for x0 in range(-4, 7):
+        for u in range(5):
+            term = solver._range_distance(x0, u)
+            assert term.convex_ok() and term.scale() == 1
+            low = min(0, x0)
+            lo, hi = -low, u - low
+            box = range(max(u, x0) - low + 1)
+            assert [term.value(y) for y in box] == [max(lo - y, 0, y - hi) for y in box]
+            if 0 <= x0 <= u:  # in range: a constant term, which best_step skips
+                assert term == ZERO_COST
 
 
 def test_integer_augmentation_matches_the_fraction_oracle(monkeypatch):

@@ -202,6 +202,20 @@ def test_inverse_no_and_verify(tmp_path, capsys):
             "infeasible",
             {},
         ),
+        # one strategy for a two-player game
+        (
+            "verify-equilibrium",
+            {"game": GAME, "profile": {"strategies": [[1, 0]]}},
+            "not-equilibrium",
+            {},
+        ),
+        # a rival's strategy breaks its own system A x = b
+        (
+            "best-response",
+            {"game": GAME, "profile": {"strategies": [[1, 0], [1, 1]]}, "player": 0},
+            "infeasible",
+            {},
+        ),
     ],
 )
 def test_negative_outcome_reports_its_timing_and_counters(
@@ -273,6 +287,12 @@ def test_input_error_exit_codes(tmp_path, capsys):
 
 TYPE = {"A": [[1, 1]], "B": [[1, 0]]}
 
+PLAYER = GAME["players"][0]
+
+
+def game(*players):
+    return dict(GAME, players=list(players))
+
 
 def ip(objective, D=((1, 1),), d=(2,), u=(2, 2)):
     return {"D": [list(r) for r in D], "d": list(d), "u": list(u), "objective": objective}
@@ -315,6 +335,31 @@ def piecewise(**fields):
         ("oracle", {"op": "random-graver", "rows": 1, "cols": 2, "entry_bound": -1}),
         ("oracle", {"op": "random-graver", "rows": 1, "cols": -3}),
         ("oracle", {"op": "graver", "D": [[1, 1]], "bound": -1}),
+        # PlayerSpec: A/B widths, b length, u length, a negative bound
+        ("equilibrium", game(PLAYER, dict(PLAYER, B=[[0, 0, 0]]))),
+        ("equilibrium", game(PLAYER, dict(PLAYER, b=[1, 1]))),
+        ("equilibrium", game(PLAYER, dict(PLAYER, u=[1]))),
+        ("equilibrium", game(PLAYER, dict(PLAYER, u=[1, -1]))),
+        # GameInstance: no players, different n, different m, b0 length, cost count
+        ("equilibrium", game()),
+        ("equilibrium", game(PLAYER, {"A": [[1, 1, 1]], "b": [1], "u": [1, 1, 1], "B": [[0, 0, 0]]})),
+        ("equilibrium", game(PLAYER, dict(PLAYER, B=[[0, 0], [0, 0]]))),
+        ("equilibrium", dict(GAME, b0=[0, 0])),
+        ("equilibrium", dict(GAME, costs=[SQ])),
+        # IpInstance: d, u and objective lengths, a negative bound
+        ("solve", ip([SQ, SQ], d=(2, 2))),
+        ("solve", ip([SQ, SQ], u=(2,))),
+        ("solve", ip([SQ])),
+        ("solve", ip([SQ, SQ], u=(2, -1))),
+        # NfoldSpec: A/B widths, N = 0
+        ("nfold", {"A": [[1, 1]], "B": [[1, 0, 0]], "N": 2}),
+        ("nfold", {"A": [[1, 1]], "B": [[1, 0]], "N": 0}),
+        # build_multitype_matrix: no types, B row counts that differ
+        ("nfold", {"types": [], "assignment": [0]}),
+        ("nfold", {"types": [TYPE, {"A": [[1, 1]], "B": [[1, 0], [0, 1]]}], "assignment": [0, 1]}),
+        # dict matrix: a negative row count, ragged entries
+        ("graver", {"D": {"rows": -1, "cols": 2, "entries": []}}),
+        ("graver", {"D": {"rows": 2, "cols": 2, "entries": [[1, 1], [1]]}}),
     ],
 )
 def test_malformed_input_is_one_json_report(tmp_path, capsys, command, data):
@@ -326,11 +371,30 @@ def test_malformed_input_is_one_json_report(tmp_path, capsys, command, data):
     assert json.loads(lines[0])["status"] == "input-error"
 
 
+def bad_cost_inputs():
+    """A concave and an empty piecewise cost in every other command that decodes costs.
+
+    The decoder does not check costs; the instance built on them does.
+    """
+    profile = {"strategies": [[1, 0], [0, 1]]}
+    for name, cost in [("concave", quadratic(-1, 0, 0)), ("empty", piecewise(breakpoints=[], slopes=[]))]:
+        bad = dict(GAME, costs=[cost, SQ])
+        inverse = {"instance": dict(IIOP_NO, shapes=[cost, SQ]), "answer": {"verdict": "no"}}
+        yield from (
+            pytest.param("equilibrium", bad, id=f"equilibrium-{name}"),
+            pytest.param("best-response", {"game": bad, "profile": profile, "player": 0}, id=f"best-response-{name}"),
+            pytest.param("verify-equilibrium", {"game": bad, "profile": profile}, id=f"verify-equilibrium-{name}"),
+            pytest.param("verify-inverse", inverse, id=f"verify-inverse-{name}"),
+            pytest.param("oracle", {"op": "ip", "instance": ip([cost, SQ])}, id=f"oracle-ip-{name}"),
+            pytest.param("oracle", {"op": "nash", "game": bad}, id=f"oracle-nash-{name}"),
+        )
+
+
 @pytest.mark.parametrize(
     "command, data",
     [
         # brute_ip_opt gives -12 here, while augmentation stops at -9
-        (
+        pytest.param(
             "solve",
             ip(
                 [quadratic(-1, 0, 0), quadratic(-2, 0, 0), quadratic(-2, 3, 0)],
@@ -338,13 +402,14 @@ def test_malformed_input_is_one_json_report(tmp_path, capsys, command, data):
                 d=(6,),
                 u=(3, 1, 3),
             ),
+            id="negative-quadratics",
         ),
-        ("solve", ip([{"kind": "power", "a": "1", "k": -1}, SQ])),
-        ("solve", ip([piecewise(breakpoints=[], slopes=[]), SQ])),
-        ("solve", ip([piecewise(slopes=["1"]), SQ])),
-        ("inverse", dict(IIOP_NO, shapes=[quadratic(-1, 0, 0), SQ])),
+        pytest.param("solve", ip([{"kind": "power", "a": "1", "k": -1}, SQ]), id="power-k-negative"),
+        pytest.param("solve", ip([piecewise(breakpoints=[], slopes=[]), SQ]), id="piecewise-empty"),
+        pytest.param("solve", ip([piecewise(slopes=["1"]), SQ]), id="piecewise-short"),
+        pytest.param("inverse", dict(IIOP_NO, shapes=[quadratic(-1, 0, 0), SQ]), id="inverse"),
+        *bad_cost_inputs(),
     ],
-    ids=["negative-quadratics", "power-k-negative", "piecewise-empty", "piecewise-short", "inverse"],
 )
 def test_nonconvex_or_malformed_cost_is_input_error(tmp_path, capsys, command, data):
     inp = write(tmp_path, "bad.json", data)

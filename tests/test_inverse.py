@@ -145,6 +145,23 @@ def test_verify_rejects_tampered_answers():
     )
     assert not verify_answer(inst, basis, bogus_no)
     assert not verify_answer(inst, basis, IiopAnswer(verdict="maybe"))
+    for lam in (None, (F(1),), (F(1, 3),) * 3):
+        assert not verify_answer(inst, basis, IiopAnswer(verdict="yes", lam=lam, shifts=good.shifts))
+
+    refutable = no_family_instance(2)
+    basis = graver_basis(refutable.D)
+    no = solve_iiop(refutable, basis)
+    assert no.verdict == "no" and verify_answer(refutable, basis, no)
+    # normalized and nonnegative, but some H-row's weighted sum is negative
+    uniform = IiopAnswer(verdict="yes", lam=(F(1, 2), F(1, 2)), shifts=no.shifts)
+    assert not verify_answer(refutable, basis, uniform)
+    for certificate in (None, no.certificate[1:], no.certificate + (F(1),)):
+        tampered = IiopAnswer(verdict="no", shifts=no.shifts, certificate=certificate)
+        assert not verify_answer(refutable, basis, tampered)
+    reordered = IiopAnswer(verdict="no", shifts=no.shifts[::-1], certificate=no.certificate)
+    assert not verify_answer(refutable, basis, reordered)
+    negative = IiopAnswer(verdict="no", shifts=no.shifts, certificate=(F(-1),) + no.certificate[1:])
+    assert not verify_answer(refutable, basis, negative)
 
 
 def no_family_instance(n: int) -> IiopInstance:

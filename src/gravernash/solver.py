@@ -194,11 +194,12 @@ def _integer_solution(D: IntMatrix, d: IntVec) -> Optional[IntVec]:
 
 
 def _range_distance(v: int, ub: int) -> AffineCost | PiecewiseLinearCost:
-    """Distance of y from the range [0, ub] of a coordinate with x0_j = v.
+    """Phase 1's term for a coordinate with bound ub and x0_j = v.
 
-    In phase 1's box [min(0, v), max(ub, v)], shifted to start at 0, y
-    can leave the shifted range on one side only: below it when v < 0,
-    above it when v > ub.  When 0 <= v <= ub the range is the whole box.
+    It is the distance of the coordinate from [0, ub], on phase 1's box
+    [min(0, v), max(ub, v)] shifted to start at 0.  There the coordinate
+    can leave its range on one side only: below it when v < 0, above it
+    when v > ub.  When 0 <= v <= ub the range is the whole box.
     """
     if v < 0:
         return PiecewiseLinearCost((-v,), (-1, 0), -v)

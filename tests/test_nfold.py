@@ -1,4 +1,7 @@
+import importlib.util
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -220,3 +223,22 @@ def test_growth_is_monotone():
         spec = NfoldSpec(A=A11, B=B10, N=num)
         sizes.append(len(graver_basis(build_nash_matrix(spec))))
     assert sizes == sorted(sizes)
+
+
+def test_reference_nfold_snapshot(tmp_path):
+    """`nfold` answers byte for byte as a committed snapshot of earlier code."""
+    path = Path(__file__).parent / "data" / "make_reference_nfold.py"
+    spec = importlib.util.spec_from_file_location("make_reference_nfold", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    cases = json.loads((Path(__file__).parent / "data" / "reference_nfold.json").read_text())
+    assert len(cases) == 148
+    specs = [c["input"] for c in cases if "N" in c["input"] and c["exit"] == 0]
+    assert {s["variant"] for s in specs} == {"plain", "nash", "c"}
+    # the edge cases: an A with no rows, m = 0, N = 1
+    assert 0 in {s["A"]["rows"] for s in specs} and 0 in {s["B"]["rows"] for s in specs}
+    assert 1 in {s["N"] for s in specs}
+    assert {c["exit"] for c in cases} == {0, 2}
+    for case in cases:
+        got = module.run_command("nfold", case["input"], tmp_path)
+        assert got == {k: case[k] for k in got}, case["name"]

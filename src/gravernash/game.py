@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .costs import ZERO_COST, SeparableObjective, ShiftedCost
 from .errors import DimensionError, InfeasibleError, ValidationError
-from .linalg import IntMatrix, IntVec, vadd, vsub
+from .linalg import IntMatrix, IntVec, check_ints, vadd, vsub
 from .nfold import build_multitype_matrix
 from .solver import DEFAULT_ELEMENT_CAP, IpInstance, solve_ip
 
@@ -39,6 +39,7 @@ class PlayerSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "b", tuple(self.b))
         object.__setattr__(self, "u", tuple(self.u))
+        check_ints(self.b + self.u, "b and u")
         if self.A.ncols != self.B.ncols:
             raise DimensionError("A and B must share the variable dimension")
         if len(self.b) != self.A.nrows:
@@ -65,6 +66,7 @@ class GameInstance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "players", tuple(self.players))
         object.__setattr__(self, "b0", tuple(self.b0))
+        check_ints(self.b0, "b0")
         if not self.players:
             raise ValidationError("a game needs at least one player")
         n = self.players[0].A.ncols
@@ -100,6 +102,8 @@ class StrategyProfile:
         object.__setattr__(
             self, "strategies", tuple(tuple(s) for s in self.strategies)
         )
+        for s in self.strategies:
+            check_ints(s, "strategies")
 
 
 def is_feasible_profile(game: GameInstance, profile: StrategyProfile) -> bool:

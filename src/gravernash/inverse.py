@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .costs import ScaledCost, SeparableObjective
 from .errors import ValidationError
 from .graver import GraverBasis
-from .linalg import IntMatrix, IntVec, RatVec, vadd
+from .linalg import IntMatrix, IntVec, RatVec, check_ints, vadd
 from .lp import FeasiblePoint, rational_lp_feasibility
 from .solver import IpInstance, check_optimal
 
@@ -36,6 +36,7 @@ class IiopInstance:
         object.__setattr__(self, "d", tuple(self.d))
         object.__setattr__(self, "u", tuple(self.u))
         object.__setattr__(self, "xstar", tuple(self.xstar))
+        check_ints(self.xstar, "xstar")
         base = IpInstance(self.D, self.d, self.u, self.shapes)
         if not base.is_feasible(self.xstar):
             raise ValidationError("xstar must lie in P")
@@ -105,13 +106,13 @@ def weighted_objective(inst: IiopInstance, lam: RatVec) -> SeparableObjective:
 def verify_answer(inst: IiopInstance, basis: GraverBasis, answer: IiopAnswer) -> bool:
     """Recheck an answer by direct substitution.
 
-    Yes: the weights are a normalized nonnegative solution of every
-    H-inequality and x* passes the Graver optimality certificate under
-    the weighted objective.  No: the combination is nonnegative and its
-    weighted difference sums are strictly negative in every coordinate.
+    Yes: the weights are normalized and nonnegative, and x* passes the
+    Graver optimality certificate under the weighted objective, which
+    tests every H-inequality: H is the g in G(D) with x* + g in the box,
+    and a weighted H-row sums to the objective's change along g.  No: the
+    combination is nonnegative and its weighted difference sums are
+    strictly negative in every coordinate.
     """
-    shifts = feasible_shifts(basis, inst)
-    rows = _difference_rows(inst, shifts)
     if answer.verdict == "yes":
         if answer.lam is None or len(answer.lam) != inst.n:
             return False
@@ -119,18 +120,18 @@ def verify_answer(inst: IiopInstance, basis: GraverBasis, answer: IiopAnswer) ->
             return False
         if sum(answer.lam, Fraction(0)) != 1:
             return False
-        if any(sum(r_j * l_j for r_j, l_j in zip(r, answer.lam)) < 0 for r in rows):
-            return False
         weighted = IpInstance(inst.D, inst.d, inst.u, weighted_objective(inst, answer.lam))
         ok, _ = check_optimal(inst.xstar, basis, weighted)
         return ok
     if answer.verdict == "no":
+        shifts = feasible_shifts(basis, inst)
         if answer.certificate is None or len(answer.certificate) != len(shifts):
             return False
         if tuple(answer.shifts) != tuple(shifts):
             return False
         if any(v < 0 for v in answer.certificate):
             return False
+        rows = _difference_rows(inst, shifts)
         for j in range(inst.n):
             combo = sum(v * r[j] for v, r in zip(answer.certificate, rows))
             if combo >= 0:

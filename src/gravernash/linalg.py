@@ -7,7 +7,6 @@ No floating point is used anywhere in this package.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,8 +22,13 @@ RatVec = tuple[Fraction, ...]
 # vector helpers
 
 
-def vec(entries: Iterable[int]) -> IntVec:
-    return tuple(int(e) for e in entries)
+_INT = frozenset({int})
+
+
+def check_ints(values: Iterable, what: str) -> None:
+    """ValidationError unless every value's type is exactly int; nothing is converted."""
+    if not _INT.issuperset(map(type, values)):
+        raise ValidationError(f"{what} must be integers")
 
 
 def _check_same_length(u: Sequence, v: Sequence) -> None:
@@ -77,6 +81,9 @@ def conformal_leq(u: IntVec, v: IntVec) -> bool:
 class IntMatrix:
     """Immutable integer matrix stored row-major.
 
+    Its dimensions and entries must be ints: a float, a bool or a string
+    is a ValidationError, never converted.
+
     `bricks` declares classes of interchangeable column blocks: each class
     is a tuple of at least two disjoint nonempty blocks of equal width, a
     block a tuple of column indices.  Every permutation of a class's
@@ -93,6 +100,7 @@ class IntMatrix:
     bricks: tuple[tuple[tuple[int, ...], ...], ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
+        check_ints((self.nrows, self.ncols), "matrix dimensions")
         if self.nrows < 0 or self.ncols < 0:
             raise ValidationError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.nrows:
@@ -100,6 +108,7 @@ class IntMatrix:
         for r in self.entries:
             if len(r) != self.ncols:
                 raise ValidationError("ragged matrix rows")
+            check_ints(r, "matrix entries")
         if self.bricks:
             self._check_bricks()
 
@@ -132,7 +141,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], ncols: int | None = None) -> "IntMatrix":
-        rows = tuple(vec(r) for r in rows)
+        rows = tuple(map(tuple, rows))
         if ncols is None:
             if not rows:
                 raise ValidationError("ncols required for a matrix with no rows")
@@ -157,44 +166,6 @@ class IntMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
-
-
-def hstack(matrices: Sequence[IntMatrix]) -> IntMatrix:
-    if not matrices:
-        raise ValidationError("hstack of no matrices")
-    nrows = matrices[0].nrows
-    for m in matrices:
-        if m.nrows != nrows:
-            raise DimensionError("hstack: row counts differ")
-    rows = tuple(
-        tuple(itertools.chain.from_iterable(m.entries[i] for m in matrices))
-        for i in range(nrows)
-    )
-    return IntMatrix(nrows, sum(m.ncols for m in matrices), rows)
-
-
-def vstack(matrices: Sequence[IntMatrix]) -> IntMatrix:
-    if not matrices:
-        raise ValidationError("vstack of no matrices")
-    ncols = matrices[0].ncols
-    for m in matrices:
-        if m.ncols != ncols:
-            raise DimensionError("vstack: column counts differ")
-    rows = tuple(itertools.chain.from_iterable(m.entries for m in matrices))
-    return IntMatrix(sum(m.nrows for m in matrices), ncols, rows)
-
-
-def block_diagonal(matrices: Sequence[IntMatrix]) -> IntMatrix:
-    total_rows = sum(m.nrows for m in matrices)
-    total_cols = sum(m.ncols for m in matrices)
-    rows: list[IntVec] = []
-    col_off = 0
-    for m in matrices:
-        for r in m.entries:
-            rows.append(tuple(0 for _ in range(col_off)) + r
-                        + tuple(0 for _ in range(total_cols - col_off - m.ncols)))
-        col_off += m.ncols
-    return IntMatrix(total_rows, total_cols, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

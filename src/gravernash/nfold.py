@@ -13,7 +13,8 @@ with equal column count n and a player count N:
 
 The equilibrium matrix has one builder, `build_multitype_matrix`, which
 takes per-type (A, B) pairs and a type index per player; the nash matrix
-is its one-type case.
+is its one-type case.  Every builder writes its matrix row by row; none
+stacks matrices.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionError, ValidationError
-from .linalg import (
-    IntMatrix,
-    IntVec,
-    block_diagonal,
-    hstack,
-    vstack,
-)
+from .linalg import IntMatrix, IntVec, check_ints
 
 
 @dataclass(frozen=True)
@@ -42,6 +37,7 @@ class NfoldSpec:
             raise DimensionError(
                 f"A has {self.A.ncols} columns but B has {self.B.ncols}"
             )
+        check_ints((self.N,), "N")
         if self.N < 1:
             raise ValidationError("N must be a positive integer")
 
@@ -58,11 +54,21 @@ class NfoldSpec:
         return self.B.nrows
 
 
+def _diagonal_rows(blocks: Sequence[IntMatrix], n: int, tail: int) -> list[IntVec]:
+    """The rows of `blocks`, each n wide, on a block diagonal, then `tail` zero columns."""
+    N = len(blocks)
+    return [
+        (0,) * (i * n) + r + (0,) * ((N - 1 - i) * n + tail)
+        for i, block in enumerate(blocks)
+        for r in block.entries
+    ]
+
+
 def build_nfold(spec: NfoldSpec) -> IntMatrix:
     """(m + N*d) x (N*n) matrix: B repeated on top, A block-diagonal below."""
-    top = hstack([spec.B] * spec.N)
-    diag = block_diagonal([spec.A] * spec.N)
-    return vstack([top, diag])
+    N = spec.N
+    rows = [r * N for r in spec.B.entries] + _diagonal_rows([spec.A] * N, spec.n, 0)
+    return IntMatrix(len(rows), N * spec.n, tuple(rows))
 
 
 def build_nash_matrix(spec: NfoldSpec) -> IntMatrix:
@@ -94,7 +100,7 @@ def build_c_matrix(spec: NfoldSpec) -> IntMatrix:
     of bricks 2..N deleted.
     """
     n, m = spec.n, spec.m
-    a_prime = hstack([spec.A, IntMatrix.zero(spec.d, n), IntMatrix.zero(spec.d, m)])
+    a_prime = IntMatrix(spec.d, 2 * n + m, tuple(r + (0,) * (n + m) for r in spec.A.entries))
     # merging the slack identity into the B rows is what makes the
     # zero-padding of equilibrium-matrix kernel elements land in the
     # kernel of the enlarged matrix
@@ -166,10 +172,9 @@ def build_multitype_matrix(
             raise ValidationError(f"assignment index {t} out of range")
     N = len(assignment)
     rows = _linking_rows([types[t][1] for t in assignment], n, m)
+    rows.extend(_diagonal_rows([types[t][0] for t in assignment], n, n + m))
     blocks_of_type: dict[int, list[tuple[int, ...]]] = {}
     for i, t in enumerate(assignment):
-        left, right = (0,) * (i * n), (0,) * ((N - 1 - i) * n + n + m)
-        rows.extend(left + r + right for r in types[t][0].entries)
         blocks_of_type.setdefault(t, []).append(tuple(range(i * n, i * n + n)))
     # players of one type are interchangeable; a block needs a column
     bricks = tuple(tuple(b) for b in blocks_of_type.values() if len(b) > 1 and n)

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 from .costs import ZERO_COST, AffineCost, PiecewiseLinearCost, SeparableObjective
 from .errors import DimensionError, ValidationError
 from .graver import DEFAULT_ELEMENT_CAP, GraverBasis, graver_basis
-from .linalg import IntMatrix, IntVec, hstack, kernel_lattice_basis, vadd, vscale, vsub
+from .linalg import IntMatrix, IntVec, check_ints, kernel_lattice_basis, vadd, vscale, vsub
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,7 @@ class IpInstance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "d", tuple(self.d))
         object.__setattr__(self, "u", tuple(self.u))
+        check_ints(self.d + self.u, "d and u")
         if len(self.d) != self.D.nrows:
             raise DimensionError("right-hand side length != row count")
         if len(self.u) != self.D.ncols:
@@ -185,9 +186,9 @@ def _integer_solution(D: IntMatrix, d: IntVec) -> Optional[IntVec]:
     along the vectors, leaves one lattice vector whose last coordinate
     is their gcd g; D x = d is solvable over Z iff g = 1.
     """
-    column = IntMatrix(len(d), 1, tuple((-v,) for v in d))
+    augmented = IntMatrix(D.nrows, D.ncols + 1, tuple(r + (-v,) for r, v in zip(D.entries, d)))
     acc = (0,) * (D.ncols + 1)
-    for v in kernel_lattice_basis(hstack([D, column])):
+    for v in kernel_lattice_basis(augmented):
         while v[-1]:
             acc, v = v, vsub(acc, vscale(acc[-1] // v[-1], v))
     return vscale(acc[-1], acc)[:-1] if abs(acc[-1]) == 1 else None

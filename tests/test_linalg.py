@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from gravernash import (
     CertificateError,
     DimensionError,
+    GameInstance,
+    IiopInstance,
     IntMatrix,
+    IpInstance,
+    NfoldSpec,
+    PlayerSpec,
+    StrategyProfile,
     ValidationError,
     conformal_leq,
     kernel_lattice_basis,
@@ -17,7 +23,7 @@ from gravernash import linalg
 from gravernash.linalg import is_zero
 from gravernash.oracle import Box, enumerate_box_points
 
-from conftest import rand_matrix
+from conftest import rand_matrix, squares_objective
 
 short_vec = st.lists(st.integers(-5, 5), min_size=1, max_size=5)
 
@@ -106,6 +112,35 @@ def test_matrix_shape_validation():
         IntMatrix(2, 2, ((1, 2),))
     with pytest.raises(DimensionError):
         IntMatrix.identity(2).matvec((1, 2, 3))
+
+
+A11 = IntMatrix.from_rows([[1, 1]])
+B10 = IntMatrix.from_rows([[1, 0]])
+# each builds a valid object from the int 1, placed in the named field
+INT_FIELDS = {
+    "IntMatrix entries": lambda v: IntMatrix(1, 2, ((v, 1),)),
+    "IntMatrix.from_rows": lambda v: IntMatrix.from_rows([[v, 1]]),
+    "IntMatrix nrows": lambda v: IntMatrix(v, 2, ((1, 1),)),
+    "IpInstance d": lambda v: IpInstance(A11, (v,), (1, 1), squares_objective(2)),
+    "IpInstance u": lambda v: IpInstance(A11, (1,), (v, 1), squares_objective(2)),
+    "PlayerSpec b": lambda v: PlayerSpec(A11, (v,), (1, 1), B10),
+    "PlayerSpec u": lambda v: PlayerSpec(A11, (1,), (v, 1), B10),
+    "GameInstance b0": lambda v: GameInstance(
+        (PlayerSpec(A11, (1,), (1, 1), B10),), (v,), squares_objective(2)
+    ),
+    "StrategyProfile": lambda v: StrategyProfile(((v, 0),)),
+    "IiopInstance xstar": lambda v: IiopInstance(A11, (1,), (1, 1), (v, 0), squares_objective(2)),
+    "NfoldSpec N": lambda v: NfoldSpec(A11, B10, v),
+}
+
+
+@pytest.mark.parametrize("value", [1.0, True, "1"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("field", list(INT_FIELDS))
+def test_constructors_take_exact_ints_only(field, value):
+    INT_FIELDS[field](1)
+    # nothing is converted: 1.0, True and "1" used to pass as the int 1
+    with pytest.raises(ValidationError):
+        INT_FIELDS[field](value)
 
 
 @given(st.data())

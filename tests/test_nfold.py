@@ -185,26 +185,27 @@ def test_multitype_kernel_is_padded_embedding_of_supermatrix():
 
 
 def _full_multitype(types, N):
-    # the super-brick matrix with every type slot kept
-    from gravernash.linalg import block_diagonal, hstack, vstack
-
+    # the super-brick matrix with every type slot kept, row by row from its
+    # definition: player p's slot for type k holds columns (p*t + k)*n onwards
     n, m, t = types[0][0].ncols, types[0][1].nrows, len(types)
-    eye_n = IntMatrix.identity(n)
-    neg = IntMatrix(n, n, tuple(tuple(-x for x in r) for r in eye_n.entries))
-    super_a = block_diagonal([a for a, _ in types])
-    agg = hstack([hstack([eye_n] * t)] * N + [neg, IntMatrix.zero(n, m)])
-    coupling = hstack(
-        [hstack([b for _, b in types])] * N
-        + [IntMatrix.zero(m, n), IntMatrix.identity(m)]
-    )
-    players = hstack(
-        [
-            block_diagonal([super_a] * N),
-            IntMatrix.zero(N * super_a.nrows, n),
-            IntMatrix.zero(N * super_a.nrows, m),
-        ]
-    )
-    return vstack([agg, coupling, players])
+    width = N * t * n + n + m
+
+    def row(pieces):
+        out = [0] * width
+        for start, values in pieces:
+            out[start : start + len(values)] = values
+        return out
+
+    slots = range(N * t)
+    rows = []
+    for j in range(n):  # aggregation: every slot's x_j minus y_j
+        rows.append(row([(s * n + j, [1]) for s in slots] + [(N * t * n + j, [-1])]))
+    for i in range(m):  # coupling: every slot's B row i plus slack s_i
+        pieces = [(s * n, types[s % t][1].entries[i]) for s in slots]
+        rows.append(row(pieces + [(N * t * n + n + i, [1])]))
+    for s in slots:  # each slot's own A
+        rows.extend(row([(s * n, r)]) for r in types[s % t][0].entries)
+    return IntMatrix.from_rows(rows, width)
 
 
 def _kept_columns(types, assignment):

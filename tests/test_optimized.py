@@ -29,10 +29,11 @@ def test_checks_survive_optimized_mode():
 def test_package_has_no_assert():
     """`-O` strips `assert` and sets `__debug__` false; no module may rely on either."""
     found = []
-    for path in sorted((ROOT / "src" / "gravernash").glob("*.py")):
+    package = ROOT / "src" / "gravernash"
+    for path in sorted(package.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Assert) or (
                 isinstance(node, ast.Name) and node.id == "__debug__"
             ):
-                found.append(f"{path.name}:{node.lineno}")
+                found.append(f"{path.relative_to(package)}:{node.lineno}")
     assert not found, found

@@ -138,7 +138,7 @@ INT_FIELDS = {
 @pytest.mark.parametrize("field", list(INT_FIELDS))
 def test_constructors_take_exact_ints_only(field, value):
     INT_FIELDS[field](1)
-    # nothing is converted: 1.0, True and "1" used to pass as the int 1
+    # 1.0 and True equal 1 and int("1") is 1, yet only an int is accepted
     with pytest.raises(ValidationError):
         INT_FIELDS[field](value)
 

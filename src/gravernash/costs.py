@@ -27,6 +27,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import DimensionError, ValidationError
+from .linalg import _INT, all_ints
 
 
 def _check_arg(y: int) -> None:
@@ -34,13 +35,7 @@ def _check_arg(y: int) -> None:
         raise ValidationError(f"cost functions are defined on y >= 0, got {y}")
 
 
-# exact types, so that a bool is no integer here
-_INT = frozenset({int})
-_RATIONAL = frozenset({int, Fraction})
-
-
-def _integers(*values) -> bool:
-    return _INT.issuperset(map(type, values))
+_RATIONAL = _INT | {Fraction}
 
 
 def _rationals(*values) -> bool:
@@ -118,13 +113,13 @@ class PowerCost:
 
     def value(self, y: int) -> Fraction:
         _check_arg(y)
-        if _integers(self.k) and self.k >= 1:
+        if all_ints((self.k,)) and self.k >= 1:
             return self.a * y**self.k
         # a negative or non-integer exponent must not turn y into a float
         return self.a * Fraction(y) ** self.k
 
     def convex_ok(self) -> bool:
-        return _rationals(self.a) and _integers(self.k) and self.a >= 0 and self.k >= 1
+        return _rationals(self.a) and all_ints((self.k,)) and self.a >= 0 and self.k >= 1
 
     def params_ok(self) -> bool:
         return self.convex_ok()
@@ -160,7 +155,7 @@ class PiecewiseLinearCost:
         return total + self.slopes[-1] * (y - prev)
 
     def convex_ok(self) -> bool:
-        if not (_integers(*self.breakpoints) and _rationals(self.c0, *self.slopes)):
+        if not (all_ints(self.breakpoints) and _rationals(self.c0, *self.slopes)):
             return False
         if len(self.slopes) != len(self.breakpoints) + 1:
             return False
@@ -194,7 +189,7 @@ class ShiftedCost:
         return self.base.value(y + self.shift)
 
     def convex_ok(self) -> bool:
-        return _integers(self.shift) and self.shift >= 0 and self.base.convex_ok()
+        return all_ints((self.shift,)) and self.shift >= 0 and self.base.convex_ok()
 
     def params_ok(self) -> bool:
         return self.convex_ok() and self.base.params_ok()

@@ -9,13 +9,15 @@ irreducible remainders and their negations until a fixpoint, and
 finally filters to the conformally minimal elements.  When the matrix
 declares interchangeable column bricks (`IntMatrix.bricks`), it works on
 orbits of the brick permutations: one representative per orbit is
-queued, reduced and paired, and every image of it is kept.
+queued, reduced, paired and filtered, and every image of it is kept.
 
 Every element carries its positive- and negative-support bitmasks (see
 `sign_masks`).  A g conformally below z has its positive support inside
 z's and its negative support inside z's, so a candidate divisor whose
 supports do not nest is rejected with two integer ANDs before any entry
-is compared; the same masks decide sign-compatibility of pairs.
+is compared.  Once they nest, g and z agree in sign wherever g is
+nonzero, and g is below z exactly when |g_i| <= |z_i| everywhere.  The
+same masks decide sign-compatibility of pairs.
 """
 
 from __future__ import annotations
@@ -30,11 +32,9 @@ from .linalg import (
     IntMatrix,
     IntVec,
     _sign_normalized,
-    conformal_leq,
     is_zero,
     kernel_lattice_basis,
     one_norm,
-    vadd,
     vneg,
     vsub,
 )
@@ -67,6 +67,21 @@ def sign_masks(g: IntVec) -> tuple[int, int, IntVec]:
     return pos, neg, g
 
 
+def _divisor(z: IntVec, reducers):
+    """The first nonzero g of the `sign_masks` records `reducers` conformally below z, or None."""
+    zpos, zneg, _ = sign_masks(z)
+    out_pos, out_neg = ~zpos, ~zneg
+    zabs = tuple(map(abs, z))
+    for pos, neg, g in reducers:
+        # g cannot divide z unless its supports nest inside z's
+        if pos & out_pos or neg & out_neg or not (pos or neg):
+            continue
+        # they nest, so g and z agree in sign wherever g is nonzero
+        if all(map(operator.le, map(abs, g), zabs)):
+            return g
+    return None
+
+
 def conformal_reduce(z: IntVec, reducers) -> IntVec:
     """Normal form of z: subtract conformal divisors until none applies.
 
@@ -74,19 +89,11 @@ def conformal_reduce(z: IntVec, reducers) -> IntVec:
     nonzero g conformally below z is subtracted.  Every such subtraction
     strictly shrinks the 1-norm of z, so this terminates.
     """
-    reduced = True
-    while reduced and not is_zero(z):
-        reduced = False
-        zpos, zneg, _ = sign_masks(z)
-        out_pos, out_neg = ~zpos, ~zneg
-        for pos, neg, g in reducers:
-            # g cannot divide z unless its supports nest inside z's
-            if pos & out_pos or neg & out_neg or not (pos or neg):
-                continue
-            if conformal_leq(g, z):
-                z = vsub(z, g)
-                reduced = True
-                break
+    while not is_zero(z):
+        g = _divisor(z, reducers)
+        if g is None:
+            break
+        z = vsub(z, g)
     return z
 
 
@@ -143,7 +150,13 @@ def _orbit_maps(mat: IntMatrix):
     return key, images
 
 
-def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
+def _complete(mat: IntMatrix, cap: int):
+    """The completion: (current, batches) with every record it keeps, in order.
+
+    `current` holds `sign_masks` records.  A batch is the images of one
+    remainder r and of -r, stored contiguously; `batches` lists (start of
+    the batch in `current`, r) in the order they were added.
+    """
     # A column permutation that permutes the rows of D maps ker(D) onto
     # itself and keeps the conformal order, so G(D) is a union of orbits of
     # the group the declared bricks generate.  The completion queues,
@@ -161,6 +174,7 @@ def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
     # `current` already: every element conformally divides itself.
     key, images = _orbit_maps(mat)
     current: list[tuple[int, int, IntVec]] = []
+    batches: list[tuple[int, IntVec]] = []
     queued = set(map(key, kernel_lattice_basis(mat)))
     queue = [(one_norm(b), b) for b in queued]
     heapq.heapify(queue)
@@ -169,6 +183,7 @@ def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
         r = key(conformal_reduce(candidate, current))
         if is_zero(r):
             continue
+        batches.append((len(current), r))
         orbit = images(r)
         current += map(sign_masks, orbit)
         if vneg(r) not in orbit:
@@ -181,23 +196,28 @@ def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
         for pos, neg, g in current:
             if not (rpos & neg or rneg & pos):  # sign-compatible
                 continue
-            s = key(vadd(r, g))
+            # lengths agree: every record is a vector of mat's columns
+            s = key(tuple(map(operator.add, r, g)))
             if is_zero(s) or s in queued:
                 continue
             queued.add(s)
             heapq.heappush(queue, (one_norm(s), s))
+    return current, batches
 
-    # every element of G(D) is in `current`: the completion reduces it to
+
+def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
+    current, batches = _complete(mat, cap)
+    # Every element of G(D) is in `current`: the completion reduces it to
     # zero, and only the element itself divides it conformally.  So the
-    # minimal elements of `current` are exactly G(D).
-    records = sorted(current, key=lambda record: record[2])
-    minimal = [
-        g
-        for gpos, gneg, g in records
-        if not any(
-            h != g and conformal_leq(h, g)
-            for hpos, hneg, h in records
-            if not (hpos & ~gpos or hneg & ~gneg)
-        )
-    ]
-    return GraverBasis(matrix=mat, elements=tuple(minimal))
+    # minimal elements of `current` are exactly G(D).  A batch is minimal
+    # or not as a whole: minimality is kept by the group and by negation,
+    # and `current` is closed under both.  So one representative r per
+    # batch is tested, and only against the records added after its batch:
+    # r was irreducible against every earlier record, and a record of its
+    # own batch has r's 1-norm, so it lies below r only if it is r.
+    minimal: list[IntVec] = []
+    ends = [start for start, _ in batches[1:]] + [len(current)]
+    for (start, r), end in zip(batches, ends):
+        if _divisor(r, current[end:]) is None:
+            minimal += (g for _, _, g in current[start:end])
+    return GraverBasis(matrix=mat, elements=tuple(sorted(minimal)))

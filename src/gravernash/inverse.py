@@ -8,6 +8,12 @@ linear system over the feasible Graver shifts H; an exact LP either
 produces normalized weights or a nonnegative Farkas combination v of
 the H-rows whose weighted difference sums are strictly negative in
 every coordinate, certifying that no weights exist.
+
+The H-rows are evaluated in integers: each is L times the difference
+row, for L = `shapes.scale()`, through the shapes' integer forms
+`times(L)`.  One positive factor on every row changes no sign and no
+simplex pivot, so the LP's point is the weight vector itself, and its
+Farkas coefficients times L are the certificate for the unscaled rows.
 """
 
 from __future__ import annotations
@@ -67,15 +73,18 @@ def feasible_shifts(basis: GraverBasis, inst: IiopInstance) -> list[IntVec]:
     return out
 
 
-def _difference_rows(inst: IiopInstance, shifts: Sequence[IntVec]) -> list[RatVec]:
-    """Row f_j(x*_j + g_j) - f_j(x*_j) for each shift g, each f_j(x*_j) evaluated once."""
-    terms = inst.shapes.terms
-    at_xstar = [f.value(x) for f, x in zip(terms, inst.xstar)]
-    zero = Fraction(0)
+def _difference_rows(inst: IiopInstance, shifts: Sequence[IntVec]) -> list[IntVec]:
+    """Row L*(f_j(x*_j + g_j) - f_j(x*_j)) for each shift g, in ints, L = `shapes.scale()`.
+
+    Each L*f_j(x*_j) is evaluated once.
+    """
+    scale = inst.shapes.scale()
+    forms = [f.times(scale) for f in inst.shapes.terms]
+    at_xstar = [f.value(x) for f, x in zip(forms, inst.xstar)]
     return [
         tuple(
-            f.value(x + step) - fx if step else zero
-            for f, x, fx, step in zip(terms, inst.xstar, at_xstar, g)
+            f.value(x + step) - fx if step else 0
+            for f, x, fx, step in zip(forms, inst.xstar, at_xstar, g)
         )
         for g in shifts
     ]
@@ -88,13 +97,15 @@ def solve_iiop(inst: IiopInstance, basis: GraverBasis) -> IiopAnswer:
         uniform = tuple(Fraction(1, n) for _ in range(n))
         return IiopAnswer(verdict="yes", lam=uniform, shifts=())
     rows = _difference_rows(inst, shifts)
-    strict = tuple(Fraction(1) for _ in range(n))
-    outcome = rational_lp_feasibility(rows, strict)
+    outcome = rational_lp_feasibility(rows, (1,) * n)
     if isinstance(outcome, FeasiblePoint):
         total = sum(outcome.lam, Fraction(0))
         lam = tuple(v / total for v in outcome.lam)
         return IiopAnswer(verdict="yes", lam=lam, shifts=shifts)
-    return IiopAnswer(verdict="no", shifts=shifts, certificate=outcome.coefficients)
+    # the rows are L times the difference rows, so the ray is 1/L times theirs
+    scale = inst.shapes.scale()
+    certificate = tuple(scale * v for v in outcome.coefficients)
+    return IiopAnswer(verdict="no", shifts=shifts, certificate=certificate)
 
 
 def weighted_objective(inst: IiopInstance, lam: RatVec) -> SeparableObjective:
@@ -131,6 +142,7 @@ def verify_answer(inst: IiopInstance, basis: GraverBasis, answer: IiopAnswer) ->
             return False
         if any(v < 0 for v in answer.certificate):
             return False
+        # the rows are scaled by one positive L, which keeps every sign tested here
         rows = _difference_rows(inst, shifts)
         for j in range(inst.n):
             combo = sum(v * r[j] for v, r in zip(answer.certificate, rows))

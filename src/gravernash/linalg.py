@@ -22,12 +22,18 @@ RatVec = tuple[Fraction, ...]
 # vector helpers
 
 
+# exact types, so that a bool is no integer here
 _INT = frozenset({int})
+
+
+def all_ints(values: Iterable) -> bool:
+    """True iff every value's type is exactly int."""
+    return _INT.issuperset(map(type, values))
 
 
 def check_ints(values: Iterable, what: str) -> None:
     """ValidationError unless every value's type is exactly int; nothing is converted."""
-    if not _INT.issuperset(map(type, values)):
+    if not all_ints(values):
         raise ValidationError(f"{what} must be integers")
 
 
@@ -147,14 +153,6 @@ class IntMatrix:
                 raise ValidationError("ncols required for a matrix with no rows")
             ncols = len(rows[0])
         return IntMatrix(len(rows), ncols, rows)
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def zero(nrows: int, ncols: int) -> "IntMatrix":
-        return IntMatrix(nrows, ncols, tuple(tuple(0 for _ in range(ncols)) for _ in range(nrows)))
 
     def col(self, j: int) -> IntVec:
         return tuple(r[j] for r in self.entries)

@@ -16,7 +16,14 @@ ch. 2-3), and every pivot is Bareiss's integer-preserving elimination
 On infeasibility the simplex duals yield a nonnegative combination v of
 the rows with  sum_i v_i row_i + strict_row <= 0  componentwise, which
 certifies that no lam exists.  Both answers are checked against the
-input system before they are returned.
+input system before they are returned, in integers: a point or a ray
+is scaled by the common denominator of its entries, which keeps every
+sign the check looks at.
+
+Entries may be ints or Fractions; each is read through its `numerator`
+and `denominator`.  Multiplying a row by a positive constant L moves no
+basic solution and no pivot, so the point is unchanged and the ray's
+coefficient for that row is divided by L.
 """
 
 from __future__ import annotations
@@ -44,6 +51,12 @@ class FarkasRay:
     coefficients: RatVec
 
 
+def _integral(v) -> tuple[int, list[int]]:
+    """(s, s*v) for the positive common denominator s of v's entries: v's signs, in ints."""
+    s = lcm(*(x.denominator for x in v))
+    return s, [x.numerator * (s // x.denominator) for x in v]
+
+
 def rational_lp_feasibility(
     rows: Sequence[Sequence], strict_row: Sequence
 ) -> FeasiblePoint | FarkasRay:
@@ -64,10 +77,10 @@ def rational_lp_feasibility(
     scales = []
     tableau: list[list[int]] = []
     for i, r in enumerate([*rows, strict_row]):
-        entries = [Fraction(x) for x in r]
-        s = lcm(*(x.denominator for x in entries))
-        sign = 1 if i == m else -1
-        row = [sign * x.numerator * (s // x.denominator) for x in entries] + [0] * (m + 2)
+        s, row = _integral(r)
+        if i < m:
+            row = [-x for x in row]
+        row += [0] * (m + 2)
         row[n + i] = 1
         scales.append(s)
         tableau.append(row)
@@ -132,16 +145,19 @@ def rational_lp_feasibility(
 
 
 def _check_point(rows, strict_row, lam) -> None:
+    _, scaled = _integral(lam)
     if not (
-        all(x >= 0 for x in lam)
-        and all(dot(r, lam) >= 0 for r in rows)
-        and dot(strict_row, lam) > 0
+        all(x >= 0 for x in scaled)
+        and all(dot(r, scaled) >= 0 for r in rows)
+        and dot(strict_row, scaled) > 0
     ):
         raise CertificateError("simplex point violates the system")
 
 
 def _check_ray(rows, strict_row, v) -> None:
-    support = [(vi, r) for vi, r in zip(v, rows) if vi]
-    combos = [sum(vi * r[j] for vi, r in support) + s for j, s in enumerate(strict_row)]
-    if not (all(x >= 0 for x in v) and all(c <= 0 for c in combos)):
+    # s*v^T R + s*strict_row <= 0 is v^T R + strict_row <= 0 scaled by s > 0
+    s, scaled = _integral(v)
+    support = [(vi, r) for vi, r in zip(scaled, rows) if vi]
+    combos = [sum(vi * r[j] for vi, r in support) + s * c for j, c in enumerate(strict_row)]
+    if not (all(x >= 0 for x in scaled) and all(c <= 0 for c in combos)):
         raise CertificateError("Farkas ray does not certify infeasibility")

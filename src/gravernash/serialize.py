@@ -40,6 +40,10 @@ def frac_from_str(s: Any) -> Fraction:
         return Fraction(s)
     if isinstance(s, str):
         try:
+            # plain ASCII integers, most of the input, skip Fraction's regex;
+            # int() raises ValueError past the interpreter's digit limit
+            if s.isascii() and (s.isdigit() or (s[:1] == "-" and s[1:].isdigit())):
+                return Fraction(int(s))
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"not a rational: {s!r}") from exc

@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from gravernash import GameInstance, IntMatrix, PlayerSpec
+from gravernash import (
+    FeasiblePoint,
+    GameInstance,
+    IiopAnswer,
+    IntMatrix,
+    PlayerSpec,
+    feasible_shifts,
+    rational_lp_feasibility,
+)
 from gravernash.costs import (
     ZERO_COST,
     AffineCost,
@@ -18,7 +26,7 @@ from gravernash.costs import (
     SeparableObjective,
     ShiftedCost,
 )
-from gravernash.linalg import vadd, vscale
+from gravernash.linalg import conformal_leq, vadd, vscale
 
 
 def inf_norm(u) -> int:
@@ -28,6 +36,14 @@ def inf_norm(u) -> int:
 def sign_compatible(u, v) -> bool:
     """True iff u_j * v_j >= 0 in every coordinate."""
     return all(a * b >= 0 for a, b in zip(u, v))
+
+
+def identity_matrix(n: int) -> IntMatrix:
+    return IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)], n)
+
+
+def zero_matrix(nrows: int, ncols: int) -> IntMatrix:
+    return IntMatrix.from_rows([[0] * ncols for _ in range(nrows)], ncols)
 
 
 def rand_matrix(rng: random.Random, rows: int, cols: int, lo: int, hi: int) -> IntMatrix:
@@ -168,6 +184,58 @@ def fraction_greedy_augment(x0, basis, inst):
             break
         path.append(vadd(path[-1], vscale(best_lam, best_g)))
     return path, len(path) - 1, inst.objective.value(path[-1])
+
+
+def fraction_difference_rows(inst, shifts):
+    """The inverse problem's H-rows as computed before the integer scaling, in Fractions.
+
+    A test oracle for `inverse._difference_rows`, whose rows are
+    `inst.shapes.scale()` times these.
+    """
+    terms = inst.shapes.terms
+    at_xstar = [f.value(x) for f, x in zip(terms, inst.xstar)]
+    zero = Fraction(0)
+    return [
+        tuple(
+            f.value(x + step) - fx if step else zero
+            for f, x, fx, step in zip(terms, inst.xstar, at_xstar, g)
+        )
+        for g in shifts
+    ]
+
+
+def fraction_solve_iiop(inst, basis):
+    """Oracle for `inverse.solve_iiop` on `fraction_difference_rows`: same contract."""
+    shifts = tuple(feasible_shifts(basis, inst))
+    n = inst.n
+    if not shifts:
+        return IiopAnswer(verdict="yes", lam=tuple(Fraction(1, n) for _ in range(n)), shifts=())
+    rows = fraction_difference_rows(inst, shifts)
+    outcome = rational_lp_feasibility(rows, tuple(Fraction(1) for _ in range(n)))
+    if isinstance(outcome, FeasiblePoint):
+        total = sum(outcome.lam, Fraction(0))
+        return IiopAnswer(
+            verdict="yes", lam=tuple(v / total for v in outcome.lam), shifts=shifts
+        )
+    return IiopAnswer(verdict="no", shifts=shifts, certificate=outcome.coefficients)
+
+
+def all_pairs_minimal(records):
+    """The conformally minimal elements of `sign_masks` records, sorted, by testing every pair.
+
+    A test oracle for the final filter of `graver.graver_basis`, which
+    tests one representative per batch.
+    """
+    records = sorted(records, key=lambda record: record[2])
+    return tuple(
+        g
+        for gpos, gneg, g in records
+        if not any(
+            h != g and conformal_leq(h, g)
+            for hpos, hneg, h in records
+            if not (hpos & ~gpos or hneg & ~gneg)
+        )
+    )
 
 
 @pytest.fixture

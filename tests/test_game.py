@@ -22,12 +22,12 @@ from gravernash import (
 )
 from gravernash.costs import AffineCost, SeparableObjective
 
-from conftest import random_game, squares_objective
+from conftest import identity_matrix, random_game, squares_objective, zero_matrix
 
 F = Fraction
 
 A11 = IntMatrix.from_rows([[1, 1]])
-NO_COUPLING = IntMatrix.zero(1, 2)
+NO_COUPLING = zero_matrix(1, 2)
 
 
 def two_player_game() -> GameInstance:
@@ -59,7 +59,7 @@ def test_player_cost_marginal_formula():
 
 
 def test_player_cost_zero_strategy():
-    player = PlayerSpec(A=IntMatrix.zero(1, 2), b=(0,), u=(1, 1), B=NO_COUPLING)
+    player = PlayerSpec(A=zero_matrix(1, 2), b=(0,), u=(1, 1), B=NO_COUPLING)
     game = GameInstance(players=(player,), b0=(0,), costs=squares_objective(2))
     assert player_cost(game, StrategyProfile(((0, 0),)), 0) == 0
 
@@ -104,7 +104,7 @@ def test_is_satisfied_examples():
 
 
 def test_single_strategy_always_satisfied():
-    pinned = PlayerSpec(A=IntMatrix.identity(2), b=(1, 0), u=(1, 1), B=NO_COUPLING)
+    pinned = PlayerSpec(A=identity_matrix(2), b=(1, 0), u=(1, 1), B=NO_COUPLING)
     game = GameInstance(players=(pinned,), b0=(0,), costs=squares_objective(2))
     assert is_satisfied(game, StrategyProfile(((1, 0),)), 0)
 

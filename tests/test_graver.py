@@ -11,12 +11,18 @@ from gravernash import (
     conformal_reduce,
     graver_basis,
 )
-from gravernash.graver import GraverBasis, sign_masks
+from gravernash.graver import DEFAULT_ELEMENT_CAP, GraverBasis, _complete, sign_masks
 from gravernash.linalg import conformal_leq, is_zero, one_norm, vneg, vsub
 from gravernash.nfold import NfoldSpec, build_multitype_matrix, build_nash_matrix
 from gravernash.oracle import Box, enumerate_box_points
 
-from conftest import inf_norm, rand_matrix, sign_compatible
+from conftest import (
+    all_pairs_minimal,
+    identity_matrix,
+    inf_norm,
+    rand_matrix,
+    sign_compatible,
+)
 
 
 def verify_graver_basis(basis: GraverBasis, bound: int) -> bool:
@@ -32,7 +38,7 @@ def verify_graver_basis(basis: GraverBasis, bound: int) -> bool:
 
 def test_known_bases():
     assert graver_basis(IntMatrix.from_rows([[1, 1]])).elements == ((-1, 1), (1, -1))
-    assert graver_basis(IntMatrix.identity(2)).elements == ()
+    assert graver_basis(identity_matrix(2)).elements == ()
     assert set(graver_basis(IntMatrix.from_rows([[1, 2]])).elements) == {(2, -1), (-2, 1)}
 
 
@@ -255,3 +261,31 @@ def test_resource_cap_with_declared_bricks():
     spec = NfoldSpec(IntMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[1, 0]]), 3)
     with pytest.raises(ResourceCapExceeded):
         graver_basis(build_nash_matrix(spec), cap=1)
+
+
+NASH_PAIRS = (
+    (([[1, 1]], [[1, 0]]), (1, 2, 3, 4, 5)),
+    (([[1, 1, 1]], [[1, 2, 0]]), (1, 2, 3)),
+    (([[1, -1, 2]], [[1, 1, 0]]), (1, 2, 3)),
+)
+
+
+def test_representative_filter_matches_the_all_pairs_filter():
+    """Testing one representative per batch against later records keeps what testing every pair keeps."""
+    rng = random.Random(600)
+    # the completion rarely keeps a non-minimal record; 2 x 5 matrices with
+    # entries in [-3, 3] give a few, so the filter removes something
+    matrices = [
+        rand_matrix(rng, rng.randint(1, 2), rng.randint(2, 5), -2, 2) for _ in range(500)
+    ] + [rand_matrix(rng, 2, 5, -3, 3) for _ in range(100)]
+    for (a, b), big_ns in NASH_PAIRS:
+        for big_n in big_ns:
+            spec = NfoldSpec(IntMatrix.from_rows(a), IntMatrix.from_rows(b), big_n)
+            matrices.append(build_nash_matrix(spec))
+    removed = 0
+    for mat in matrices:
+        current, _ = _complete(mat, DEFAULT_ELEMENT_CAP)
+        want = all_pairs_minimal(current)
+        assert graver_basis(mat).elements == want, mat
+        removed += len(want) < len(current)
+    assert removed >= 3, removed

@@ -20,8 +20,16 @@ from gravernash import (
     weighted_objective,
 )
 from gravernash.costs import QuadraticCost, SeparableObjective
+from gravernash.inverse import _difference_rows
 
-from conftest import rand_matrix, square_cost
+from conftest import (
+    fraction_difference_rows,
+    fraction_solve_iiop,
+    identity_matrix,
+    rand_matrix,
+    random_rational_cost,
+    square_cost,
+)
 
 F = Fraction
 
@@ -86,7 +94,7 @@ def test_no_instance_example():
 
 
 def test_no_shifts_means_uniform_yes():
-    eye = IntMatrix.identity(2)
+    eye = identity_matrix(2)
     inst = IiopInstance(
         D=eye,
         d=(1, 1),
@@ -219,6 +227,60 @@ def test_planted_yes_instances_random():
         assert answer.verdict == "yes"
         assert verify_answer(inst, basis, answer)
         produced += 1
+
+
+def _pulled_instance(rng) -> IiopInstance | None:
+    """Parabolas pulled from x* along one full-support shift g: a "no" verdict.
+
+    Each f_j = a_j (y - c_j)^2 with c_j = x*_j + t g_j drops by
+    a_j g_j^2 (2t - 1) > 0 along g, for t in {1, 2}; None if no shift has
+    full support.
+    """
+    n = rng.randint(2, 4)
+    mat = IntMatrix.from_rows([[rng.choice((-2, -1, 1, 2)) for _ in range(n)]])
+    u = (4,) * n
+    xstar = tuple(rng.randint(1, 3) for _ in range(n))
+    full = [
+        g for g in graver_basis(mat).elements
+        if all(g) and all(0 <= x + step <= 4 for x, step in zip(xstar, g))
+    ]
+    if not full:
+        return None
+    g, t = rng.choice(full), rng.randint(1, 2)
+    shapes = []
+    for x, step in zip(xstar, g):
+        a, c = F(rng.randint(1, 6), rng.randint(1, 6)), x + t * step
+        shapes.append(QuadraticCost(a, -2 * a * c, a * c * c))
+    return IiopInstance(
+        D=mat, d=mat.matvec(xstar), u=u, xstar=xstar, shapes=SeparableObjective(tuple(shapes))
+    )
+
+
+def test_integer_rows_match_the_fraction_rows():
+    """`solve_iiop` on int rows answers as it did on `Fraction` rows: same lam, same certificate."""
+    rng = random.Random(2718)
+    verdicts = {"yes": 0, "no": 0}
+    for case in range(300):
+        inst = _pulled_instance(rng) if case % 2 else None
+        if inst is None:
+            n = rng.randint(2, 4)
+            mat = rand_matrix(rng, rng.randint(1, 2), n, -2, 2)
+            u = tuple(rng.randint(1, 3) for _ in range(n))
+            xstar = tuple(rng.randint(0, ui) for ui in u)
+            shapes = SeparableObjective(tuple(random_rational_cost(rng) for _ in range(n)))
+            inst = IiopInstance(D=mat, d=mat.matvec(xstar), u=u, xstar=xstar, shapes=shapes)
+        basis = graver_basis(inst.D)
+        shifts = feasible_shifts(basis, inst)
+        scale = inst.shapes.scale()
+        want_rows = fraction_difference_rows(inst, shifts)
+        got_rows = _difference_rows(inst, shifts)
+        assert all(type(x) is int for row in got_rows for x in row), case
+        assert got_rows == [tuple(scale * x for x in row) for row in want_rows], case
+        got = solve_iiop(inst, basis)
+        assert got == fraction_solve_iiop(inst, basis), case
+        assert verify_answer(inst, basis, got), case
+        verdicts[got.verdict] += 1
+    assert min(verdicts.values()) >= 50, verdicts
 
 
 def _snapshot_runner():

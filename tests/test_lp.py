@@ -99,6 +99,49 @@ def test_checks_reject_corrupted_answers():
         _check_ray(neg, strict, (F(-1),))
 
 
+def test_checks_reject_corrupted_answers_on_int_rows():
+    """The checks scale a point or a ray to integers; a corrupted one still fails."""
+    Q = Fraction
+    rows = [(3, -1), (-1, 2)]
+    strict = (1, 1)
+    _check_point(rows, strict, (Q(1, 3), Q(1, 2)))  # row sums 1/2 and 2/3
+    corrupted = [(Q(1, 3), Q(5, 4)), (Q(1, 2), Q(1, 5)), (Q(-1, 2), Q(1, 3)), (Q(0), Q(0))]
+    for lam in corrupted:
+        with pytest.raises(CertificateError):
+            _check_point(rows, strict, lam)
+    neg = [(-2, -1), (0, -3)]
+    _check_ray(neg, strict, (Q(1, 2), Q(1, 3)))  # v^T R + strict = (0, -1/2)
+    corrupted = [(Q(1, 2), Q(1, 7)), (Q(1, 3), Q(1, 3)), (Q(-1), Q(2)), (Q(0), Q(0))]
+    for v in corrupted:
+        with pytest.raises(CertificateError):
+            _check_ray(neg, strict, v)
+
+
+def test_int_rows_match_rows_divided_by_a_constant():
+    """Dividing row i by L_i > 0 keeps the point and multiplies the ray's i-th coefficient by L_i."""
+    rng = random.Random(1968)
+    kinds = {"point": 0, "ray": 0}
+    for case in range(300):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, 10)
+        rows = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m)]
+        strict = (1,) * n if case % 2 else tuple(rng.randint(-2, 3) for _ in range(n))
+        scales = [rng.randint(1, 12) for _ in range(m)]
+        divided = [tuple(Fraction(x, s) for x in r) for r, s in zip(rows, scales)]
+        got = rational_lp_feasibility(rows, strict)
+        want = rational_lp_feasibility(divided, strict)
+        assert type(got) is type(want), case
+        if isinstance(got, FeasiblePoint):
+            assert got.lam == want.lam, case
+            kinds["point"] += 1
+        else:
+            assert want.coefficients == tuple(
+                s * v for s, v in zip(scales, got.coefficients)
+            ), case
+            kinds["ray"] += 1
+    assert min(kinds.values()) >= 50, kinds
+
+
 def reference_lp(rows, strict_row):
     """The dense-Fraction phase-1 simplex that `rational_lp_feasibility` replaced.
 

@@ -21,7 +21,7 @@ from gravernash.linalg import conformal_leq, is_zero
 from gravernash.nfold import embedded_columns
 from gravernash.oracle import Box, enumerate_box_points
 
-from conftest import rand_matrix
+from conftest import identity_matrix, rand_matrix, zero_matrix
 
 A11 = IntMatrix.from_rows([[1, 1]])
 B10 = IntMatrix.from_rows([[1, 0]])
@@ -42,7 +42,7 @@ def test_build_nfold_single_brick_is_vertical_stack():
 
 
 def test_build_nfold_shape_identity_blocks():
-    mat = build_nfold(NfoldSpec(A=IntMatrix.identity(2), B=IntMatrix.identity(2), N=2))
+    mat = build_nfold(NfoldSpec(A=identity_matrix(2), B=identity_matrix(2), N=2))
     assert (mat.nrows, mat.ncols) == (6, 4)
 
 
@@ -57,7 +57,7 @@ def test_nash_matrix_example():
 
 
 def test_nash_matrix_zero_coupling_keeps_slack_column():
-    spec = NfoldSpec(A=A11, B=IntMatrix.zero(1, 2), N=1)
+    spec = NfoldSpec(A=A11, B=zero_matrix(1, 2), N=1)
     mat = build_nash_matrix(spec)
     assert (mat.nrows, mat.ncols) == (4, 5)
     assert mat.col(4) == (0, 0, 1, 0)

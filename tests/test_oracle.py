@@ -16,7 +16,7 @@ from gravernash import (
 )
 from gravernash.errors import ValidationError
 
-from conftest import squares_objective
+from conftest import identity_matrix, squares_objective, zero_matrix
 
 
 def test_box_size():
@@ -40,7 +40,7 @@ def test_brute_graver_small_cases():
     assert basis.elements == ((-1, 1), (1, -1))
     wide = brute_graver(IntMatrix.from_rows([[1, 2]]), 2)
     assert set(wide.elements) == {(2, -1), (-2, 1)}
-    assert brute_graver(IntMatrix.identity(2), 2).elements == ()
+    assert brute_graver(identity_matrix(2), 2).elements == ()
 
 
 def test_brute_ip_opt():
@@ -58,7 +58,7 @@ def test_brute_ip_opt():
 
 def test_brute_nash_check_two_player_split():
     player = PlayerSpec(
-        A=IntMatrix.from_rows([[1, 1]]), b=(1,), u=(1, 1), B=IntMatrix.zero(1, 2)
+        A=IntMatrix.from_rows([[1, 1]]), b=(1,), u=(1, 1), B=zero_matrix(1, 2)
     )
     game = GameInstance(players=(player, player), b0=(0,), costs=squares_objective(2))
     feasible, minima, equilibria = brute_nash_check(game)

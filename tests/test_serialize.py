@@ -41,7 +41,26 @@ from gravernash.serialize import (
     ratvec_from_json,
 )
 
+from conftest import zero_matrix
+
 F = Fraction
+
+
+def test_frac_from_str_accepts_what_fraction_accepts():
+    """The integer fast path changes neither the value nor the verdict of `Fraction(str)`."""
+    corpus = [
+        "+3", " 3", "1_0", "-0", "00", "\u0663", "1e3", "3/1", "-", "", "9" * 5000,
+        "-" + "9" * 5000, "7", "-12", "--3", "-+3", "3 ", "3/0", "2/4", "0x10", "1.5",
+    ]
+    for s in corpus:
+        try:
+            want = Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ValidationError):
+                frac_from_str(s)
+        else:
+            got = frac_from_str(s)
+            assert type(got) is Fraction and got == want, s
 
 
 def test_frac_round_trip():
@@ -72,7 +91,7 @@ def test_int_from_json_is_strict():
 def test_matrix_round_trip():
     m = IntMatrix.from_rows([[1, -2], [0, 3]])
     assert matrix_from_json(matrix_to_json(m)) == m
-    empty = IntMatrix.zero(0, 3)
+    empty = zero_matrix(0, 3)
     assert matrix_from_json(matrix_to_json(empty)) == empty
     assert matrix_from_json([[1, -2], [0, 3]]) == m
     with pytest.raises(ValidationError):
@@ -160,7 +179,7 @@ def test_game_and_profile_round_trip():
                "profile": {"strategies": [[1, 0], [0, 1]]}}"""
     data = json.loads(text)
     player = PlayerSpec(
-        A=IntMatrix.from_rows([[1, 1]]), b=(1,), u=(1, 1), B=IntMatrix.zero(1, 2)
+        A=IntMatrix.from_rows([[1, 1]]), b=(1,), u=(1, 1), B=zero_matrix(1, 2)
     )
     game = GameInstance(
         players=(player, player),

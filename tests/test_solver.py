@@ -26,6 +26,7 @@ from gravernash.oracle import Box, enumerate_box_points
 from conftest import (
     fraction_best_step,
     fraction_greedy_augment,
+    identity_matrix,
     rand_matrix,
     random_convex_objective,
     random_rational_cost,
@@ -85,7 +86,7 @@ def test_greedy_augment_reaches_optimum():
 
 
 def test_greedy_augment_trivial_kernel():
-    inst = IpInstance(IntMatrix.identity(1), (2,), (3,), squares_objective(1))
+    inst = IpInstance(identity_matrix(1), (2,), (3,), squares_objective(1))
     basis = graver_basis(inst.D)
     assert len(basis) == 0
     result = greedy_augment((2,), basis, inst)

@@ -5,7 +5,6 @@ from .costs import (
     PiecewiseLinearCost,
     PowerCost,
     QuadraticCost,
-    ScaledCost,
     SeparableObjective,
     ShiftedCost,
 )
@@ -37,7 +36,6 @@ from .inverse import (
     feasible_shifts,
     solve_iiop,
     verify_answer,
-    weighted_objective,
 )
 from .linalg import IntMatrix, conformal_leq, kernel_lattice_basis
 from .lp import FarkasRay, FeasiblePoint, rational_lp_feasibility

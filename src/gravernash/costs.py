@@ -2,9 +2,9 @@
 
 Four closed-form parametric families cover the public surface (affine,
 quadratic, power, piecewise linear); evaluation is exact rational at
-nonnegative integer arguments.  Shifted and scaled wrappers exist for
-internal use (best responses shift by the other players' usage, inverse
-weights scale the fixed shapes) and preserve convexity and exactness.
+nonnegative integer arguments.  A shifted wrapper exists for internal
+use (best responses shift by the other players' usage) and preserves
+convexity and exactness.
 
 Validity is decided by the parameters alone.  `convex_ok` is the rule
 for any separable objective (`solve`, inverse shapes): the parameters
@@ -16,14 +16,15 @@ be.
 Every valid cost has an integer form: `scale()` is a positive integer L
 such that L*f(y) is an integer at every integer y >= 0, and `times(M)`,
 for any multiple M of L, is M*f with integer parameters, whose values
-are plain ints.  The augmentation evaluates these forms.
+are plain ints.  The augmentation and the inverse solver evaluate these
+forms; the inverse verifier evaluates `value`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 from .errors import DimensionError, ValidationError
@@ -113,9 +114,12 @@ class PowerCost:
 
     def value(self, y: int) -> Fraction:
         _check_arg(y)
-        if all_ints((self.k,)) and self.k >= 1:
+        # a Fraction or float exponent would give a float power
+        if not all_ints((self.k,)):
+            raise ValidationError(f"a power cost's exponent must be an int, got {self.k!r}")
+        if self.k >= 1:
             return self.a * y**self.k
-        # a negative or non-integer exponent must not turn y into a float
+        # a negative exponent must not turn y into a float
         return self.a * Fraction(y) ** self.k
 
     def convex_ok(self) -> bool:
@@ -201,35 +205,7 @@ class ShiftedCost:
         return ShiftedCost(self.base.times(m), self.shift)
 
 
-@dataclass(frozen=True)
-class ScaledCost:
-    """factor * base(y) with factor >= 0; used for weighted shapes."""
-
-    base: "UnivariateCost"
-    factor: Fraction
-
-    def value(self, y: int) -> Fraction:
-        _check_arg(y)
-        return self.factor * self.base.value(y)
-
-    def convex_ok(self) -> bool:
-        return _rationals(self.factor) and self.factor >= 0 and self.base.convex_ok()
-
-    def params_ok(self) -> bool:
-        return self.convex_ok() and self.base.params_ok()
-
-    def scale(self) -> int:
-        # the least L with L * factor a multiple of the base's scale
-        base = self.base.scale()
-        return self.factor.denominator * base // gcd(self.factor.numerator, base)
-
-    def times(self, m: int) -> UnivariateCost:
-        return self.base.times(_times(m, self.factor))
-
-
-UnivariateCost = (
-    AffineCost | QuadraticCost | PowerCost | PiecewiseLinearCost | ShiftedCost | ScaledCost
-)
+UnivariateCost = AffineCost | QuadraticCost | PowerCost | PiecewiseLinearCost | ShiftedCost
 
 ZERO_COST = AffineCost(0, 0)
 

@@ -9,25 +9,26 @@ produces normalized weights or a nonnegative Farkas combination v of
 the H-rows whose weighted difference sums are strictly negative in
 every coordinate, certifying that no weights exist.
 
-The H-rows are evaluated in integers: each is L times the difference
-row, for L = `shapes.scale()`, through the shapes' integer forms
-`times(L)`.  One positive factor on every row changes no sign and no
-simplex pivot, so the LP's point is the weight vector itself, and its
-Farkas coefficients times L are the certificate for the unscaled rows.
+The solver evaluates the H-rows in integers, through the instance's
+integer objective: each is L times the difference row.  One positive
+factor on every row changes no sign and no simplex pivot, so the LP's
+point is the weight vector itself, and its Farkas coefficients times L
+are the certificate for the unscaled rows.  The verifier shares none of
+this: it evaluates the difference rows from the shapes' own values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .costs import ScaledCost, SeparableObjective
+from .costs import SeparableObjective, _rationals
 from .errors import ValidationError
 from .graver import GraverBasis
-from .linalg import IntMatrix, IntVec, RatVec, check_ints, vadd
+from .linalg import IntMatrix, IntVec, RatVec, all_ints, check_ints, vadd
 from .lp import FeasiblePoint, rational_lp_feasibility
-from .solver import IpInstance, check_optimal
+from .solver import IpInstance
 
 
 @dataclass(frozen=True)
@@ -37,15 +38,21 @@ class IiopInstance:
     u: IntVec
     xstar: IntVec
     shapes: SeparableObjective
+    # P with the shapes as its objective, built and checked once
+    problem: IpInstance = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "d", tuple(self.d))
         object.__setattr__(self, "u", tuple(self.u))
         object.__setattr__(self, "xstar", tuple(self.xstar))
         check_ints(self.xstar, "xstar")
-        base = IpInstance(self.D, self.d, self.u, self.shapes)
-        if not base.is_feasible(self.xstar):
+        problem = IpInstance(self.D, self.d, self.u, self.shapes)
+        # nonzero weights need at least one variable to sit on
+        if self.D.ncols == 0:
+            raise ValidationError("an inverse instance needs at least one variable")
+        if not problem.is_feasible(self.xstar):
             raise ValidationError("xstar must lie in P")
+        object.__setattr__(self, "problem", problem)
 
     @property
     def n(self) -> int:
@@ -58,6 +65,13 @@ class IiopAnswer:
     lam: Optional[RatVec] = None  # normalized: sum = 1
     shifts: tuple[IntVec, ...] = ()  # the feasible Graver shifts H, in order
     certificate: Optional[RatVec] = None  # one coefficient per shift
+
+    def __post_init__(self) -> None:
+        # an answer is checked in exact arithmetic, so a float never enters one
+        if not _rationals(*(self.lam or ()), *(self.certificate or ())):
+            raise ValidationError("weights and certificate coefficients must be ints or Fractions")
+        if not all(all_ints(g) for g in self.shifts):
+            raise ValidationError("shifts must be integers")
 
 
 def feasible_shifts(basis: GraverBasis, inst: IiopInstance) -> list[IntVec]:
@@ -74,16 +88,16 @@ def feasible_shifts(basis: GraverBasis, inst: IiopInstance) -> list[IntVec]:
 
 
 def _difference_rows(inst: IiopInstance, shifts: Sequence[IntVec]) -> list[IntVec]:
-    """Row L*(f_j(x*_j + g_j) - f_j(x*_j)) for each shift g, in ints, L = `shapes.scale()`.
+    """Row L*(f_j(x*_j + g_j) - f_j(x*_j)) for each shift g, in ints.
 
-    Each L*f_j(x*_j) is evaluated once.
+    L and the functions L*f_j come from the instance's integer objective;
+    a constant column contributes 0.  Each L*f_j(x*_j) is evaluated once.
     """
-    scale = inst.shapes.scale()
-    forms = [f.times(scale) for f in inst.shapes.terms]
-    at_xstar = [f.value(x) for f, x in zip(forms, inst.xstar)]
+    _, forms = inst.problem.integer_objective
+    at_xstar = [0 if f is None else f(x) for f, x in zip(forms, inst.xstar)]
     return [
         tuple(
-            f.value(x + step) - fx if step else 0
+            f(x + step) - fx if step and f else 0
             for f, x, fx, step in zip(forms, inst.xstar, at_xstar, g)
         )
         for g in shifts
@@ -103,50 +117,49 @@ def solve_iiop(inst: IiopInstance, basis: GraverBasis) -> IiopAnswer:
         lam = tuple(v / total for v in outcome.lam)
         return IiopAnswer(verdict="yes", lam=lam, shifts=shifts)
     # the rows are L times the difference rows, so the ray is 1/L times theirs
-    scale = inst.shapes.scale()
+    scale, _ = inst.problem.integer_objective
     certificate = tuple(scale * v for v in outcome.coefficients)
     return IiopAnswer(verdict="no", shifts=shifts, certificate=certificate)
 
 
-def weighted_objective(inst: IiopInstance, lam: RatVec) -> SeparableObjective:
-    return SeparableObjective(
-        tuple(ScaledCost(f, w) for f, w in zip(inst.shapes.terms, lam))
-    )
+def _value_rows(inst: IiopInstance, shifts: Sequence[IntVec]) -> list[RatVec]:
+    """Row f_j(x*_j + g_j) - f_j(x*_j) for each shift g, from the shapes' values."""
+    terms = inst.shapes.terms
+    at_xstar = [f.value(x) for f, x in zip(terms, inst.xstar)]
+    return [
+        tuple(f.value(x + step) - fx for f, x, fx, step in zip(terms, inst.xstar, at_xstar, g))
+        for g in shifts
+    ]
 
 
 def verify_answer(inst: IiopInstance, basis: GraverBasis, answer: IiopAnswer) -> bool:
-    """Recheck an answer by direct substitution.
+    """Recheck an answer by direct substitution into the H-rows.
 
-    Yes: the weights are normalized and nonnegative, and x* passes the
-    Graver optimality certificate under the weighted objective, which
-    tests every H-inequality: H is the g in G(D) with x* + g in the box,
-    and a weighted H-row sums to the objective's change along g.  No: the
-    combination is nonnegative and its weighted difference sums are
-    strictly negative in every coordinate.
+    H is the g in G(D) with x* + g in the box, and the row of g holds the
+    shapes' changes f_j(x*_j + g_j) - f_j(x*_j).  Yes: the weights are
+    normalized and nonnegative, and every row's weighted sum is
+    nonnegative, which is the Graver optimality certificate of x* under
+    the weighted objective.  No: the combination is nonnegative and its
+    weighted difference sums are strictly negative in every coordinate.
     """
+    shifts = feasible_shifts(basis, inst)
+    rows = _value_rows(inst, shifts)
     if answer.verdict == "yes":
-        if answer.lam is None or len(answer.lam) != inst.n:
+        lam = answer.lam
+        if lam is None or len(lam) != inst.n:
             return False
-        if any(v < 0 for v in answer.lam):
+        if any(v < 0 for v in lam) or sum(lam, Fraction(0)) != 1:
             return False
-        if sum(answer.lam, Fraction(0)) != 1:
-            return False
-        weighted = IpInstance(inst.D, inst.d, inst.u, weighted_objective(inst, answer.lam))
-        ok, _ = check_optimal(inst.xstar, basis, weighted)
-        return ok
+        return all(sum(w * r for w, r in zip(lam, row)) >= 0 for row in rows)
     if answer.verdict == "no":
-        shifts = feasible_shifts(basis, inst)
-        if answer.certificate is None or len(answer.certificate) != len(shifts):
+        certificate = answer.certificate
+        if certificate is None or len(certificate) != len(shifts):
             return False
         if tuple(answer.shifts) != tuple(shifts):
             return False
-        if any(v < 0 for v in answer.certificate):
+        if any(v < 0 for v in certificate):
             return False
-        # the rows are scaled by one positive L, which keeps every sign tested here
-        rows = _difference_rows(inst, shifts)
-        for j in range(inst.n):
-            combo = sum(v * r[j] for v, r in zip(answer.certificate, rows))
-            if combo >= 0:
-                return False
-        return True
+        return all(
+            sum(v * row[j] for v, row in zip(certificate, rows)) < 0 for j in range(inst.n)
+        )
     return False

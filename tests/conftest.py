@@ -22,10 +22,10 @@ from gravernash.costs import (
     PiecewiseLinearCost,
     PowerCost,
     QuadraticCost,
-    ScaledCost,
     SeparableObjective,
     ShiftedCost,
 )
+from gravernash.inverse import _value_rows
 from gravernash.linalg import conformal_leq, vadd, vscale
 
 
@@ -105,16 +105,16 @@ def random_game(rng: random.Random, max_players: int = 3, max_resources: int = 3
 
 
 def random_rational_cost(rng: random.Random, depth: int = 2):
-    """A convex cost of any of the six families, coefficients with denominators up to 6.
+    """A convex cost of any of the five families, coefficients with denominators up to 6.
 
-    Shifted and scaled wrappers nest up to `depth` deep; one draw in ten
-    is ZERO_COST, and a scale factor may be 0.
+    Shifted wrappers nest up to `depth` deep; one draw in nine is
+    ZERO_COST.
     """
 
     def rat(lo: int, hi: int) -> Fraction:
         return Fraction(rng.randint(lo, hi), rng.randint(1, 6))
 
-    pick = rng.randrange(10 if depth else 7)
+    pick = rng.randrange(9 if depth else 7)
     if pick == 0:
         return ZERO_COST
     if pick == 1:
@@ -127,9 +127,7 @@ def random_rational_cost(rng: random.Random, depth: int = 2):
         breakpoints = tuple(sorted(rng.sample(range(1, 7), rng.randint(0, 3))))
         slopes = tuple(sorted(rat(-6, 6) for _ in range(len(breakpoints) + 1)))
         return PiecewiseLinearCost(breakpoints, slopes, rat(-3, 3))
-    if pick in (7, 8):
-        return ShiftedCost(random_rational_cost(rng, depth - 1), rng.randint(0, 3))
-    return ScaledCost(random_rational_cost(rng, depth - 1), rat(0, 6))
+    return ShiftedCost(random_rational_cost(rng, depth - 1), rng.randint(0, 3))
 
 
 def fraction_best_step(x, g, inst):
@@ -186,31 +184,13 @@ def fraction_greedy_augment(x0, basis, inst):
     return path, len(path) - 1, inst.objective.value(path[-1])
 
 
-def fraction_difference_rows(inst, shifts):
-    """The inverse problem's H-rows as computed before the integer scaling, in Fractions.
-
-    A test oracle for `inverse._difference_rows`, whose rows are
-    `inst.shapes.scale()` times these.
-    """
-    terms = inst.shapes.terms
-    at_xstar = [f.value(x) for f, x in zip(terms, inst.xstar)]
-    zero = Fraction(0)
-    return [
-        tuple(
-            f.value(x + step) - fx if step else zero
-            for f, x, fx, step in zip(terms, inst.xstar, at_xstar, g)
-        )
-        for g in shifts
-    ]
-
-
 def fraction_solve_iiop(inst, basis):
-    """Oracle for `inverse.solve_iiop` on `fraction_difference_rows`: same contract."""
+    """Oracle for `inverse.solve_iiop` on the verifier's `Fraction` rows: same contract."""
     shifts = tuple(feasible_shifts(basis, inst))
     n = inst.n
     if not shifts:
         return IiopAnswer(verdict="yes", lam=tuple(Fraction(1, n) for _ in range(n)), shifts=())
-    rows = fraction_difference_rows(inst, shifts)
+    rows = _value_rows(inst, shifts)
     outcome = rational_lp_feasibility(rows, tuple(Fraction(1) for _ in range(n)))
     if isinstance(outcome, FeasiblePoint):
         total = sum(outcome.lam, Fraction(0))

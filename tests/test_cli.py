@@ -239,6 +239,16 @@ def test_inverse_yes(tmp_path, capsys):
     assert len(lam) == 2
 
 
+def test_inverse_instance_without_variables_is_an_input_error(tmp_path, capsys):
+    empty = {"D": {"rows": 1, "cols": 0, "entries": [[]]}, "d": [0], "u": [], "xstar": [], "shapes": []}
+    inp = write(tmp_path, "empty.json", empty)
+    code, report = run(capsys, ["inverse", "--input", inp])
+    assert code == 2 and report["status"] == "input-error"
+    check = write(tmp_path, "ve.json", {"instance": empty, "answer": {"verdict": "yes", "lambda": []}})
+    code, report = run(capsys, ["verify-inverse", "--input", check])
+    assert code == 2 and report["status"] == "input-error"
+
+
 def test_oracle_ops(tmp_path, capsys):
     inp = write(tmp_path, "og.json", {"op": "graver", "D": [[1, 1]], "bound": 2})
     code, report = run(capsys, ["oracle", "--input", inp])

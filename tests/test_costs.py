@@ -9,7 +9,6 @@ from gravernash.costs import (
     PiecewiseLinearCost,
     PowerCost,
     QuadraticCost,
-    ScaledCost,
     SeparableObjective,
     ShiftedCost,
 )
@@ -79,7 +78,7 @@ def _random_cost(rng: random.Random, wrap: bool = True):
     def rat() -> Fraction:
         return F(rng.randint(-2, 4), rng.randint(1, 3))
 
-    pick = rng.randrange(6 if wrap else 4)
+    pick = rng.randrange(5 if wrap else 4)
     if pick == 0:
         return AffineCost(rat(), rat())
     if pick == 1:
@@ -92,9 +91,7 @@ def _random_cost(rng: random.Random, wrap: bool = True):
         if rng.random() < 0.7:
             slopes.sort()
         return PiecewiseLinearCost(breakpoints, tuple(slopes), rat())
-    if pick == 4:
-        return ShiftedCost(_random_cost(rng, wrap=False), rng.randint(-1, 5))
-    return ScaledCost(_random_cost(rng, wrap=False), rat())
+    return ShiftedCost(_random_cost(rng, wrap=False), rng.randint(-1, 5))
 
 
 def test_parameter_rules_imply_the_probe():
@@ -122,7 +119,6 @@ def test_parameter_rules_imply_the_probe():
         "PowerCost",
         "PiecewiseLinearCost",
         "ShiftedCost",
-        "ScaledCost",
     }
 
 
@@ -141,15 +137,12 @@ def test_objective_length_mismatch():
         obj.value((1, 2))
 
 
-def test_shifted_and_scaled_wrappers():
+def test_shifted_wrapper():
     sq = QuadraticCost(F(1), F(0), F(0))
     shifted = ShiftedCost(sq, 2)
     assert shifted.value(3) == 25
     assert shifted.params_ok()
-    scaled = ScaledCost(sq, F(1, 2))
-    assert scaled.value(4) == 8
-    assert scaled.params_ok()
-    assert not ScaledCost(sq, F(-1)).params_ok()
+    assert not ShiftedCost(sq, -1).params_ok()
 
 
 def test_exactness_no_rounding():
@@ -169,8 +162,7 @@ def test_convexity_rule_wants_exact_parameters():
         PiecewiseLinearCost(breakpoints=(1.5,), slopes=(F(0), F(1)), c0=F(0)),
         PiecewiseLinearCost(breakpoints=(1,), slopes=(F(0), 1.0), c0=F(0)),
         ShiftedCost(sq, 1.0),
-        ScaledCost(sq, 0.5),
-        ScaledCost(AffineCost(0.5, 0), F(1)),
+        ShiftedCost(AffineCost(0.5, 0), 1),
     ]
     for cost in inexact:
         assert not cost.convex_ok(), cost
@@ -179,6 +171,10 @@ def test_convexity_rule_wants_exact_parameters():
     # an exponent outside the rule still evaluates exactly, never to a float
     assert PowerCost(F(1), -1).value(2) == F(1, 2)
     assert type(PowerCost(F(1), -1).value(2)) is Fraction
+    assert PowerCost(F(1), 2).value(3) == 9 and type(PowerCost(1, 2).value(3)) is int
+    for k in (F(1, 2), 0.5, 2.0, True):
+        with pytest.raises(ValidationError):
+            PowerCost(1, k).value(4)
 
 
 def test_integer_forms_scale_every_value():
@@ -195,9 +191,7 @@ def test_integer_forms_scale_every_value():
                 value = form.value(y)
                 assert type(value) is int and value == m * cost.value(y), (cost, m, y)
         seen.add(type(cost).__name__)
-    assert len(seen) == 6
-    assert ScaledCost(QuadraticCost(F(1, 2), F(0), F(0)), F(4, 3)).scale() == 3
-    assert ScaledCost(QuadraticCost(F(1, 2), F(0), F(0)), F(0)).scale() == 1
+    assert len(seen) == 5
     with pytest.raises(ValueError):
         AffineCost(F(1, 2), F(0)).times(3)
 

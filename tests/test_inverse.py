@@ -17,13 +17,12 @@ from gravernash import (
     graver_basis,
     solve_iiop,
     verify_answer,
-    weighted_objective,
 )
+from gravernash import inverse
 from gravernash.costs import QuadraticCost, SeparableObjective
-from gravernash.inverse import _difference_rows
+from gravernash.inverse import _difference_rows, _value_rows
 
 from conftest import (
-    fraction_difference_rows,
     fraction_solve_iiop,
     identity_matrix,
     rand_matrix,
@@ -72,7 +71,17 @@ def test_yes_instance_needs_skewed_weights():
     answer = solve_iiop(inst, basis)
     assert answer.verdict == "yes"
     assert verify_answer(inst, basis, answer)
-    weighted = IpInstance(inst.D, inst.d, inst.u, weighted_objective(inst, answer.lam))
+    weighted = IpInstance(
+        inst.D,
+        inst.d,
+        inst.u,
+        SeparableObjective(
+            tuple(
+                QuadraticCost(w * f.a, w * f.b, w * f.c)
+                for f, w in zip(inst.shapes.terms, answer.lam)
+            )
+        ),
+    )
     value, argmins = brute_ip_opt(weighted)
     assert weighted.objective.value(inst.xstar) == value
 
@@ -172,6 +181,63 @@ def test_verify_rejects_tampered_answers():
     assert not verify_answer(refutable, basis, negative)
 
 
+def test_answers_take_exact_numbers_only():
+    """A float weight, float coefficient or non-int shift is an input error, for both verdicts."""
+    for lam in ((0.5, F(1, 2)), (F(1), True)):
+        with pytest.raises(ValidationError):
+            IiopAnswer(verdict="yes", lam=lam)
+    for certificate in ((1.0, F(3), F(0)), (F(1), F(3), 0.0)):
+        with pytest.raises(ValidationError):
+            IiopAnswer(verdict="no", shifts=((1, -1),) * 3, certificate=certificate)
+    for shifts in (((1.0, -1),), ((F(1), -1),), ((True, -1),)):
+        with pytest.raises(ValidationError):
+            IiopAnswer(verdict="no", shifts=shifts, certificate=(F(1),))
+    assert IiopAnswer(verdict="yes", lam=(1, F(0))).lam == (1, 0)
+    assert IiopAnswer(verdict="no", shifts=((1, -1),), certificate=(2,)).certificate == (2,)
+
+
+def test_instance_without_variables_rejected():
+    # no nonzero weight exists on zero columns, so neither verdict could be right
+    with pytest.raises(ValidationError):
+        IiopInstance(
+            D=IntMatrix.from_rows([[]], 0), d=(0,), u=(), xstar=(), shapes=SeparableObjective(())
+        )
+
+
+def test_verifier_does_not_share_the_solver_rows(monkeypatch):
+    """Corrupted solver rows flip verdicts, and the verifier rejects each flipped answer."""
+    real_rows = _difference_rows
+    corruptions = (
+        lambda row: tuple(-v - 1 for v in row),  # every entry
+        lambda row: (abs(row[0]) + 1,) + row[1:],  # the first entry only
+    )
+    cases = [
+        IiopInstance(
+            D=D11, d=(2,), u=(2, 2), xstar=(1, 1),
+            shapes=SeparableObjective((shifted_square(1), shifted_square(1))),
+        ),
+        no_family_instance(2),
+        no_family_instance(3),
+    ]
+    flipped = set()
+    for inst in cases:
+        basis = graver_basis(inst.D)
+        right = solve_iiop(inst, basis)
+        assert verify_answer(inst, basis, right)
+        for corrupt in corruptions:
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    inverse, "_difference_rows",
+                    lambda inst, shifts: [corrupt(row) for row in real_rows(inst, shifts)],
+                )
+                wrong = solve_iiop(inst, basis)
+                # the two verdicts exclude each other, so a flipped one is wrong
+                if wrong.verdict != right.verdict:
+                    assert not verify_answer(inst, basis, wrong), (inst, wrong)
+                    flipped.add(wrong.verdict)
+    assert flipped == {"yes", "no"}
+
+
 def no_family_instance(n: int) -> IiopInstance:
     """A refutable instance for every n >= 2.
 
@@ -257,7 +323,7 @@ def _pulled_instance(rng) -> IiopInstance | None:
 
 
 def test_integer_rows_match_the_fraction_rows():
-    """`solve_iiop` on int rows answers as it did on `Fraction` rows: same lam, same certificate."""
+    """The solver's int rows are L times the verifier's rows, and answer as they do: same lam, same certificate."""
     rng = random.Random(2718)
     verdicts = {"yes": 0, "no": 0}
     for case in range(300):
@@ -272,7 +338,7 @@ def test_integer_rows_match_the_fraction_rows():
         basis = graver_basis(inst.D)
         shifts = feasible_shifts(basis, inst)
         scale = inst.shapes.scale()
-        want_rows = fraction_difference_rows(inst, shifts)
+        want_rows = _value_rows(inst, shifts)
         got_rows = _difference_rows(inst, shifts)
         assert all(type(x) is int for row in got_rows for x in row), case
         assert got_rows == [tuple(scale * x for x in row) for row in want_rows], case

@@ -259,7 +259,7 @@ def test_integer_augmentation_matches_the_fraction_oracle(monkeypatch):
         families |= {type(t).__name__ for t in objective.terms}
         families |= {"ZERO_COST"} if ZERO_COST in objective.terms else set()
         augmented += result.augmentation_count > 0
-    assert len(scales) > 10 and augmented > 100 and len(families) == 7
+    assert len(scales) > 10 and augmented > 100 and len(families) == 6
 
 
 def test_reference_solve_snapshot(tmp_path):

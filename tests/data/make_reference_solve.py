@@ -13,8 +13,13 @@ must stay input errors.  The games are congestion games with 1-3 players
 and 1-3 resources, a planted feasible profile and nondecreasing convex
 costs with fractional coefficients; each is answered by `equilibrium`,
 by `best-response` for one player against the planted profile, and by
-`verify-equilibrium` on the equilibrium found.  Run from the repository
-root:
+`verify-equilibrium` on the equilibrium found.  Four edge families of
+`solve` instances come last, drawn from a generator of their own so that
+the cases before them stay as they were: D = 2R with every entry of d
+odd (no integer solution), a two-row D of rank one with d outside its
+column span, d = 0 with a one-row D of both signs, and a nonsingular
+2 x 2 D, whose kernel is trivial, with d the image of an integer point.
+Run from the repository root:
 
     PYTHONPATH=src python tests/data/make_reference_solve.py
 """
@@ -38,6 +43,8 @@ RANDOM_COUNT = 40
 WIDE_COUNT = 10
 NASH_COUNT = 10
 GAME_COUNT = 20
+EDGE_SEED = 2012
+EDGE_COUNT = 3
 WIDE_ROWS = [[1, 2, -1, 1, -2]]
 ZERO = {"kind": "affine", "a": "0", "b": "0"}
 MALFORMED = [
@@ -93,6 +100,43 @@ def _solve_instance(rng: random.Random, rows, u, objective) -> dict:
 def _box_instance(rng: random.Random, rows) -> dict:
     u = [rng.randint(0, 6) for _ in rows[0]]
     return _solve_instance(rng, rows, u, [_cost(rng, rng.randint(0, v)) for v in u])
+
+
+def _edge_family(rng: random.Random, family: str) -> tuple[list[list[int]], list[int]]:
+    """(D, d) of one edge family; see the module docstring."""
+    k = rng.randint(2, 4)
+
+    def row() -> list[int]:
+        r = [0] * k
+        while not any(r):
+            r = [rng.randint(-2, 2) for _ in range(k)]
+        return r
+
+    if family == "gcd":
+        rows = [[2 * a for a in row()] for _ in range(rng.randint(1, 2))]
+        return rows, [2 * rng.randint(-3, 3) + 1 for _ in rows]
+    if family == "outside-span":
+        first, factor = row(), rng.choice((-2, -1, 2))
+        lhs = rng.randint(-4, 4)
+        return [first, [factor * a for a in first]], [lhs, factor * lhs + rng.choice((-1, 1))]
+    if family == "zero-rhs":
+        # one row of both signs: ker(D) meets the box beyond 0
+        mixed = [0]
+        while not min(mixed) < 0 < max(mixed):
+            mixed = row()
+        return [mixed], [0]
+    rows = [[0, 0], [0, 0]]
+    while rows[0][0] * rows[1][1] == rows[0][1] * rows[1][0]:
+        rows = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
+    # the image of an integer point, which the box may or may not hold
+    point = [rng.randint(0, 4) for _ in range(2)]
+    return rows, [sum(a * x for a, x in zip(r, point)) for r in rows]
+
+
+def _edge_instance(rng: random.Random, family: str) -> dict:
+    rows, d = _edge_family(rng, family)
+    u = [rng.randint(0, 6) for _ in rows[0]]
+    return {"D": rows, "d": d, "u": u, "objective": [_cost(rng, rng.randint(0, v)) for v in u]}
 
 
 def _nash_instance(rng: random.Random) -> dict:
@@ -157,6 +201,10 @@ def reference_inputs() -> list[tuple[str, str, dict]]:
         profile = {"strategies": witnesses}
         player = rng.randrange(len(witnesses))
         cases.append((f"game {i}", "best-response", {"game": game, "profile": profile, "player": player}))
+    edge = random.Random(EDGE_SEED)
+    for family in ("gcd", "outside-span", "zero-rhs", "trivial-kernel"):
+        for i in range(EDGE_COUNT):
+            cases.append((f"{family} {i}", "solve", _edge_instance(edge, family)))
     return cases
 
 

@@ -269,7 +269,7 @@ def test_reference_solve_snapshot(tmp_path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     cases = json.loads((Path(__file__).parent / "data" / "reference_solve.json").read_text())
-    assert len(cases) == 122
+    assert len(cases) == 134
     assert {c["exit"] for c in cases} == {0, 1, 2}
     for case in cases:
         got = module.run_command(case["command"], case["input"], tmp_path)

@@ -207,9 +207,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per import: parse_args leaves the parser as it was, so every
+# main call in a process reuses it
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
 

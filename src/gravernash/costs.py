@@ -119,6 +119,8 @@ class PowerCost:
             raise ValidationError(f"a power cost's exponent must be an int, got {self.k!r}")
         if self.k >= 1:
             return self.a * y**self.k
+        if self.k < 0 and y == 0:
+            raise ValidationError(f"a power cost with exponent {self.k} is undefined at 0")
         # a negative exponent must not turn y into a float
         return self.a * Fraction(y) ** self.k
 

@@ -3,13 +3,15 @@
 The Graver basis of an integer matrix D is the set of nonzero elements
 of ker(D) over Z that are minimal in the conformal order: none of them
 splits into a sum of two nonzero sign-compatible kernel vectors.
-The completion queues a kernel lattice basis, repeatedly sums pairs,
-conformally reduces each candidate against the current set, keeps
-irreducible remainders and their negations until a fixpoint, and
-finally filters to the conformally minimal elements.  When the matrix
-declares interchangeable column bricks (`IntMatrix.bricks`), it works on
-orbits of the brick permutations: one representative per orbit is
-queued, reduced, paired and filtered, and every image of it is kept.
+The completion queues a basis of the kernel lattice (`graver_basis`
+reduces D for it; the solver passes the one its reduction of [D | -d]
+yields), repeatedly sums pairs, conformally reduces each candidate
+against the current set, keeps irreducible remainders and their
+negations until a fixpoint, and finally filters to the conformally
+minimal elements.  When the matrix declares interchangeable column
+bricks (`IntMatrix.bricks`), it works on orbits of the brick
+permutations: one representative per orbit is queued, reduced, paired
+and filtered, and every image of it is kept.
 
 Every element carries its positive- and negative-support bitmasks (see
 `sign_masks`).  A g conformally below z has its positive support inside
@@ -150,9 +152,10 @@ def _orbit_maps(mat: IntMatrix):
     return key, images
 
 
-def _complete(mat: IntMatrix, cap: int):
-    """The completion: (current, batches) with every record it keeps, in order.
+def _complete(mat: IntMatrix, lattice, cap: int):
+    """The completion from `lattice`, a basis of the kernel lattice of `mat`.
 
+    Returns (current, batches) with every record it keeps, in order.
     `current` holds `sign_masks` records.  A batch is the images of one
     remainder r and of -r, stored contiguously; `batches` lists (start of
     the batch in `current`, r) in the order they were added.
@@ -175,7 +178,7 @@ def _complete(mat: IntMatrix, cap: int):
     key, images = _orbit_maps(mat)
     current: list[tuple[int, int, IntVec]] = []
     batches: list[tuple[int, IntVec]] = []
-    queued = set(map(key, kernel_lattice_basis(mat)))
+    queued = set(map(key, lattice))
     queue = [(one_norm(b), b) for b in queued]
     heapq.heapify(queue)
     while queue:
@@ -206,7 +209,12 @@ def _complete(mat: IntMatrix, cap: int):
 
 
 def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
-    current, batches = _complete(mat, cap)
+    return _basis_from_lattice(mat, kernel_lattice_basis(mat), cap)
+
+
+def _basis_from_lattice(mat: IntMatrix, lattice, cap: int) -> GraverBasis:
+    """G(mat), completed from `lattice`, any basis of the kernel lattice of `mat`."""
+    current, batches = _complete(mat, lattice, cap)
     # Every element of G(D) is in `current`: the completion reduces it to
     # zero, and only the element itself divides it conformally.  So the
     # minimal elements of `current` are exactly G(D).  A batch is minimal

@@ -1,10 +1,11 @@
 """Separable convex integer minimization by Graver-basis augmentation.
 
 Solves min { sum_j f_j(x_j) : D x = d, 0 <= x <= u, x integer } by
-computing the Graver basis G(D) once and using it twice.  Phase 1 takes
-an integer solution of D x = d from the kernel lattice of [D | -d],
-widens the box to contain it, and walks along G(D) to a point of the
-original box.  Phase 2 greedily augments from there: at each iteration
+computing the Graver basis G(D) once and using it twice.  One Hermite
+reduction, of [D | -d], gives both an integer solution x0 of D x = d and
+a basis of the kernel lattice of D, which seeds the completion of G(D).
+Phase 1 widens the box to contain x0 and walks along G(D) to a point of
+the original box.  Phase 2 greedily augments from there: at each iteration
 the (direction, step) pair with the largest improvement is applied,
 until no Graver step improves the objective.  Since a feasible point is
 optimal exactly when no single Graver step improves it, both walks end
@@ -26,7 +27,7 @@ from typing import Callable, Optional
 
 from .costs import ZERO_COST, AffineCost, PiecewiseLinearCost, SeparableObjective
 from .errors import DimensionError, ValidationError
-from .graver import DEFAULT_ELEMENT_CAP, GraverBasis, graver_basis
+from .graver import DEFAULT_ELEMENT_CAP, GraverBasis, _basis_from_lattice
 from .linalg import IntMatrix, IntVec, check_ints, kernel_lattice_basis, vadd, vscale, vsub
 
 
@@ -178,20 +179,31 @@ def check_optimal(
     return True, None
 
 
-def _integer_solution(D: IntMatrix, d: IntVec) -> Optional[IntVec]:
-    """Some x in Z^n with D x = d, or None when there is none.
+def _solution_and_lattice(D: IntMatrix, d: IntVec) -> tuple[Optional[IntVec], list[IntVec]]:
+    """(x0, lattice): some x0 in Z^n with D x0 = d, or None when there is
+    none, and a basis of the kernel lattice of D, from one Hermite reduction.
 
     The kernel lattice of [D | -d] holds (x, t) exactly when D x = t d.
     Euclid's algorithm on the last coordinates of its basis, carried
-    along the vectors, leaves one lattice vector whose last coordinate
-    is their gcd g; D x = d is solvable over Z iff g = 1.
+    along the vectors, leaves one lattice vector `acc` whose last
+    coordinate is their gcd g; D x = d is solvable over Z iff g = 1
+    (Schrijver, Theory of Linear and Integer Programming, Cor. 4.1a).
+    Every other vector leaves the loop with t = 0.  Each step is
+    unimodular, so they and `acc` still form a basis; a lattice vector
+    with t = 0 has no component along `acc` when g != 0, so the nonzero
+    ones, without their last coordinate, form a basis of ker(D).  When
+    no vector has t != 0, acc stays 0 and the whole basis is ker(D) x {0}.
     """
     augmented = IntMatrix(D.nrows, D.ncols + 1, tuple(r + (-v,) for r, v in zip(D.entries, d)))
     acc = (0,) * (D.ncols + 1)
+    lattice = []
     for v in kernel_lattice_basis(augmented):
         while v[-1]:
             acc, v = v, vsub(acc, vscale(acc[-1] // v[-1], v))
-    return vscale(acc[-1], acc)[:-1] if abs(acc[-1]) == 1 else None
+        if any(v):
+            lattice.append(v[:-1])
+    x0 = vscale(acc[-1], acc)[:-1] if abs(acc[-1]) == 1 else None
+    return x0, lattice
 
 
 def _range_distance(v: int, ub: int) -> AffineCost | PiecewiseLinearCost:
@@ -218,9 +230,12 @@ def find_feasible(inst: IpInstance, basis: GraverBasis) -> Optional[IntVec]:
     coordinates from their original ranges [0, u_j], and the instance
     is feasible exactly when that minimum is 0.
     """
-    x0 = _integer_solution(inst.D, inst.d)
-    if x0 is None:
-        return None
+    x0, _ = _solution_and_lattice(inst.D, inst.d)
+    return None if x0 is None else _walk_into_box(inst, x0, basis)
+
+
+def _walk_into_box(inst: IpInstance, x0: IntVec, basis: GraverBasis) -> Optional[IntVec]:
+    """The walk of `find_feasible` from the integer solution x0."""
     low = tuple(min(0, v) for v in x0)
     wide = IpInstance(
         inst.D,
@@ -235,9 +250,12 @@ def find_feasible(inst: IpInstance, basis: GraverBasis) -> Optional[IntVec]:
 
 
 def solve_ip(inst: IpInstance, cap: int = DEFAULT_ELEMENT_CAP) -> SolveResult:
-    basis = graver_basis(inst.D, cap=cap)
-    x0 = find_feasible(inst, basis)
-    if x0 is None:
+    # one reduction of [D | -d] gives both x0 and the completion's seeds;
+    # G(D) is completed even when x0 is None, for `graver_size`
+    x0, lattice = _solution_and_lattice(inst.D, inst.d)
+    basis = _basis_from_lattice(inst.D, lattice, cap)
+    start = None if x0 is None else _walk_into_box(inst, x0, basis)
+    if start is None:
         return SolveResult(
             status="infeasible",
             x=None,
@@ -245,4 +263,4 @@ def solve_ip(inst: IpInstance, cap: int = DEFAULT_ELEMENT_CAP) -> SolveResult:
             augmentation_count=0,
             graver_size=len(basis),
         )
-    return greedy_augment(x0, basis, inst)
+    return greedy_augment(start, basis, inst)

@@ -26,7 +26,7 @@ from gravernash.costs import (
     ShiftedCost,
 )
 from gravernash.inverse import _value_rows
-from gravernash.linalg import conformal_leq, vadd, vscale
+from gravernash.linalg import conformal_leq, kernel_lattice_basis, vadd, vscale, vsub
 
 
 def inf_norm(u) -> int:
@@ -198,6 +198,23 @@ def fraction_solve_iiop(inst, basis):
             verdict="yes", lam=tuple(v / total for v in outcome.lam), shifts=shifts
         )
     return IiopAnswer(verdict="no", shifts=shifts, certificate=outcome.coefficients)
+
+
+def reference_integer_solution(D, d):
+    """Some x in Z^n with D x = d, or None: the solver's x0 as it was taken before
+    its reduction of [D | -d] also gave the kernel basis of D, which
+    `graver_basis` then computed from a second reduction.
+
+    Euclid on the last coordinates of the kernel lattice basis of
+    [D | -d] leaves one vector whose last coordinate is their gcd; D x = d
+    is solvable over Z iff that gcd is 1.
+    """
+    augmented = IntMatrix(D.nrows, D.ncols + 1, tuple(r + (-v,) for r, v in zip(D.entries, d)))
+    acc = (0,) * (D.ncols + 1)
+    for v in kernel_lattice_basis(augmented):
+        while v[-1]:
+            acc, v = v, vsub(acc, vscale(acc[-1] // v[-1], v))
+    return vscale(acc[-1], acc)[:-1] if abs(acc[-1]) == 1 else None
 
 
 def all_pairs_minimal(records):

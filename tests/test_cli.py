@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -461,6 +462,23 @@ def test_unknown_command_is_usage_error(tmp_path, capsys):
     inp = write(tmp_path, "mat.json", {"D": [[1, 1]]})
     assert main(["gravr", "--input", inp]) == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_main_builds_no_parser(tmp_path, capsys, monkeypatch):
+    """The parser built at import serves every main call, including one that fails to parse."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    inp = write(tmp_path, "mat.json", {"D": [[1, 1]]})
+    assert main(["graver", "--input", inp, "--quiet"]) == 0
+    assert main(["gravr", "--input", inp]) == 2
+    capsys.readouterr()
+    assert built == []
 
 
 def test_payload_bytes_deterministic(tmp_path, capsys):

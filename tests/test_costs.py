@@ -177,6 +177,17 @@ def test_convexity_rule_wants_exact_parameters():
             PowerCost(1, k).value(4)
 
 
+def test_negative_exponent_at_zero_is_an_input_error():
+    """y^k with k < 0 is undefined at 0: the package's error, not ZeroDivisionError."""
+    for k in (-1, -3):
+        with pytest.raises(ValidationError):
+            PowerCost(F(1), k).value(0)
+        with pytest.raises(ValidationError):
+            ShiftedCost(PowerCost(F(1), k), -2).value(2)
+    assert PowerCost(F(1), -1).value(2) == F(1, 2)
+    assert PowerCost(F(3), 0).value(0) == 3
+
+
 def test_integer_forms_scale_every_value():
     """times(scale()) is scale() times the cost, in ints, for every family and nesting."""
     rng = random.Random(2012)

@@ -12,7 +12,7 @@ from gravernash import (
     graver_basis,
 )
 from gravernash.graver import DEFAULT_ELEMENT_CAP, GraverBasis, _complete, sign_masks
-from gravernash.linalg import conformal_leq, is_zero, one_norm, vneg, vsub
+from gravernash.linalg import conformal_leq, is_zero, kernel_lattice_basis, one_norm, vneg, vsub
 from gravernash.nfold import NfoldSpec, build_multitype_matrix, build_nash_matrix
 from gravernash.oracle import Box, enumerate_box_points
 
@@ -284,7 +284,7 @@ def test_representative_filter_matches_the_all_pairs_filter():
             matrices.append(build_nash_matrix(spec))
     removed = 0
     for mat in matrices:
-        current, _ = _complete(mat, DEFAULT_ELEMENT_CAP)
+        current, _ = _complete(mat, kernel_lattice_basis(mat), DEFAULT_ELEMENT_CAP)
         want = all_pairs_minimal(current)
         assert graver_basis(mat).elements == want, mat
         removed += len(want) < len(current)

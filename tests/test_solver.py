@@ -1,12 +1,13 @@
 import importlib.util
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from gravernash import solver
+from gravernash import graver, linalg, solver
 from gravernash import (
     InfeasibleError,
     IntMatrix,
@@ -21,6 +22,7 @@ from gravernash import (
     solve_ip,
 )
 from gravernash.costs import ZERO_COST, AffineCost, PowerCost, QuadraticCost, SeparableObjective
+from gravernash.linalg import is_zero, kernel_lattice_basis
 from gravernash.oracle import Box, enumerate_box_points
 
 from conftest import (
@@ -30,6 +32,7 @@ from conftest import (
     rand_matrix,
     random_convex_objective,
     random_rational_cost,
+    reference_integer_solution,
     squares_objective,
 )
 
@@ -274,3 +277,105 @@ def test_reference_solve_snapshot(tmp_path):
     for case in cases:
         got = module.run_command(case["command"], case["input"], tmp_path)
         assert got == {k: case[k] for k in got}, (case["name"], case["command"])
+
+
+REDUCTION_FAMILIES = ("image", "random", "gcd", "outside-span", "zero", "trivial-kernel")
+
+
+def reduction_inputs():
+    """600 seeded (family, D, d, point), 100 per family; `point` is an x with D x = d or None.
+
+    image: d = D w; random: d drawn at random; gcd: D = 2R with every
+    entry of d odd; outside-span: a two-row D of rank one with d outside
+    its column span; zero: d = 0; trivial-kernel: D of full column rank
+    and d = D w.
+    """
+    rng = random.Random(2016)
+    cases = []
+    for i in range(600):
+        family = REDUCTION_FAMILIES[i % len(REDUCTION_FAMILIES)]
+        nvars = rng.randint(1, 5)
+        mat = rand_matrix(rng, rng.randint(1, 3), nvars, -2, 2)
+        point = None
+        if family in ("image", "trivial-kernel"):
+            if family == "trivial-kernel":
+                while not mat.ncols or kernel_lattice_basis(mat):
+                    mat = rand_matrix(rng, rng.randint(2, 3), rng.randint(1, 2), -2, 2)
+            point = tuple(rng.randint(-3, 3) for _ in range(mat.ncols))
+            d = mat.matvec(point)
+        elif family == "random":
+            d = tuple(rng.randint(-6, 6) for _ in range(mat.nrows))
+        elif family == "gcd":
+            mat = IntMatrix.from_rows([[2 * a for a in row] for row in mat.entries])
+            d = tuple(2 * rng.randint(-3, 3) + 1 for _ in range(mat.nrows))
+        elif family == "outside-span":
+            first = mat.entries[0] if any(mat.entries[0]) else (1,) + mat.entries[0][1:]
+            factor, lhs = rng.choice((-2, -1, 2)), rng.randint(-4, 4)
+            mat = IntMatrix.from_rows([first, [factor * a for a in first]])
+            d = (lhs, factor * lhs + rng.choice((-1, 1)))
+        else:
+            point = (0,) * nvars
+            d = (0,) * mat.nrows
+        cases.append((family, mat, d, point))
+    return cases
+
+
+def test_single_reduction_matches_the_two_step_reference():
+    """x0 equals the old solver's, and the derived vectors are a basis of ker(D)."""
+    random_infeasible = 0
+    for family, mat, d, point in reduction_inputs():
+        x0, lattice = solver._solution_and_lattice(mat, d)
+        assert x0 == reference_integer_solution(mat, d), (family, mat, d)
+        if family == "random":
+            random_infeasible += x0 is None
+        elif family in ("gcd", "outside-span"):
+            assert x0 is None
+        else:
+            assert mat.matvec(x0) == d
+        if family == "trivial-kernel":
+            assert x0 == point
+        # as many vectors of ker(D) as its rank; that they generate it shows
+        # in the next test, whose completion from them gives G(D)
+        assert len(lattice) == len(kernel_lattice_basis(mat))
+        assert all(is_zero(mat.matvec(v)) for v in lattice)
+    assert 0 < random_infeasible < 100
+
+
+def test_basis_from_the_derived_lattice_matches_graver_basis():
+    for family, mat, d, _ in reduction_inputs():
+        _, lattice = solver._solution_and_lattice(mat, d)
+        derived = graver._basis_from_lattice(mat, lattice, graver.DEFAULT_ELEMENT_CAP)
+        assert derived.elements == graver_basis(mat).elements, (family, mat, d)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Every call of `module.name` made through any gravernash module, recorded."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for loaded in list(sys.modules.values()):
+        if loaded.__name__.split(".")[0] == "gravernash" and getattr(loaded, name, None) is real:
+            monkeypatch.setattr(loaded, name, counting)
+    return calls
+
+
+def test_solve_ip_makes_one_hermite_reduction(monkeypatch):
+    """Optimal, infeasible in the box, infeasible over Z, trivial kernel: one reduction each."""
+    instances = [
+        SUM3,
+        IpInstance(IntMatrix.from_rows([[1, 1]]), (3,), (1, 1), squares_objective(2)),
+        IpInstance(IntMatrix.from_rows([[2]]), (3,), (5,), squares_objective(1)),
+        IpInstance(identity_matrix(2), (1, 2), (3, 3), squares_objective(2)),
+    ]
+    sizes = [len(graver_basis(inst.D)) for inst in instances]
+    reductions = _count_calls(monkeypatch, linalg, "kernel_lattice_basis")
+    completions = _count_calls(monkeypatch, graver, "graver_basis")
+    for inst, size in zip(instances, sizes):
+        reductions.clear()
+        assert solve_ip(inst).graver_size == size
+        assert len(reductions) == 1
+    assert completions == []

@@ -9,7 +9,11 @@ the no-family of the benchmark, with affine, quadratic, power and
 piecewise-linear shapes whose coefficients have denominators up to 6, so
 that the exact LP sees rows that are not integral.  Most verdicts on
 such instances are "yes", so parabolas pulled off x* are drawn until
-PULLED_NO of them are answered "no".  Run from the repository root:
+PULLED_NO of them are answered "no".  Last comes the nash-wide family,
+drawn from a seed of its own: instances on the N = 2 equilibrium
+matrices of A=[1 1 1], B=[1 2 0] and A=[1 -1 2], B=[1 1 0], whose
+24-48 feasible shifts give the LP its widest tableaux.  Run from the
+repository root:
 
     PYTHONPATH=src python tests/data/make_reference_inverse.py
 """
@@ -36,6 +40,9 @@ NO_FAMILY = (2, 3, 4)
 PLANTED_COUNT = 6
 PULLED_NO = 12
 WIDE_ROWS = [[1, 2, -1, 1, -2]]
+NASH_WIDE_SEED = 2010
+NASH_WIDE_PAIRS = (([[1, 1, 1]], [[1, 2, 0]]), ([[1, -1, 2]], [[1, 1, 0]]))
+NASH_WIDE_COUNT = 4
 PATH = Path(__file__).with_name("reference_inverse.json")
 
 
@@ -86,6 +93,30 @@ def _nash_instance(rng: random.Random) -> dict:
     u = [v for ui in us for v in ui] + [sum(ui[j] for ui in us) for j in range(2)] + [load + 2]
     xstar = [v for x in xs for v in x] + y + [s]
     return _instance(rows, u, xstar, [_shape(rng, x) for x in xstar])
+
+
+def _nash_wide_instance(rng: random.Random, a, b) -> dict:
+    """A point inside the boxes of the N = 2 equilibrium matrix of (A, B); B >= 0, one row."""
+    big_n, n = 2, len(a[0])
+    spec = NfoldSpec(IntMatrix.from_rows(a), IntMatrix.from_rows(b), big_n)
+    rows = [list(r) for r in build_nash_matrix(spec).entries]
+    us = [[rng.randint(3, 5) for _ in range(n)] for _ in range(big_n)]
+    xs = [[rng.randint(1, v - 1) for v in u] for u in us]
+    y = [sum(x[j] for x in xs) for j in range(n)]
+    load = sum(bj * xj for x in xs for bj, xj in zip(b[0], x))
+    s = rng.randint(1, 2)
+    u = [v for ui in us for v in ui] + [sum(ui[j] for ui in us) for j in range(n)] + [load + 3]
+    xstar = [v for x in xs for v in x] + y + [s]
+    return _instance(rows, u, xstar, [_shape(rng, x) for x in xstar])
+
+
+def nash_wide_instances() -> list[tuple[str, dict]]:
+    rng = random.Random(NASH_WIDE_SEED)
+    return [
+        (f"nash-wide {p} {i}", _nash_wide_instance(rng, a, b))
+        for p, (a, b) in enumerate(NASH_WIDE_PAIRS)
+        for i in range(NASH_WIDE_COUNT)
+    ]
 
 
 def _no_family(n: int) -> dict:
@@ -160,6 +191,10 @@ def write_snapshot() -> None:
             if case["inverse"]["status"] == "no":
                 pulled.append({"name": f"pulled {len(pulled)}", "instance": inst, **case})
         snapshot += pulled
+        snapshot += [
+            {"name": name, "instance": inst, **run_case(inst, Path(tmp))}
+            for name, inst in nash_wide_instances()
+        ]
     # one case per line, so a changed answer shows as a changed line
     lines = ",\n".join(json.dumps(case, separators=(",", ":")) for case in snapshot)
     PATH.write_text("[\n" + lines + "\n]\n")

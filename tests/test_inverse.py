@@ -361,7 +361,7 @@ def test_reference_inverse_snapshot(tmp_path):
     """`inverse` and `verify-inverse` answer byte for byte as a committed snapshot of earlier code."""
     run_case = _snapshot_runner()
     cases = json.loads((Path(__file__).parent / "data" / "reference_inverse.json").read_text())
-    assert len(cases) == 75
+    assert len(cases) == 83
     assert {c["inverse"]["status"] for c in cases} == {"ok", "no"}
     for case in cases:
         got = run_case(case["instance"], tmp_path)

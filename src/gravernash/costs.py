@@ -11,7 +11,8 @@ for any separable objective (`solve`, inverse shapes): the parameters
 are exact (an int or a Fraction, an int where an integer is due) and
 give a convex function on y >= 0.  `params_ok` builds on it with the
 sign conditions that make a cost nondecreasing, as a game's costs must
-be.
+be.  A power cost's exponent is a size cap as well: one above
+MAX_EXPONENT (64) raises ResourceCapExceeded as the cost is built.
 
 Every valid cost has an integer form: `scale()` is a positive integer L
 such that L*f(y) is an integer at every integer y >= 0, and `times(M)`,
@@ -27,7 +28,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ResourceCapExceeded, ValidationError
 from .linalg import _INT, all_ints
 
 
@@ -105,12 +106,27 @@ class QuadraticCost:
         return QuadraticCost(_times(m, self.a), _times(m, self.b), _times(m, self.c))
 
 
+# y^k has k times the digits of y, and every exact step after it (the
+# augmentation's sums, the inverse LP's pivots) works on numbers that size
+MAX_EXPONENT = 64
+
+
 @dataclass(frozen=True)
 class PowerCost:
-    """a*y^k with integer exponent k >= 1."""
+    """a*y^k with integer exponent k >= 1.
+
+    An int exponent above MAX_EXPONENT raises ResourceCapExceeded when the
+    cost is built, before any value is computed.
+    """
 
     a: Fraction
     k: int
+
+    def __post_init__(self) -> None:
+        if all_ints((self.k,)) and self.k > MAX_EXPONENT:
+            raise ResourceCapExceeded(
+                f"a power cost's exponent is at most {MAX_EXPONENT}, got {self.k}"
+            )
 
     def value(self, y: int) -> Fraction:
         _check_arg(y)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .costs import ZERO_COST, SeparableObjective, ShiftedCost
-from .errors import DimensionError, InfeasibleError, ValidationError
+from .errors import CertificateError, DimensionError, InfeasibleError, ValidationError
 from .linalg import IntMatrix, IntVec, check_ints, vadd, vsub
 from .nfold import build_multitype_matrix
 from .solver import DEFAULT_ELEMENT_CAP, IpInstance, solve_ip
@@ -174,9 +174,20 @@ def best_response(
 def is_satisfied(
     game: GameInstance, profile: StrategyProfile, k: int, cap: int = DEFAULT_ELEMENT_CAP
 ) -> bool:
+    """True iff player k's strategy costs them no more than a best response.
+
+    The response is checked: one that leaves the game's constraints or
+    costs more than the current strategy is a solver fault and raises
+    CertificateError.
+    """
     response = best_response(game, profile, k, cap=cap)
-    costs = _residual_game(game, profile, k).costs
-    return costs.value(profile.strategies[k]) == costs.value(response)
+    moved = StrategyProfile(profile.strategies[:k] + (response,) + profile.strategies[k + 1 :])
+    if not is_feasible_profile(game, moved):
+        raise CertificateError(f"player {k}'s best response violates the game constraints")
+    current, best = player_cost(game, profile, k), player_cost(game, moved, k)
+    if best > current:
+        raise CertificateError(f"player {k}'s best response costs {best}, more than {current}")
+    return best == current
 
 
 def is_generalized_nash(

@@ -9,10 +9,17 @@ Decides whether the homogeneous system
 has a solution.  The strict inequality is scale invariant, so it is
 homogenized to strict_row . lam = 1 and the question decided by a
 phase-1 simplex with Bland's rule.  The simplex is fraction-free: each
-row is scaled to integers, the reduced-cost row is carried in the
-tableau and pivoted with the others (Chvatal, Linear Programming, 1983,
-ch. 2-3), and every pivot is Bareiss's integer-preserving elimination
-(Math. Comp. 22, 1968), so no gcd runs until the answer is read off.
+row is scaled to integers (an all-int row as it is), the reduced-cost
+row is carried in the tableau and pivoted with the others (Chvatal,
+Linear Programming, 1983, ch. 2-3), and every pivot is Bareiss's
+integer-preserving elimination (Math. Comp. 22, 1968), so no gcd runs
+until the answer is read off.  The tableau is condensed (Tucker form),
+as in lrs's integer pivoting (Avis, "lrs: A revised implementation of
+the reverse search vertex enumeration algorithm", 2000): the basic
+columns are the determinant times unit columns, so only the nonbasic
+ones are stored, and a pivot writes the leaving variable's column into
+the entering one's place.  Every stored number is the one the full
+tableau would hold, so the pivots, the point and the ray are the same.
 On infeasibility the simplex duals yield a nonnegative combination v of
 the rows with  sum_i v_i row_i + strict_row <= 0  componentwise, which
 certifies that no lam exists.  Both answers are checked against the
@@ -34,7 +41,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import CertificateError, DimensionError
-from .linalg import RatVec, dot
+from .linalg import RatVec, all_ints, dot
 
 ZERO = Fraction(0)
 
@@ -72,55 +79,70 @@ def rational_lp_feasibility(
     #   s_m strict_row . lam     + a   = s_m   (a = s_m * artificial)
     # phase-1 cost: minimize a.  Positive row and column scales keep the
     # signs of the reduced costs and the order of the ratio test, so Bland's
-    # rule pivots exactly as it would on the unscaled system.
-    ncols = n + m + 1
+    # rule pivots exactly as it would on the unscaled system.  Variables:
+    # lam_0..lam_{n-1}, then t_0..t_{m-1}, then a.
     scales = []
     tableau: list[list[int]] = []
     for i, r in enumerate([*rows, strict_row]):
-        s, row = _integral(r)
+        s, row = (1, r) if all_ints(r) else _integral(r)
         if i < m:
             row = [-x for x in row]
-        row += [0] * (m + 2)
-        row[n + i] = 1
         scales.append(s)
-        tableau.append(row)
+        tableau.append([*row, 0])
     tableau[m][-1] = scales[m]
-    # the carried reduced-cost row c - c_B B^{-1} A | -c_B B^{-1} b, basis a
-    tableau.append([-x for x in tableau[m][:n]] + [0] * (m + 1) + [-scales[m]])
+    # the carried reduced-cost row c_N - c_B B^{-1} N | -c_B B^{-1} b, basis a
+    tableau.append([-x for x in tableau[m]])
     cost_row = m + 1
 
-    # Fraction-free (Bareiss) pivots: the tableau is the integer matrix T
-    # with T / det the simplex tableau, det the basis determinant (> 0).
+    # Condensed fraction-free tableau: T / det is the simplex tableau
+    # restricted to the nonbasic columns, det the basis determinant (> 0).
+    # The basic columns are det times unit columns and are not stored.
     det = 1
     basis = [n + i for i in range(m + 1)]  # surpluses then the artificial
+    nonbasic = list(range(n))  # the variable of each column
     while True:
+        # Bland: the least variable with a negative reduced cost; a basic
+        # variable's is 0
         reduced = tableau[cost_row]
-        entering = next((j for j in range(ncols) if reduced[j] < 0), -1)  # Bland
-        if entering < 0:
+        col, entering = -1, n + m + 1
+        for c in range(n):
+            if reduced[c] < 0 and nonbasic[c] < entering:
+                col, entering = c, nonbasic[c]
+        if col < 0:
             break
         leaving = -1
         for i in range(m + 1):
-            v = tableau[i][entering]
+            v = tableau[i][col]
             if v > 0:
                 if leaving < 0:
                     leaving = i
                     continue
                 # ratio_i < ratio_leaving, cross-multiplied by the positive pivots
-                lhs = tableau[i][-1] * tableau[leaving][entering]
+                lhs = tableau[i][-1] * tableau[leaving][col]
                 rhs = tableau[leaving][-1] * v
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving = i
         if leaving < 0:
             raise CertificateError("unbounded phase-1 simplex")
+        # Bareiss's step on the columns that stay nonbasic.  Column col then
+        # holds the leaving variable's column, det e_leaving before the step:
+        # -f off the pivot row, det on it.  A row with f = 0 is only scaled
+        # by p / det.
         pivot_row = tableau[leaving]
-        p = pivot_row[entering]
+        p = pivot_row[col]
         for i, row in enumerate(tableau):
             if i != leaving:
-                f = row[entering]
+                f = row[col]
                 # exact: every entry is a minor of the scaled input matrix
-                tableau[i] = [(p * x - f * y) // det for x, y in zip(row, pivot_row)]
+                if f:
+                    row = [(p * x - f * y) // det for x, y in zip(row, pivot_row)]
+                    row[col] = -f
+                    tableau[i] = row
+                elif p != det:
+                    tableau[i] = [p * x // det for x in row]
+        pivot_row[col] = det
         det = p
-        basis[leaving] = entering
+        basis[leaving], nonbasic[col] = entering, basis[leaving]
 
     reduced = tableau[cost_row]
     if reduced[-1] == 0:  # the artificial is 0
@@ -132,13 +154,18 @@ def rational_lp_feasibility(
         _check_point(rows, strict_row, point.lam)
         return point
 
-    # duals y_i = (delta_im - reduced[n+i] / det) * s_i / s_m of the unscaled
-    # system; the ray is -y_i / y_m, in which det cancels
-    y_strict = det - reduced[n + m]
+    # duals y_i = (delta_im - d_i / det) * s_i / s_m of the unscaled system,
+    # d_i the reduced cost of t_i (of a for i = m); the ray is -y_i / y_m,
+    # in which det cancels
+    slack_cost = [0] * (m + 1)
+    for c, v in enumerate(nonbasic):
+        if v >= n:
+            slack_cost[v - n] = reduced[c]
+    y_strict = det - slack_cost[m]
     if y_strict <= 0:
         raise CertificateError("phase-1 duals give no Farkas ray")
     ray = FarkasRay(
-        tuple(Fraction(reduced[n + i] * scales[i], y_strict * scales[m]) for i in range(m))
+        tuple(Fraction(slack_cost[i] * scales[i], y_strict * scales[m]) for i in range(m))
     )
     _check_ray(rows, strict_row, ray.coefficients)
     return ray

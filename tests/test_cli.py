@@ -3,6 +3,7 @@ import contextlib
 import copy
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravernash.cli import main
+from gravernash.costs import PowerCost
 
 SQ = {"kind": "quadratic", "a": "1", "b": "0", "c": "0"}
 
@@ -441,6 +443,25 @@ def test_cap_exit_code(tmp_path, capsys):
     code, report = run(capsys, ["graver", "--input", inp, "--cap", "1", "--quiet"])
     assert code == 3
     assert report["status"] == "cap-exceeded"
+
+
+def test_huge_power_exponent_fails_closed_before_any_cost_is_evaluated(tmp_path, capsys, monkeypatch):
+    """k = 10^7 would stall the exact arithmetic; the cost is refused as it is read: exit 3."""
+
+    def evaluated(*args):
+        raise AssertionError("a power cost was evaluated")
+
+    monkeypatch.setattr(PowerCost, "value", evaluated)
+    monkeypatch.setattr(PowerCost, "times", evaluated)
+    huge = {"kind": "power", "a": "1", "k": 10**7}
+    inst = {"D": [[1, -1]], "d": [0], "u": [5, 5], "xstar": [2, 2], "shapes": [huge, huge]}
+    start = time.perf_counter()
+    code, report = run(capsys, ["inverse", "--input", write(tmp_path, "in.json", inst), "--quiet"])
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert report["status"] == "cap-exceeded" and report["result"] is None
+    code, report = run(capsys, ["solve", "--input", write(tmp_path, "ip.json", ip([huge, SQ])), "--quiet"])
+    assert (code, report["status"]) == (3, "cap-exceeded")
 
 
 @pytest.mark.parametrize("cap, code", [("-5", 2), ("0", 3)])

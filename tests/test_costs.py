@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from gravernash import DimensionError, ValidationError
+from gravernash import DimensionError, ResourceCapExceeded, ValidationError
 from gravernash.costs import (
+    MAX_EXPONENT,
     AffineCost,
     PiecewiseLinearCost,
     PowerCost,
@@ -186,6 +187,18 @@ def test_negative_exponent_at_zero_is_an_input_error():
             ShiftedCost(PowerCost(F(1), k), -2).value(2)
     assert PowerCost(F(1), -1).value(2) == F(1, 2)
     assert PowerCost(F(3), 0).value(0) == 3
+
+
+def test_power_exponent_above_the_cap_fails_closed():
+    """An exponent above MAX_EXPONENT is refused as the cost is built; 1-4 and the cap itself stay valid."""
+    for k in (1, 2, 3, 4, MAX_EXPONENT):
+        assert PowerCost(F(1), k).params_ok()
+    assert PowerCost(1, MAX_EXPONENT).value(2) == 2**MAX_EXPONENT
+    for k in (MAX_EXPONENT + 1, 10**7):
+        with pytest.raises(ResourceCapExceeded):
+            PowerCost(F(1), k)
+    # a non-int exponent is an input error, found by the rule, not by the cap
+    assert not PowerCost(F(1), 10.0**7).convex_ok()
 
 
 def test_integer_forms_scale_every_value():

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import gravernash.game
+
 from gravernash import (
+    CertificateError,
     GameInstance,
     InfeasibleError,
     IntMatrix,
@@ -101,6 +104,20 @@ def test_is_satisfied_examples():
     assert not is_satisfied(game, stacked, 1)
     assert is_generalized_nash(game, split)
     assert not is_generalized_nash(game, stacked)
+
+
+@pytest.mark.parametrize("faulty, message", [((1, 0), "costs"), ((1, 1), "violates")])
+def test_faulty_best_response_raises_certificate_error(monkeypatch, faulty, message):
+    """A response that costs more than the current strategy, or leaves the game, is a solver fault."""
+    game = two_player_game()
+    split = StrategyProfile(((1, 0), (0, 1)))
+    # the split is an equilibrium: player 1 moving onto player 0's resource costs 4 - 1 = 3 > 2 - 1
+    assert player_cost(game, StrategyProfile(((1, 0), (1, 0))), 1) > player_cost(game, split, 1)
+    monkeypatch.setattr(gravernash.game, "best_response", lambda *args, **kwargs: faulty)
+    with pytest.raises(CertificateError, match=message):
+        is_satisfied(game, split, 1)
+    with pytest.raises(CertificateError):
+        is_generalized_nash(game, split)
 
 
 def test_single_strategy_always_satisfied():

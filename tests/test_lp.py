@@ -167,14 +167,17 @@ def reference_lp(rows, strict_row):
     tableau = [matrix[i][:] + [rhs[i]] for i in range(nrows)]
 
     def multipliers():
-        # the slack and artificial columns are unit vectors, so B^{-1} e_i is column n+i
-        return [sum(cost[basis[r]] * tableau[r][n + i] for r in range(nrows)) for i in range(nrows)]
+        # the slack and artificial columns are unit vectors, so B^{-1} e_i is column n+i;
+        # terms with a zero factor are skipped, which changes no sum
+        priced = [r for r in range(nrows) if cost[basis[r]]]
+        return [sum(cost[basis[r]] * tableau[r][n + i] for r in priced) for i in range(nrows)]
 
     while True:
         y = multipliers()
+        support = [i for i in range(nrows) if y[i]]
         entering = next(
             (j for j in range(ncols)
-             if cost[j] - sum(y[i] * matrix[i][j] for i in range(nrows)) < 0),
+             if cost[j] - sum(y[i] * matrix[i][j] for i in support) < 0),
             -1,
         )
         if entering < 0:
@@ -193,7 +196,7 @@ def reference_lp(rows, strict_row):
         for i in range(nrows):
             factor = tableau[i][entering]
             if i != leaving and factor:
-                tableau[i] = [x - factor * p for x, p in zip(tableau[i], tableau[leaving])]
+                tableau[i] = [x - factor * p if p else x for x, p in zip(tableau[i], tableau[leaving])]
         basis[leaving] = entering
 
     if sum(cost[basis[i]] * tableau[i][-1] for i in range(nrows)) == 0:
@@ -210,22 +213,10 @@ def _random_entry(rng, den):
     return Fraction(rng.randint(-4, 4), rng.randint(1, den))
 
 
-def test_matches_the_dense_fraction_reference():
-    """Same pivots as the dense-Fraction simplex: equal lam and equal Farkas coefficients."""
-    rng = random.Random(2009)
+def _kinds_matching_the_reference(systems) -> dict:
+    """Assert equal lam and equal Farkas coefficients on every system; count each kind."""
     kinds = {"point": 0, "ray": 0}
-    for case in range(300):
-        n = rng.randint(1, 7)
-        m = 0 if case % 10 == 0 else rng.randint(1, 12)
-        den = 1 + case % 6  # denominators 1..6
-        rows = [tuple(_random_entry(rng, den) for _ in range(n)) for _ in range(m)]
-        if m and case % 3 == 0:
-            # repeated and scaled rows make ties in the ratio test
-            rows += [tuple(2 * x for x in rng.choice(rows)) for _ in range(rng.randint(1, 3))]
-        if case % 7 == 0:
-            strict = tuple(F(0) for _ in range(n))
-        else:
-            strict = tuple(_random_entry(rng, den) for _ in range(n))
+    for case, (rows, strict) in enumerate(systems):
         kind, want = reference_lp(rows, strict)
         got = rational_lp_feasibility(rows, strict)
         if kind == "point":
@@ -233,4 +224,65 @@ def test_matches_the_dense_fraction_reference():
         else:
             assert isinstance(got, FarkasRay) and got.coefficients == want, case
         kinds[kind] += 1
+    return kinds
+
+
+def _fraction_system(rng, case):
+    n = rng.randint(1, 7)
+    m = 0 if case % 10 == 0 else rng.randint(1, 12)
+    den = 1 + case % 6  # denominators 1..6
+    rows = [tuple(_random_entry(rng, den) for _ in range(n)) for _ in range(m)]
+    if m and case % 3 == 0:
+        # repeated and scaled rows make ties in the ratio test
+        rows += [tuple(2 * x for x in rng.choice(rows)) for _ in range(rng.randint(1, 3))]
+    if case % 7 == 0:
+        strict = tuple(F(0) for _ in range(n))
+    else:
+        strict = tuple(_random_entry(rng, den) for _ in range(n))
+    return rows, strict
+
+
+def test_matches_the_dense_fraction_reference():
+    """Same pivots as the dense-Fraction simplex: equal lam and equal Farkas coefficients."""
+    rng = random.Random(2009)
+    kinds = _kinds_matching_the_reference(_fraction_system(rng, case) for case in range(300))
     assert min(kinds.values()) >= 50, kinds
+
+
+def _wide_system(rng, case):
+    """Int rows at the inverse solver's sizes: m in 15..40, n in 3..8, a quarter repeated.
+
+    About half the entries are 0, as in a difference row, which is 0 where
+    its Graver shift is.  Even cases plant a nonnegative lam* that every
+    row keeps nonnegative, so the system is feasible; odd cases end on a
+    row whose sum with the row before is negative in every entry, so
+    they are not.
+    Every eleventh case draws entries above 2^200, on at most 20 rows.
+    """
+    big = case % 11 == 0
+    n, m = rng.randint(3, 8), rng.randint(15, 20 if big else 40)
+    hi = 2**210 if big else 4
+    planted = [rng.randint(0, 3) for _ in range(n)] if case % 2 == 0 else None
+    if planted is not None and not any(planted):
+        planted[0] = 1
+    rows = []
+    while len(rows) < m - m // 4:
+        row = [rng.randint(-hi, hi) if rng.random() < 0.5 else 0 for _ in range(n)]
+        if planted is not None and dot(row, planted) < 0:
+            row = [-x for x in row]
+        rows.append(tuple(row))
+    if planted is None:
+        rows[-1] = tuple(-x - rng.randint(1, 3) for x in rows[-2])
+    # repeated rows make ties in the ratio test
+    rows += [rng.choice(rows) for _ in range(m // 4)]
+    rng.shuffle(rows)
+    return rows, (1,) * n
+
+
+def test_matches_the_dense_fraction_reference_on_wide_int_rows():
+    """Same pivots as the dense-Fraction simplex on the inverse solver's tableau sizes."""
+    rng = random.Random(1968)
+    systems = [_wide_system(rng, case) for case in range(44)]
+    assert sum(any(abs(x) > 2**200 for r in rows for x in r) for rows, _ in systems) >= 4
+    kinds = _kinds_matching_the_reference(systems)
+    assert min(kinds.values()) >= 20, kinds

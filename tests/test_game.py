@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 import gravernash.game
-
 from gravernash import (
     CertificateError,
     GameInstance,

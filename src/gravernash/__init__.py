@@ -53,7 +53,6 @@ from .solver import (
     SolveResult,
     best_step,
     check_optimal,
-    find_feasible,
     greedy_augment,
     solve_ip,
 )

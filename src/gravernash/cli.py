@@ -10,8 +10,9 @@ Each handler returns its outcome as (status, payload, counters), so the
 report of every completed run, negative outcomes included, carries
 `timings_ms.run` and the handler's counters.  Exit codes: 0 success,
 1 infeasible / "no" verdict / failed check, 2 usage or input error,
-3 resource cap exceeded.  Result payloads are deterministic: identical
-inputs give byte-identical payloads.
+3 resource cap exceeded, a result number too long to print included.
+Result payloads are deterministic: identical inputs give byte-identical
+payloads.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import random
 import sys
 import time
 
@@ -35,7 +35,6 @@ from .game import (
 )
 from .graver import graver_basis
 from .inverse import solve_iiop, verify_answer
-from .linalg import IntMatrix
 from .nfold import build_c_matrix, build_multitype_matrix, build_nash_matrix, build_nfold
 from .oracle import brute_graver, brute_ip_opt, brute_nash_check
 from .serialize import frac_to_str
@@ -128,24 +127,8 @@ def _cmd_verify_inverse(data, caps):
     return "ok" if ok else "invalid", {"valid": ok}, {}
 
 
-def _cmd_oracle(data, caps, seed=None):
+def _cmd_oracle(data, caps):
     op = data.get("op")
-    if op == "random-graver":
-        rng = random.Random(seed)
-        rows = serialize.int_from_json(data["rows"])
-        cols = serialize.int_from_json(data["cols"])
-        entry_bound = serialize.int_from_json(data.get("entry_bound", 2))
-        if cols < 0 or entry_bound < 0:
-            raise serialize.ValidationError("cols and entry_bound must be nonnegative")
-        matrix = IntMatrix.from_rows(
-            [
-                [rng.randint(-entry_bound, entry_bound) for _ in range(cols)]
-                for _ in range(rows)
-            ]
-        )
-        bound = serialize.int_from_json(data.get("bound", 3))
-        basis = brute_graver(matrix, bound, **caps)
-        return "ok", serialize.graver_to_json(basis), {"graver_size": len(basis)}
     if op == "graver":
         basis = brute_graver(
             serialize.matrix_from_json(data["D"]),
@@ -202,7 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cap", type=_nonnegative_int, default=None, help="override resource caps"
     )
-    parser.add_argument("--seed", type=int, default=None, help="seed for generated instances")
     parser.add_argument("--quiet", action="store_true", help="suppress diagnostics on stderr")
     return parser
 
@@ -218,8 +200,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
 
-    report = {"command": args.command, "timings_ms": {}, "counters": {}}
-    payload = None
+    report = {"command": args.command, "timings_ms": {}, "counters": {}, "result": None}
+    text = None
     try:
         try:
             with open(args.input, "rb") as fh:
@@ -229,7 +211,9 @@ def main(argv=None) -> int:
         report["input_digest"] = hashlib.sha256(raw).hexdigest()
         try:
             data = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        # a ValueError also for bytes that are not UTF-8 and for an int past
+        # the int-to-string digit limit; a RecursionError for deep nesting
+        except (ValueError, RecursionError) as exc:
             raise serialize.ValidationError(f"invalid JSON input: {exc}") from exc
         if not isinstance(data, dict):
             raise serialize.ValidationError("the input must be a JSON object")
@@ -239,16 +223,17 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         handler = _COMMANDS[args.command]
         try:
-            if args.command == "oracle":
-                status, payload, counters = handler(data, caps, seed=args.seed)
-            else:
-                status, payload, counters = handler(data, caps)
+            status, payload, counters = handler(data, caps)
         except InfeasibleError as exc:
             _diag(args, f"{type(exc).__name__}: {exc}")
             status, payload, counters = "infeasible", None, {}
         report["timings_ms"]["run"] = round((time.perf_counter() - start) * 1000, 3)
+        # a number too long to print raises ResourceCapExceeded here, before
+        # the payload enters the report or a file
+        text = None if payload is None else serialize.dumps(payload)
         report["counters"] = counters
         report["status"] = status
+        report["result"] = payload
         code = EXIT_OK if status == "ok" else EXIT_NEGATIVE
     except ResourceCapExceeded as exc:
         report["status"] = "cap-exceeded"
@@ -260,9 +245,7 @@ def main(argv=None) -> int:
         code = EXIT_INPUT
         _diag(args, f"{type(exc).__name__}: {exc}")
 
-    report["result"] = payload
-    text = serialize.dumps(payload) if payload is not None else "null"
-    if args.output and payload is not None:
+    if args.output and text is not None:
         with open(args.output, "w") as fh:
             fh.write(text)
     print(json.dumps(report, sort_keys=True))

@@ -113,9 +113,8 @@ def solve_iiop(inst: IiopInstance, basis: GraverBasis) -> IiopAnswer:
     rows = _difference_rows(inst, shifts)
     outcome = rational_lp_feasibility(rows, (1,) * n)
     if isinstance(outcome, FeasiblePoint):
-        total = sum(outcome.lam, Fraction(0))
-        lam = tuple(v / total for v in outcome.lam)
-        return IiopAnswer(verdict="yes", lam=lam, shifts=shifts)
+        # the LP fixes (1, ..., 1) . lam = 1: the weights are normalized
+        return IiopAnswer(verdict="yes", lam=outcome.lam, shifts=shifts)
     # the rows are L times the difference rows, so the ray is 1/L times theirs
     scale, _ = inst.problem.integer_objective
     certificate = tuple(scale * v for v in outcome.coefficients)

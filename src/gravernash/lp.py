@@ -8,29 +8,30 @@ Decides whether the homogeneous system
 
 has a solution.  The strict inequality is scale invariant, so it is
 homogenized to strict_row . lam = 1 and the question decided by a
-phase-1 simplex with Bland's rule.  The simplex is fraction-free: each
-row is scaled to integers (an all-int row as it is), the reduced-cost
-row is carried in the tableau and pivoted with the others (Chvatal,
-Linear Programming, 1983, ch. 2-3), and every pivot is Bareiss's
-integer-preserving elimination (Math. Comp. 22, 1968), so no gcd runs
-until the answer is read off.  The tableau is condensed (Tucker form),
-as in lrs's integer pivoting (Avis, "lrs: A revised implementation of
-the reverse search vertex enumeration algorithm", 2000): the basic
-columns are the determinant times unit columns, so only the nonbasic
-ones are stored, and a pivot writes the leaving variable's column into
-the entering one's place.  Every stored number is the one the full
-tableau would hold, so the pivots, the point and the ray are the same.
-On infeasibility the simplex duals yield a nonnegative combination v of
-the rows with  sum_i v_i row_i + strict_row <= 0  componentwise, which
-certifies that no lam exists.  Both answers are checked against the
-input system before they are returned, in integers: a point or a ray
-is scaled by the common denominator of its entries, which keeps every
-sign the check looks at.
+phase-1 simplex with Bland's rule.  The simplex is fraction-free: the
+rows are ints, the reduced-cost row is carried in the tableau and
+pivoted with the others (Chvatal, Linear Programming, 1983, ch. 2-3),
+and every pivot is Bareiss's integer-preserving elimination (Math.
+Comp. 22, 1968), so no gcd runs until the answer is read off.  The
+tableau is condensed (Tucker form), as in lrs's integer pivoting (Avis,
+"lrs: A revised implementation of the reverse search vertex enumeration
+algorithm", 2000): the basic columns are the determinant times unit
+columns, so only the nonbasic ones are stored, and a pivot writes the
+leaving variable's column into the entering one's place.  Every stored
+number is the one the full tableau would hold, so the pivots, the point
+and the ray are the same.  On infeasibility the simplex duals yield a
+nonnegative combination v of the rows with
+sum_i v_i row_i + strict_row <= 0  componentwise, which certifies that
+no lam exists.  Both answers are checked against the input system
+before they are returned, in integers: a point or a ray is scaled by
+the common denominator of its entries, which keeps every sign the check
+looks at.
 
-Entries may be ints or Fractions; each is read through its `numerator`
-and `denominator`.  Multiplying a row by a positive constant L moves no
-basic solution and no pivot, so the point is unchanged and the ray's
-coefficient for that row is divided by L.
+Every entry of a row and of the strict row must be an int; anything
+else, a Fraction, a float or a bool included, raises ValidationError,
+and nothing is converted.  Multiplying a row by a positive integer L
+moves no basic solution and no pivot, so the point is unchanged and the
+ray's coefficient for that row is divided by L.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import CertificateError, DimensionError
-from .linalg import RatVec, all_ints, dot
+from .linalg import RatVec, check_ints, dot
 
 ZERO = Fraction(0)
 
@@ -68,28 +69,20 @@ def rational_lp_feasibility(
     rows: Sequence[Sequence], strict_row: Sequence
 ) -> FeasiblePoint | FarkasRay:
     n = len(strict_row)
+    check_ints(strict_row, "the strict row's entries")
     for r in rows:
         if len(r) != n:
             raise DimensionError(f"row length {len(r)} != {n}")
+        check_ints(r, "LP row entries")
     m = len(rows)
 
-    # standard form, all variables >= 0, rhs >= 0, each row scaled by the
-    # positive lcm s_i of its denominators so that every entry is an integer:
-    #   -s_i row_i . lam + t_i         = 0     (i < m, t_i = s_i * surplus_i)
-    #   s_m strict_row . lam     + a   = s_m   (a = s_m * artificial)
-    # phase-1 cost: minimize a.  Positive row and column scales keep the
-    # signs of the reduced costs and the order of the ratio test, so Bland's
-    # rule pivots exactly as it would on the unscaled system.  Variables:
-    # lam_0..lam_{n-1}, then t_0..t_{m-1}, then a.
-    scales = []
-    tableau: list[list[int]] = []
-    for i, r in enumerate([*rows, strict_row]):
-        s, row = (1, r) if all_ints(r) else _integral(r)
-        if i < m:
-            row = [-x for x in row]
-        scales.append(s)
-        tableau.append([*row, 0])
-    tableau[m][-1] = scales[m]
+    # standard form, all variables >= 0, rhs >= 0:
+    #   -row_i . lam + t_i     = 0     (i < m, t_i the surplus of row i)
+    #   strict_row . lam + a   = 1     (a the artificial)
+    # phase-1 cost: minimize a.  Variables: lam_0..lam_{n-1}, then
+    # t_0..t_{m-1}, then a.
+    tableau = [[-x for x in r] + [0] for r in rows]
+    tableau.append([*strict_row, 1])
     # the carried reduced-cost row c_N - c_B B^{-1} N | -c_B B^{-1} b, basis a
     tableau.append([-x for x in tableau[m]])
     cost_row = m + 1
@@ -154,9 +147,8 @@ def rational_lp_feasibility(
         _check_point(rows, strict_row, point.lam)
         return point
 
-    # duals y_i = (delta_im - d_i / det) * s_i / s_m of the unscaled system,
-    # d_i the reduced cost of t_i (of a for i = m); the ray is -y_i / y_m,
-    # in which det cancels
+    # duals y_i = delta_im - d_i / det, d_i the reduced cost of t_i (of a
+    # for i = m); the ray is -y_i / y_m, in which det cancels
     slack_cost = [0] * (m + 1)
     for c, v in enumerate(nonbasic):
         if v >= n:
@@ -164,9 +156,7 @@ def rational_lp_feasibility(
     y_strict = det - slack_cost[m]
     if y_strict <= 0:
         raise CertificateError("phase-1 duals give no Farkas ray")
-    ray = FarkasRay(
-        tuple(Fraction(slack_cost[i] * scales[i], y_strict * scales[m]) for i in range(m))
-    )
+    ray = FarkasRay(tuple(Fraction(slack_cost[i], y_strict) for i in range(m)))
     _check_ray(rows, strict_row, ray.coefficients)
     return ray
 

@@ -19,7 +19,7 @@ from .costs import (
     SeparableObjective,
     UnivariateCost,
 )
-from .errors import ValidationError
+from .errors import ResourceCapExceeded, ValidationError
 from .game import GameInstance, PlayerSpec, StrategyProfile
 from .graver import GraverBasis
 from .inverse import IiopAnswer, IiopInstance
@@ -30,7 +30,10 @@ from .solver import IpInstance
 
 def frac_to_str(x: Fraction) -> str:
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:  # past the interpreter's int-to-string digit limit
+        raise ResourceCapExceeded(f"a result number is too long to print: {exc}") from exc
 
 
 def frac_from_str(s: Any) -> Fraction:
@@ -252,4 +255,7 @@ def answer_from_json(obj: Any) -> IiopAnswer:
 
 def dumps(payload: Any) -> str:
     """Canonical JSON text: sorted keys, fixed separators."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    try:
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    except ValueError as exc:  # an int past the interpreter's int-to-string digit limit
+        raise ResourceCapExceeded(f"a result number is too long to print: {exc}") from exc

@@ -4,12 +4,12 @@ Solves min { sum_j f_j(x_j) : D x = d, 0 <= x <= u, x integer } by
 computing the Graver basis G(D) once and using it twice.  One Hermite
 reduction, of [D | -d], gives both an integer solution x0 of D x = d and
 a basis of the kernel lattice of D, which seeds the completion of G(D).
-Phase 1 widens the box to contain x0 and walks along G(D) to a point of
-the original box.  Phase 2 greedily augments from there: at each iteration
-the (direction, step) pair with the largest improvement is applied,
-until no Graver step improves the objective.  Since a feasible point is
-optimal exactly when no single Graver step improves it, both walks end
-at optima.
+Phase 1, inside `solve_ip`, widens the box to contain x0 and walks
+along G(D) to a point of the original box.  Phase 2 greedily augments
+from there: at each iteration the (direction, step) pair with the
+largest improvement is applied, until no Graver step improves the
+objective.  Since a feasible point is optimal exactly when no single
+Graver step improves it, both walks end at optima.
 
 Both walks run in integers: the objective is multiplied once by its
 scale L, a positive integer that makes every term's values integral, and
@@ -221,21 +221,15 @@ def _range_distance(v: int, ub: int) -> AffineCost | PiecewiseLinearCost:
     return PiecewiseLinearCost((ub,), (0, 1), 0) if ub else AffineCost(1, 0)
 
 
-def find_feasible(inst: IpInstance, basis: GraverBasis) -> Optional[IntVec]:
+def _walk_into_box(inst: IpInstance, x0: IntVec, basis: GraverBasis) -> Optional[IntVec]:
     """Phase 1: a feasible point of `inst`, or None when it has none.
 
-    `basis` is G(D).  An integer solution x0 of D x = d lies in the
-    widened box [min(0, x0), max(u, x0)], shifted here to start at 0;
+    `basis` is G(D) and x0 an integer solution of D x = d.  x0 lies in
+    the widened box [min(0, x0), max(u, x0)], shifted here to start at 0;
     augmenting along G(D) minimizes the summed distance of the
     coordinates from their original ranges [0, u_j], and the instance
     is feasible exactly when that minimum is 0.
     """
-    x0, _ = _solution_and_lattice(inst.D, inst.d)
-    return None if x0 is None else _walk_into_box(inst, x0, basis)
-
-
-def _walk_into_box(inst: IpInstance, x0: IntVec, basis: GraverBasis) -> Optional[IntVec]:
-    """The walk of `find_feasible` from the integer solution x0."""
     low = tuple(min(0, v) for v in x0)
     wide = IpInstance(
         inst.D,

@@ -8,13 +8,12 @@ from fractions import Fraction
 import pytest
 
 from gravernash import (
-    FeasiblePoint,
+    CertificateError,
     GameInstance,
     IiopAnswer,
     IntMatrix,
     PlayerSpec,
     feasible_shifts,
-    rational_lp_feasibility,
 )
 from gravernash.costs import (
     ZERO_COST,
@@ -184,20 +183,85 @@ def fraction_greedy_augment(x0, basis, inst):
     return path, len(path) - 1, inst.objective.value(path[-1])
 
 
+def reference_lp(rows, strict_row):
+    """The dense-Fraction phase-1 simplex that `rational_lp_feasibility` replaced.
+
+    It takes rows of ints or Fractions and shares no code with the
+    program's LP.  Same standard form and Bland's rule, but it prices every column
+    against the original matrix with multipliers c_B B^{-1} rebuilt each
+    iteration, and divides in Fractions.  Returns ("point", lam) or
+    ("ray", coefficients), unchecked.
+    """
+    n, m = len(strict_row), len(rows)
+    ncols, nrows = n + m + 1, m + 1
+    matrix = []
+    for i, r in enumerate(rows):
+        row = [-Fraction(x) for x in r] + [Fraction(0)] * (m + 1)
+        row[n + i] = Fraction(1)
+        matrix.append(row)
+    last = [Fraction(x) for x in strict_row] + [Fraction(0)] * (m + 1)
+    last[n + m] = Fraction(1)
+    matrix.append(last)
+    rhs = [Fraction(0)] * m + [Fraction(1)]
+    cost = [Fraction(0)] * ncols
+    cost[n + m] = Fraction(1)
+    basis = [n + i for i in range(nrows)]
+    tableau = [matrix[i][:] + [rhs[i]] for i in range(nrows)]
+
+    def multipliers():
+        # the slack and artificial columns are unit vectors, so B^{-1} e_i is column n+i;
+        # terms with a zero factor are skipped, which changes no sum
+        priced = [r for r in range(nrows) if cost[basis[r]]]
+        return [sum(cost[basis[r]] * tableau[r][n + i] for r in priced) for i in range(nrows)]
+
+    while True:
+        y = multipliers()
+        support = [i for i in range(nrows) if y[i]]
+        entering = next(
+            (j for j in range(ncols)
+             if cost[j] - sum(y[i] * matrix[i][j] for i in support) < 0),
+            -1,
+        )
+        if entering < 0:
+            break
+        leaving, best = -1, None
+        for i in range(nrows):
+            a = tableau[i][entering]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best, leaving = ratio, i
+        if leaving < 0:
+            raise CertificateError("unbounded phase-1 simplex")
+        piv = tableau[leaving][entering]
+        tableau[leaving] = [x / piv for x in tableau[leaving]]
+        for i in range(nrows):
+            factor = tableau[i][entering]
+            if i != leaving and factor:
+                tableau[i] = [x - factor * p if p else x for x, p in zip(tableau[i], tableau[leaving])]
+        basis[leaving] = entering
+
+    if sum(cost[basis[i]] * tableau[i][-1] for i in range(nrows)) == 0:
+        lam = [Fraction(0)] * n
+        for i, b in enumerate(basis):
+            if b < n:
+                lam[b] = tableau[i][-1]
+        return "point", tuple(lam)
+    y = multipliers()
+    return "ray", tuple(-y[i] / y[m] for i in range(m))
+
+
 def fraction_solve_iiop(inst, basis):
-    """Oracle for `inverse.solve_iiop` on the verifier's `Fraction` rows: same contract."""
+    """Oracle for `inverse.solve_iiop`: `reference_lp` on the verifier's `Fraction` rows, same contract."""
     shifts = tuple(feasible_shifts(basis, inst))
     n = inst.n
     if not shifts:
-        return IiopAnswer(verdict="yes", lam=tuple(Fraction(1, n) for _ in range(n)), shifts=())
-    rows = _value_rows(inst, shifts)
-    outcome = rational_lp_feasibility(rows, tuple(Fraction(1) for _ in range(n)))
-    if isinstance(outcome, FeasiblePoint):
-        total = sum(outcome.lam, Fraction(0))
-        return IiopAnswer(
-            verdict="yes", lam=tuple(v / total for v in outcome.lam), shifts=shifts
-        )
-    return IiopAnswer(verdict="no", shifts=shifts, certificate=outcome.coefficients)
+        return IiopAnswer(verdict="yes", lam=tuple(Fraction(1, n) for _ in range(n)), shifts=shifts)
+    kind, values = reference_lp(_value_rows(inst, shifts), (1,) * n)
+    if kind == "point":
+        total = sum(values, Fraction(0))
+        return IiopAnswer(verdict="yes", lam=tuple(v / total for v in values), shifts=shifts)
+    return IiopAnswer(verdict="no", shifts=shifts, certificate=values)
 
 
 def reference_integer_solution(D, d):

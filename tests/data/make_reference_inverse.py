@@ -7,7 +7,7 @@ are seeded: random 1-2 x 2-5 matrices with entries in [-2, 2], a 1x5
 matrix, the equilibrium matrix of the pair A=[1 1], B=[1 0] at N = 2, and
 the no-family of the benchmark, with affine, quadratic, power and
 piecewise-linear shapes whose coefficients have denominators up to 6, so
-that the exact LP sees rows that are not integral.  Most verdicts on
+that the solver scales the difference rows to ints.  Most verdicts on
 such instances are "yes", so parabolas pulled off x* are drawn until
 PULLED_NO of them are answered "no".  Last comes the nash-wide family,
 drawn from a seed of its own: instances on the N = 2 equilibrium

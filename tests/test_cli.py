@@ -276,11 +276,6 @@ def test_oracle_ops(tmp_path, capsys):
     assert code == 0
     assert report["result"]["feasible_count"] == 4
 
-    seeded = write(tmp_path, "or.json", {"op": "random-graver", "rows": 1, "cols": 2})
-    code, first = run(capsys, ["oracle", "--input", seeded, "--seed", "5"])
-    code, second = run(capsys, ["oracle", "--input", seeded, "--seed", "5"])
-    assert first["result"] == second["result"]
-
 
 def test_input_error_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
@@ -296,6 +291,35 @@ def test_input_error_exit_codes(tmp_path, capsys):
     wrong = write(tmp_path, "wrong.json", {"unexpected": 1})
     code, report = run(capsys, ["graver", "--input", wrong, "--quiet"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # an integer past Python's int-to-string digit limit of 4300
+        b'{"D": [[1, -1]], "d": [0], "u": [' + b"9" * 5000 + b', 5], "xstar": [0, 0], "shapes": []}',
+        # nesting past the recursion limit
+        b'{"D": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        # a byte that is not UTF-8
+        b'{"D": [[1, 1]], "note": "\xff"}',
+    ],
+    ids=["5000-digit-int", "nested-100000-deep", "not-utf-8"],
+)
+def test_json_text_the_decoder_refuses_is_an_input_error(tmp_path, capsys, text):
+    inp = tmp_path / "bad.json"
+    inp.write_bytes(text)
+    out = tmp_path / "out.json"
+    code, report = run(capsys, ["inverse", "--input", str(inp), "--output", str(out), "--quiet"])
+    assert (code, report["status"], report["result"]) == (2, "input-error", None)
+    assert not out.exists()
+
+
+def test_removed_seed_flag_and_random_graver_op_are_usage_errors(tmp_path, capsys):
+    inp = write(tmp_path, "or.json", {"op": "random-graver", "rows": 1, "cols": 2})
+    assert main(["oracle", "--input", inp, "--seed", "5", "--quiet"]) == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    code, report = run(capsys, ["oracle", "--input", inp, "--quiet"])
+    assert (code, report["status"]) == (2, "input-error")
 
 
 TYPE = {"A": [[1, 1]], "B": [[1, 0]]}
@@ -345,8 +369,9 @@ def piecewise(**fields):
         ("nfold", {"types": [TYPE], "assignment": [0, 0], "variant": "plain"}),
         # a declared row count the entries do not have
         ("graver", {"D": {"rows": 5, "cols": 2, "entries": [[1, 1]]}}),
-        ("oracle", {"op": "random-graver", "rows": 1, "cols": 2, "entry_bound": -1}),
-        ("oracle", {"op": "random-graver", "rows": 1, "cols": -3}),
+        # an op that is not the oracle's, and an oracle input without an op
+        ("oracle", {"op": "random-graver", "rows": 1, "cols": 2}),
+        ("oracle", {"D": [[1, 1]], "bound": 2}),
         ("oracle", {"op": "graver", "D": [[1, 1]], "bound": -1}),
         # PlayerSpec: A/B widths, b length, u length, a negative bound
         ("equilibrium", game(PLAYER, dict(PLAYER, B=[[0, 0, 0]]))),
@@ -464,6 +489,30 @@ def test_huge_power_exponent_fails_closed_before_any_cost_is_evaluated(tmp_path,
     assert (code, report["status"]) == (3, "cap-exceeded")
 
 
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        # the certificate's coefficients have over 4600 digits
+        ("inverse", {
+            "D": [[1, -1]], "d": [0], "u": [10**120] * 2, "xstar": [5 * 10**119] * 2,
+            "shapes": [{"kind": "power", "a": "1", "k": 40}] * 2,
+        }),
+        # the objective (10^120)^40 has 4801 digits
+        ("solve", ip([{"kind": "power", "a": "1", "k": 40}], D=((1,),), d=(10**120,), u=(10**120,))),
+        # 4000-digit entries; the one Graver element's entries are products of two
+        ("graver", {"D": [[10**3999 + 1, 10**3999 + 3, 0], [0, 10**3999 + 7, 10**3999 + 9]]}),
+    ],
+    ids=["inverse", "solve", "graver"],
+)
+def test_result_number_too_long_to_print_is_a_cap(tmp_path, capsys, command, data):
+    """Past the int-to-string digit limit the run fails closed: exit 3, no result, no file."""
+    out = tmp_path / "out.json"
+    argv = [command, "--input", write(tmp_path, "in.json", data), "--output", str(out), "--quiet"]
+    code, report = run(capsys, argv)
+    assert (code, report["status"], report["result"]) == (3, "cap-exceeded", None)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cap, code", [("-5", 2), ("0", 3)])
 def test_negative_cap_is_a_usage_error(tmp_path, capsys, cap, code):
     inp = write(tmp_path, "mat.json", {"D": [[1, 1]]})
@@ -554,7 +603,6 @@ FUZZ_TEMPLATES = [
     ("oracle", {"op": "graver", "D": [[1, 1]], "bound": 2}),
     ("oracle", {"op": "ip", "instance": ip([SQ, SQ])}),
     ("oracle", {"op": "nash", "game": GAME}),
-    ("oracle", {"op": "random-graver", "rows": 1, "cols": 2}),
 ]
 # small integers keep every run cheap: no large N, box or bound
 JSON_LEAVES = st.none() | st.booleans() | st.integers(-2, 3) | st.sampled_from(

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -8,51 +9,57 @@ from gravernash import (
     DimensionError,
     FarkasRay,
     FeasiblePoint,
+    ValidationError,
     rational_lp_feasibility,
 )
 from gravernash.linalg import dot
 from gravernash.lp import _check_point, _check_ray
 
-
-def F(x):
-    return Fraction(x)
+from conftest import reference_lp
 
 
 def test_feasible_example():
-    out = rational_lp_feasibility([(F(3), F(-1))], (F(1), F(1)))
+    out = rational_lp_feasibility([(3, -1)], (1, 1))
     assert isinstance(out, FeasiblePoint)
     lam = out.lam
     assert all(x >= 0 for x in lam)
     assert 3 * lam[0] - lam[1] >= 0
     assert lam[0] + lam[1] > 0
-    # the spec's witness is also accepted by the system
-    assert 3 * F(1) - F(3) >= 0
 
 
 def test_infeasible_example():
-    out = rational_lp_feasibility([(F(-1), F(-1))], (F(1), F(1)))
+    out = rational_lp_feasibility([(-1, -1)], (1, 1))
     assert isinstance(out, FarkasRay)
     (v,) = out.coefficients
     assert v >= 0
     # v * row + strict <= 0 componentwise
-    assert v * F(-1) + F(1) <= 0
+    assert v * -1 + 1 <= 0
 
 
 def test_no_constraints():
-    out = rational_lp_feasibility([], (F(1), F(0)))
+    out = rational_lp_feasibility([], (1, 0))
     assert isinstance(out, FeasiblePoint)
-    assert dot(out.lam, (F(1), F(0))) > 0
+    assert dot(out.lam, (1, 0)) > 0
 
 
 def test_no_constraints_infeasible():
-    out = rational_lp_feasibility([], (F(-1), F(0)))
+    out = rational_lp_feasibility([], (-1, 0))
     assert isinstance(out, FarkasRay)
     assert out.coefficients == ()
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionError):
-        rational_lp_feasibility([(F(1),)], (F(1), F(1)))
+        rational_lp_feasibility([(1,)], (1, 1))
+
+
+@pytest.mark.parametrize("entry", [Fraction(1), Fraction(1, 2), 1.0, True], ids=repr)
+def test_an_entry_that_is_not_an_int_is_rejected(entry):
+    """A row or strict-row entry must be an int; nothing is converted."""
+    with pytest.raises(ValidationError):
+        rational_lp_feasibility([(1, -1), (entry, 2)], (1, 1))
+    with pytest.raises(ValidationError):
+        rational_lp_feasibility([(1, -1)], (1, entry))
 
 
 def test_random_systems_one_branch_verifies():
@@ -61,10 +68,8 @@ def test_random_systems_one_branch_verifies():
     for _ in range(200):
         n = rng.randint(1, 4)
         m = rng.randint(0, 4)
-        rows = [
-            tuple(F(rng.randint(-3, 3)) for _ in range(n)) for _ in range(m)
-        ]
-        strict = tuple(F(rng.randint(-3, 3)) for _ in range(n))
+        rows = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(m)]
+        strict = tuple(rng.randint(-3, 3) for _ in range(n))
         out = rational_lp_feasibility(rows, strict)
         if isinstance(out, FeasiblePoint):
             feasible_seen += 1
@@ -84,19 +89,20 @@ def test_random_systems_one_branch_verifies():
 
 
 def test_checks_reject_corrupted_answers():
-    rows = [(F(3), F(-1))]
-    strict = (F(1), F(1))
-    _check_point(rows, strict, (F(1), F(3)))
+    Q = Fraction
+    rows = [(3, -1)]
+    strict = (1, 1)
+    _check_point(rows, strict, (Q(1), Q(3)))
     with pytest.raises(CertificateError):
-        _check_point(rows, strict, (F(1), F(4)))  # 3 - 4 < 0
+        _check_point(rows, strict, (Q(1), Q(4)))  # 3 - 4 < 0
     with pytest.raises(CertificateError):
-        _check_point(rows, strict, (F(0), F(0)))  # strict row not positive
-    neg = [(F(-1), F(-1))]
-    _check_ray(neg, strict, (F(1),))
+        _check_point(rows, strict, (Q(0), Q(0)))  # strict row not positive
+    neg = [(-1, -1)]
+    _check_ray(neg, strict, (Q(1),))
     with pytest.raises(CertificateError):
-        _check_ray(neg, strict, (Fraction(1, 2),))  # -1/2 + 1 > 0
+        _check_ray(neg, strict, (Q(1, 2),))  # -1/2 + 1 > 0
     with pytest.raises(CertificateError):
-        _check_ray(neg, strict, (F(-1),))
+        _check_ray(neg, strict, (Q(-1),))
 
 
 def test_checks_reject_corrupted_answers_on_int_rows():
@@ -118,7 +124,7 @@ def test_checks_reject_corrupted_answers_on_int_rows():
 
 
 def test_int_rows_match_rows_divided_by_a_constant():
-    """Dividing row i by L_i > 0 keeps the point and multiplies the ray's i-th coefficient by L_i."""
+    """Multiplying row i by an int s_i > 0 keeps the point and divides the ray's i-th coefficient by s_i."""
     rng = random.Random(1968)
     kinds = {"point": 0, "ray": 0}
     for case in range(300):
@@ -127,102 +133,53 @@ def test_int_rows_match_rows_divided_by_a_constant():
         rows = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m)]
         strict = (1,) * n if case % 2 else tuple(rng.randint(-2, 3) for _ in range(n))
         scales = [rng.randint(1, 12) for _ in range(m)]
-        divided = [tuple(Fraction(x, s) for x in r) for r, s in zip(rows, scales)]
-        got = rational_lp_feasibility(rows, strict)
-        want = rational_lp_feasibility(divided, strict)
+        multiplied = [tuple(s * x for x in r) for r, s in zip(rows, scales)]
+        got = rational_lp_feasibility(multiplied, strict)
+        want = rational_lp_feasibility(rows, strict)
         assert type(got) is type(want), case
         if isinstance(got, FeasiblePoint):
             assert got.lam == want.lam, case
             kinds["point"] += 1
         else:
-            assert want.coefficients == tuple(
-                s * v for s, v in zip(scales, got.coefficients)
+            assert got.coefficients == tuple(
+                v / s for s, v in zip(scales, want.coefficients)
             ), case
             kinds["ray"] += 1
     assert min(kinds.values()) >= 50, kinds
-
-
-def reference_lp(rows, strict_row):
-    """The dense-Fraction phase-1 simplex that `rational_lp_feasibility` replaced.
-
-    Same standard form and Bland's rule, but it prices every column
-    against the original matrix with multipliers c_B B^{-1} rebuilt each
-    iteration, and divides in Fractions.  Returns ("point", lam) or
-    ("ray", coefficients), unchecked.
-    """
-    n, m = len(strict_row), len(rows)
-    ncols, nrows = n + m + 1, m + 1
-    matrix = []
-    for i, r in enumerate(rows):
-        row = [-F(x) for x in r] + [F(0)] * (m + 1)
-        row[n + i] = F(1)
-        matrix.append(row)
-    last = [F(x) for x in strict_row] + [F(0)] * (m + 1)
-    last[n + m] = F(1)
-    matrix.append(last)
-    rhs = [F(0)] * m + [F(1)]
-    cost = [F(0)] * ncols
-    cost[n + m] = F(1)
-    basis = [n + i for i in range(nrows)]
-    tableau = [matrix[i][:] + [rhs[i]] for i in range(nrows)]
-
-    def multipliers():
-        # the slack and artificial columns are unit vectors, so B^{-1} e_i is column n+i;
-        # terms with a zero factor are skipped, which changes no sum
-        priced = [r for r in range(nrows) if cost[basis[r]]]
-        return [sum(cost[basis[r]] * tableau[r][n + i] for r in priced) for i in range(nrows)]
-
-    while True:
-        y = multipliers()
-        support = [i for i in range(nrows) if y[i]]
-        entering = next(
-            (j for j in range(ncols)
-             if cost[j] - sum(y[i] * matrix[i][j] for i in support) < 0),
-            -1,
-        )
-        if entering < 0:
-            break
-        leaving, best = -1, None
-        for i in range(nrows):
-            a = tableau[i][entering]
-            if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best, leaving = ratio, i
-        if leaving < 0:
-            raise CertificateError("unbounded phase-1 simplex")
-        piv = tableau[leaving][entering]
-        tableau[leaving] = [x / piv for x in tableau[leaving]]
-        for i in range(nrows):
-            factor = tableau[i][entering]
-            if i != leaving and factor:
-                tableau[i] = [x - factor * p if p else x for x, p in zip(tableau[i], tableau[leaving])]
-        basis[leaving] = entering
-
-    if sum(cost[basis[i]] * tableau[i][-1] for i in range(nrows)) == 0:
-        lam = [F(0)] * n
-        for i, b in enumerate(basis):
-            if b < n:
-                lam[b] = tableau[i][-1]
-        return "point", tuple(lam)
-    y = multipliers()
-    return "ray", tuple(-y[i] / y[m] for i in range(m))
 
 
 def _random_entry(rng, den):
     return Fraction(rng.randint(-4, 4), rng.randint(1, den))
 
 
+def _integral(row):
+    """(s, s*row) for the lcm s of the denominators of row's entries, in ints."""
+    s = lcm(*(Fraction(x).denominator for x in row))
+    return s, tuple(int(s * x) for x in row)
+
+
 def _kinds_matching_the_reference(systems) -> dict:
-    """Assert equal lam and equal Farkas coefficients on every system; count each kind."""
+    """Assert the program's answer on each system, scaled to ints, is the reference's; count each kind.
+
+    The program gets row i times the lcm s_i of its denominators and the
+    strict row times its own lcm s.  That moves no pivot, so its point
+    times s is the reference's, and its coefficient for row i times
+    s_i / s is the reference's.
+    """
     kinds = {"point": 0, "ray": 0}
     for case, (rows, strict) in enumerate(systems):
         kind, want = reference_lp(rows, strict)
-        got = rational_lp_feasibility(rows, strict)
+        scaled = [_integral(r) for r in rows]
+        s, int_strict = _integral(strict)
+        got = rational_lp_feasibility([r for _, r in scaled], int_strict)
         if kind == "point":
-            assert isinstance(got, FeasiblePoint) and got.lam == want, case
+            assert isinstance(got, FeasiblePoint), case
+            assert tuple(s * x for x in got.lam) == want, case
         else:
-            assert isinstance(got, FarkasRay) and got.coefficients == want, case
+            assert isinstance(got, FarkasRay), case
+            assert tuple(
+                Fraction(si, s) * v for (si, _), v in zip(scaled, got.coefficients)
+            ) == want, case
         kinds[kind] += 1
     return kinds
 
@@ -236,14 +193,14 @@ def _fraction_system(rng, case):
         # repeated and scaled rows make ties in the ratio test
         rows += [tuple(2 * x for x in rng.choice(rows)) for _ in range(rng.randint(1, 3))]
     if case % 7 == 0:
-        strict = tuple(F(0) for _ in range(n))
+        strict = tuple(Fraction(0) for _ in range(n))
     else:
         strict = tuple(_random_entry(rng, den) for _ in range(n))
     return rows, strict
 
 
 def test_matches_the_dense_fraction_reference():
-    """Same pivots as the dense-Fraction simplex: equal lam and equal Farkas coefficients."""
+    """Same pivots as the dense-Fraction simplex on Fraction systems scaled to ints."""
     rng = random.Random(2009)
     kinds = _kinds_matching_the_reference(_fraction_system(rng, case) for case in range(300))
     assert min(kinds.values()) >= 50, kinds

@@ -16,7 +16,6 @@ from gravernash import (
     best_step,
     brute_ip_opt,
     check_optimal,
-    find_feasible,
     graver_basis,
     greedy_augment,
     solve_ip,
@@ -40,20 +39,6 @@ F = Fraction
 
 D111 = IntMatrix.from_rows([[1, 1, 1]])
 SUM3 = IpInstance(D111, (3,), (3, 3, 3), squares_objective(3))
-
-
-def test_find_feasible_examples():
-    inst = IpInstance(
-        IntMatrix.from_rows([[1, 1]]), (2,), (1, 1), squares_objective(2)
-    )
-    assert find_feasible(inst, graver_basis(inst.D)) == (1, 1)
-    tight = IpInstance(
-        IntMatrix.from_rows([[1, 1]]), (3,), (1, 1), squares_objective(2)
-    )
-    assert find_feasible(tight, graver_basis(tight.D)) is None
-    # solvable over the rationals and inside the box, but not over Z
-    odd = IpInstance(IntMatrix.from_rows([[2]]), (3,), (5,), squares_objective(1))
-    assert find_feasible(odd, graver_basis(odd.D)) is None
 
 
 def test_best_step_example():
@@ -120,6 +105,9 @@ def test_solve_ip_examples():
     )
     assert infeasible.status == "infeasible"
     assert infeasible.x is None
+    # solvable over the rationals and inside the box, but not over Z
+    odd = solve_ip(IpInstance(IntMatrix.from_rows([[2]]), (3,), (5,), squares_objective(1)))
+    assert (odd.status, odd.x) == ("infeasible", None)
 
 
 def test_every_step_preserves_feasibility_and_decreases():

@@ -187,9 +187,9 @@ def reference_lp(rows, strict_row):
     """The dense-Fraction phase-1 simplex that `rational_lp_feasibility` replaced.
 
     It takes rows of ints or Fractions and shares no code with the
-    program's LP.  Same standard form and Bland's rule, but it prices every column
-    against the original matrix with multipliers c_B B^{-1} rebuilt each
-    iteration, and divides in Fractions.  Returns ("point", lam) or
+    program's LP.  Same standard form and Bland's rule, but it prices
+    every column against the original matrix with multipliers c_B B^{-1}
+    rebuilt each iteration, and divides in Fractions.  Returns ("point", lam) or
     ("ray", coefficients), unchecked.
     """
     n, m = len(strict_row), len(rows)
@@ -256,7 +256,7 @@ def fraction_solve_iiop(inst, basis):
     shifts = tuple(feasible_shifts(basis, inst))
     n = inst.n
     if not shifts:
-        return IiopAnswer(verdict="yes", lam=tuple(Fraction(1, n) for _ in range(n)), shifts=shifts)
+        return IiopAnswer(verdict="yes", lam=tuple(Fraction(1, n) for _ in range(n)), shifts=())
     kind, values = reference_lp(_value_rows(inst, shifts), (1,) * n)
     if kind == "point":
         total = sum(values, Fraction(0))

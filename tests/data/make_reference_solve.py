@@ -19,6 +19,13 @@ the cases before them stay as they were: D = 2R with every entry of d
 odd (no integer solution), a two-row D of rank one with d outside its
 column span, d = 0 with a one-row D of both signs, and a nonsingular
 2 x 2 D, whose kernel is trivial, with d the image of an integer point.
+A family of signed games follows, from a generator of its own again:
+coupling entries in [-2, 2] and 0-2 coupling rows (none written as a
+`{"rows": 0, ...}` matrix), either 1-3 players of differing types or 4
+players of one type with at most 2 resources.  Each is answered by
+`equilibrium` (and its `verify-equilibrium`), then by `best-response`
+for one player and by `verify-equilibrium`, both on the planted profile,
+which is often not an equilibrium.
 Run from the repository root:
 
     PYTHONPATH=src python tests/data/make_reference_solve.py
@@ -26,6 +33,7 @@ Run from the repository root:
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import tempfile
@@ -45,6 +53,8 @@ NASH_COUNT = 10
 GAME_COUNT = 20
 EDGE_SEED = 2012
 EDGE_COUNT = 3
+SIGNED_SEED = 2013
+SIGNED_COUNT = 24
 WIDE_ROWS = [[1, 2, -1, 1, -2]]
 ZERO = {"kind": "affine", "a": "0", "b": "0"}
 MALFORMED = [
@@ -166,6 +176,38 @@ def _game(rng: random.Random) -> tuple[dict, list[list[int]]]:
     return game, witnesses
 
 
+def _signed_game(rng: random.Random, same_type: bool) -> tuple[dict, list[list[int]]]:
+    """A signed game with a planted feasible profile, and that profile.
+
+    Same-type games have 4 players sharing one (A, b, u, B); each planted
+    strategy is a point of their common polytope.
+    """
+    n = rng.randint(1, 2)
+    m = rng.randint(0, 2)
+
+    def player() -> tuple[dict, list[int]]:
+        u = [rng.randint(0, 2) for _ in range(n)]
+        a = [rng.randint(0, 1) for _ in range(n)]
+        witness = [rng.randint(0, v) for v in u]
+        coupling = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        B = coupling if m else {"rows": 0, "cols": n, "entries": []}
+        return {"A": [a], "b": [sum(x * y for x, y in zip(a, witness))], "u": u, "B": B}, witness
+
+    if same_type:
+        shared, first = player()
+        box = itertools.product(*(range(v + 1) for v in shared["u"]))
+        points = [list(x) for x in box if sum(a * y for a, y in zip(shared["A"][0], x)) == shared["b"][0]]
+        players, witnesses = [shared] * 4, [first] + [rng.choice(points) for _ in range(3)]
+    else:
+        players, witnesses = map(list, zip(*(player() for _ in range(rng.randint(1, 3)))))
+    load = [0] * m
+    for p, x in zip(players, witnesses):
+        for i in range(m):
+            load[i] += sum(c * y for c, y in zip(p["B"][i], x))
+    b0 = [v + rng.randint(0, 2) for v in load]
+    return {"players": players, "b0": b0, "costs": [_cost(rng) for _ in range(n)]}, witnesses
+
+
 def run_command(command: str, data: dict, workdir: Path) -> dict:
     """Exit code, report status and counters, and payload text of one CLI call."""
     inp, out = workdir / "in.json", workdir / "out.json"
@@ -205,6 +247,14 @@ def reference_inputs() -> list[tuple[str, str, dict]]:
     for family in ("gcd", "outside-span", "zero-rhs", "trivial-kernel"):
         for i in range(EDGE_COUNT):
             cases.append((f"{family} {i}", "solve", _edge_instance(edge, family)))
+    signed = random.Random(SIGNED_SEED)
+    for i in range(SIGNED_COUNT):
+        game, witnesses = _signed_game(signed, same_type=i % 4 == 3)
+        cases.append((f"signed {i}", "equilibrium", game))
+        profile = {"strategies": witnesses}
+        player = signed.randrange(len(witnesses))
+        cases.append((f"signed {i}", "best-response", {"game": game, "profile": profile, "player": player}))
+        cases.append((f"signed {i}", "verify-equilibrium", {"game": game, "profile": profile}))
     return cases
 
 

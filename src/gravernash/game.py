@@ -21,12 +21,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .costs import ZERO_COST, SeparableObjective, ShiftedCost
 from .errors import CertificateError, DimensionError, InfeasibleError, ValidationError
-from .linalg import IntMatrix, IntVec, check_ints, vadd, vsub
+from .linalg import IntMatrix, IntVec, check_ints, vsub
 from .nfold import build_multitype_matrix
 from .solver import DEFAULT_ELEMENT_CAP, IpInstance, solve_ip
+
+
+def _total(vectors: Iterable[IntVec]) -> IntVec:
+    """The entrywise sum of one or more vectors of one length, such as one per player."""
+    vectors = tuple(vectors)
+    if not vectors:
+        raise ValidationError("a sum over players needs at least one vector")
+    if len(set(map(len, vectors))) != 1:
+        raise DimensionError("per-player vectors differ in length")
+    return tuple(map(sum, zip(*vectors)))
 
 
 @dataclass(frozen=True)
@@ -99,29 +110,20 @@ class StrategyProfile:
     strategies: tuple[IntVec, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "strategies", tuple(tuple(s) for s in self.strategies)
-        )
-        for s in self.strategies:
-            check_ints(s, "strategies")
+        object.__setattr__(self, "strategies", tuple(map(tuple, self.strategies)))
+        check_ints((v for s in self.strategies for v in s), "strategies")
 
 
 def is_feasible_profile(game: GameInstance, profile: StrategyProfile) -> bool:
-    if len(profile.strategies) != game.num_players:
+    pairs = tuple(zip(game.players, profile.strategies))
+    if len(profile.strategies) != game.num_players or not all(p.accepts(x) for p, x in pairs):
         return False
-    coupling = [0] * game.m
-    for player, x in zip(game.players, profile.strategies):
-        if not player.accepts(x):
-            return False
-        coupling = vadd(tuple(coupling), player.B.matvec(x))
-    return all(c <= b for c, b in zip(coupling, game.b0))
+    return all(c <= b for c, b in zip(_total(p.B.matvec(x) for p, x in pairs), game.b0))
 
 
 def aggregate_usage(profile: StrategyProfile) -> IntVec:
-    total = profile.strategies[0]
-    for s in profile.strategies[1:]:
-        total = vadd(total, s)
-    return total
+    """The aggregate usage y = sum_i x^i; a profile with no strategy is a ValidationError."""
+    return _total(profile.strategies)
 
 
 def provider_cost(game: GameInstance, profile: StrategyProfile) -> Fraction:
@@ -130,15 +132,18 @@ def provider_cost(game: GameInstance, profile: StrategyProfile) -> Fraction:
     return game.costs.value(aggregate_usage(profile))
 
 
-def player_cost(game: GameInstance, profile: StrategyProfile, k: int) -> Fraction:
-    """Marginal cost of player k: full provider cost minus the cost without k."""
+def _check_player(game: GameInstance, profile: StrategyProfile, k: int) -> None:
     if not 0 <= k < game.num_players:
         raise ValidationError(f"player index {k} out of range")
     if not is_feasible_profile(game, profile):
         raise InfeasibleError("profile violates the game constraints")
+
+
+def player_cost(game: GameInstance, profile: StrategyProfile, k: int) -> Fraction:
+    """Marginal cost of player k: full provider cost minus the cost without k."""
+    _check_player(game, profile, k)
     usage = aggregate_usage(profile)
-    without = vsub(usage, profile.strategies[k])
-    return game.costs.value(usage) - game.costs.value(without)
+    return game.costs.value(usage) - game.costs.value(vsub(usage, profile.strategies[k]))
 
 
 def _residual_game(game: GameInstance, profile: StrategyProfile, k: int) -> GameInstance:
@@ -147,13 +152,12 @@ def _residual_game(game: GameInstance, profile: StrategyProfile, k: int) -> Game
     The coupling bound is what the rivals leave, b^0 - sum_{i != k} B^i x^i,
     and each cost c_j(. + r_j) is shifted by the rivals' usage r.
     """
-    residual, rivals = game.b0, (0,) * game.n
-    for i, (other, x) in enumerate(zip(game.players, profile.strategies)):
-        if i != k:
-            residual = vsub(residual, other.B.matvec(x))
-            rivals = vadd(rivals, x)
+    own, x = game.players[k], profile.strategies[k]
+    rivals = vsub(aggregate_usage(profile), x)
+    load = _total(p.B.matvec(s) for p, s in zip(game.players, profile.strategies))
+    residual = vsub(game.b0, vsub(load, own.B.matvec(x)))
     shifted = tuple(ShiftedCost(c, r) for c, r in zip(game.costs.terms, rivals))
-    return GameInstance((game.players[k],), residual, SeparableObjective(shifted))
+    return GameInstance((own,), residual, SeparableObjective(shifted))
 
 
 def best_response(
@@ -164,10 +168,7 @@ def best_response(
     It is the equilibrium of the one-player residual game; the player's
     current strategy is feasible there, so that game is never infeasible.
     """
-    if not 0 <= k < game.num_players:
-        raise ValidationError(f"player index {k} out of range")
-    if not is_feasible_profile(game, profile):
-        raise InfeasibleError("profile violates the game constraints")
+    _check_player(game, profile, k)
     return find_equilibrium(_residual_game(game, profile, k), cap=cap).strategies[0]
 
 
@@ -193,9 +194,7 @@ def is_satisfied(
 def is_generalized_nash(
     game: GameInstance, profile: StrategyProfile, cap: int = DEFAULT_ELEMENT_CAP
 ) -> bool:
-    return all(
-        is_satisfied(game, profile, k, cap=cap) for k in range(game.num_players)
-    )
+    return all(is_satisfied(game, profile, k, cap=cap) for k in range(game.num_players))
 
 
 def equilibrium_instance(game: GameInstance) -> IpInstance:
@@ -205,44 +204,27 @@ def equilibrium_instance(game: GameInstance) -> IpInstance:
     Costs sit on the y-columns only.  Bounds on y and s come from
     interval arithmetic over the strategy boxes.
     """
-    n, m, N = game.n, game.m, game.num_players
-    matrix = build_multitype_matrix([(p.A, p.B) for p in game.players], range(N))
-
-    rhs = tuple([0] * n) + tuple(game.b0)
-    for p in game.players:
-        rhs = rhs + tuple(p.b)
-
-    y_ub = [0] * n
-    for p in game.players:
-        y_ub = list(vadd(tuple(y_ub), p.u))
-    s_ub = []
-    for i in range(m):
-        least = sum(
-            min(0, p.B.entries[i][j] * p.u[j]) for p in game.players for j in range(n)
+    n, m, players = game.n, game.m, game.players
+    matrix = build_multitype_matrix([(p.A, p.B) for p in players], range(len(players)))
+    # rows: aggregation, coupling, each player's own rows
+    rhs = (0,) * n + game.b0 + tuple(v for p in players for v in p.b)
+    # columns: the x-blocks, y, s
+    bounds = (
+        tuple(v for p in players for v in p.u)
+        + _total(p.u for p in players)
+        + tuple(
+            max(0, b0 - sum(min(0, p.B.entries[i][j] * p.u[j]) for p in players for j in range(n)))
+            for i, b0 in enumerate(game.b0)
         )
-        s_ub.append(max(0, game.b0[i] - least))
-    bounds: tuple[int, ...] = ()
-    for p in game.players:
-        bounds = bounds + tuple(p.u)
-    bounds = bounds + tuple(y_ub) + tuple(s_ub)
-
-    terms = (
-        tuple(ZERO_COST for _ in range(N * n))
-        + tuple(game.costs.terms)
-        + tuple(ZERO_COST for _ in range(m))
     )
+    terms = (ZERO_COST,) * (len(players) * n) + tuple(game.costs.terms) + (ZERO_COST,) * m
     return IpInstance(matrix, rhs, bounds, SeparableObjective(terms))
 
 
-def find_equilibrium(
-    game: GameInstance, cap: int = DEFAULT_ELEMENT_CAP
-) -> StrategyProfile:
-    inst = equilibrium_instance(game)
-    result = solve_ip(inst, cap=cap)
+def find_equilibrium(game: GameInstance, cap: int = DEFAULT_ELEMENT_CAP) -> StrategyProfile:
+    result = solve_ip(equilibrium_instance(game), cap=cap)
     if result.status != "optimal":
         raise InfeasibleError("no profile satisfies the coupling constraint")
-    n, N = game.n, game.num_players
-    strategies = tuple(
-        tuple(result.x[i * n : (i + 1) * n]) for i in range(N)
-    )
-    return StrategyProfile(strategies=strategies)
+    # player i's x-block starts at i*n; a range stepping by n would fail for n = 0
+    n = game.n
+    return StrategyProfile(tuple(result.x[i * n : i * n + n] for i in range(game.num_players)))

@@ -11,6 +11,7 @@ from gravernash import (
     IntMatrix,
     PlayerSpec,
     StrategyProfile,
+    DimensionError,
     ValidationError,
     aggregate_usage,
     best_response,
@@ -22,7 +23,9 @@ from gravernash import (
     player_cost,
     provider_cost,
 )
-from gravernash.costs import AffineCost, SeparableObjective
+from gravernash.costs import ZERO_COST, AffineCost, SeparableObjective
+from gravernash.game import equilibrium_instance
+from gravernash.nfold import build_multitype_matrix
 
 from conftest import identity_matrix, random_game, squares_objective, zero_matrix
 
@@ -41,6 +44,13 @@ def test_aggregate_usage():
     assert aggregate_usage(StrategyProfile(((1, 0), (0, 1)))) == (1, 1)
     assert aggregate_usage(StrategyProfile(((1, 0),))) == (1, 0)
     assert aggregate_usage(StrategyProfile(((1, 0), (1, 0)))) == (2, 0)
+
+
+def test_aggregate_usage_needs_strategies_of_one_length():
+    with pytest.raises(ValidationError):
+        aggregate_usage(StrategyProfile(()))
+    with pytest.raises(DimensionError):
+        aggregate_usage(StrategyProfile(((1, 0), (1,))))
 
 
 def test_provider_cost():
@@ -151,6 +161,47 @@ def test_find_equilibrium_with_binding_coupling():
     profile = find_equilibrium(game)
     assert profile.strategies == ((0, 1), (0, 1))
     assert is_generalized_nash(game, profile)
+
+
+def test_find_equilibrium_without_resources():
+    # n = 0: every player's x-block is empty, one per player
+    player = PlayerSpec(A=IntMatrix(1, 0, ((),)), b=(0,), u=(), B=IntMatrix(0, 0, ()))
+    game = GameInstance(players=(player, player), b0=(), costs=SeparableObjective(()))
+    assert find_equilibrium(game).strategies == ((), ())
+
+
+LAYOUT_COSTS = (AffineCost(F(1), F(0)), AffineCost(F(2), F(1, 2)))
+
+
+def layout_game(coupling: tuple[list[list[int]], list[list[int]]], b0) -> GameInstance:
+    """Two players of differing types on 2 resources; `coupling` holds their B rows."""
+    first = PlayerSpec(A=A11, b=(1,), u=(1, 2), B=IntMatrix.from_rows(coupling[0], 2))
+    second = PlayerSpec(
+        A=IntMatrix.from_rows([[1, 0]]), b=(0,), u=(2, 1), B=IntMatrix.from_rows(coupling[1], 2)
+    )
+    return GameInstance(players=(first, second), b0=b0, costs=SeparableObjective(LAYOUT_COSTS))
+
+
+def test_equilibrium_instance_layout():
+    """Columns (x^1, x^2, y, s), rows (aggregation, coupling, own rows), worked by hand."""
+    game = layout_game(([[1, -2], [0, 1]], [[-1, 3], [1, 0]]), (2, -1))
+    inst = equilibrium_instance(game)
+    assert inst.D == build_multitype_matrix([(p.A, p.B) for p in game.players], range(2))
+    assert inst.d == (0, 0, 2, -1, 1, 0)
+    # y <= u^1 + u^2; s_i <= max(0, b0_i - sum_j min(0, B_ij u_j)):
+    # row 1: 2 - (0 - 4 - 2 + 0) = 8; row 2: max(0, -1 - 0) = 0
+    assert inst.u == (1, 2, 2, 1, 3, 3, 8, 0)
+    assert inst.objective.terms == (ZERO_COST,) * 4 + LAYOUT_COSTS + (ZERO_COST,) * 2
+
+
+def test_equilibrium_instance_layout_without_coupling():
+    game = layout_game(([], []), ())
+    inst = equilibrium_instance(game)
+    assert inst.D == build_multitype_matrix([(p.A, p.B) for p in game.players], range(2))
+    assert (inst.D.nrows, inst.D.ncols) == (4, 6)
+    assert inst.d == (0, 0, 1, 0)
+    assert inst.u == (1, 2, 2, 1, 3, 3)
+    assert inst.objective.terms == (ZERO_COST,) * 4 + LAYOUT_COSTS
 
 
 def test_find_equilibrium_infeasible_game():

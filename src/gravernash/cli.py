@@ -44,11 +44,21 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+# `nfold`'s default cap on the entries of the matrix it prints; --cap overrides it
+NFOLD_ENTRY_CAP = 10**6
 
 
 def _cmd_graver(data, caps):
     basis = graver_basis(serialize.matrix_from_json(data["D"]), **caps)
     return "ok", serialize.graver_to_json(basis), {"graver_size": len(basis)}
+
+
+def _check_nfold_size(n: int, m: int, d: int, N: int, caps) -> None:
+    """ResourceCapExceeded unless the widest variant, c, fits the entry cap; nothing is built."""
+    entries = (n + m + N * d) * (N * (2 * n + m) + n + m)
+    cap = caps.get("cap", NFOLD_ENTRY_CAP)
+    if entries > cap:
+        raise ResourceCapExceeded(f"an N-fold matrix of up to {entries} entries exceeds the cap {cap}")
 
 
 def _cmd_nfold(data, caps):
@@ -59,9 +69,15 @@ def _cmd_nfold(data, caps):
     if not isinstance(variant, str) or variant not in variants:
         raise serialize.ValidationError(f"unknown variant {variant!r} for this input")
     if "types" in data:
-        matrix = build_multitype_matrix(*serialize.catalog_from_json(data))
+        types, assignment = serialize.catalog_from_json(data)
+        # sized before build_multitype_matrix checks the catalog
+        n, m = (types[0][0].ncols, types[0][1].nrows) if types else (0, 0)
+        _check_nfold_size(n, m, max((a.nrows for a, _ in types), default=0), len(assignment), caps)
+        matrix = build_multitype_matrix(types, assignment)
     else:
-        matrix = builders[variant](serialize.nfold_spec_from_json(data))
+        spec = serialize.nfold_spec_from_json(data)
+        _check_nfold_size(spec.n, spec.m, spec.d, spec.N, caps)
+        matrix = builders[variant](spec)
     return "ok", serialize.matrix_to_json(matrix), {}
 
 

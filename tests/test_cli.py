@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gravernash.nfold
 from gravernash.cli import main
 from gravernash.costs import PowerCost
 
@@ -468,6 +469,48 @@ def test_cap_exit_code(tmp_path, capsys):
     code, report = run(capsys, ["graver", "--input", inp, "--cap", "1", "--quiet"])
     assert code == 3
     assert report["status"] == "cap-exceeded"
+
+
+# the widest variant, c, of N = 500 pairs (A, B) = ([1 1], [1 0]) could have
+# (2 + 1 + 500) * (500 * 5 + 3) = 1,259,009 entries, over the default cap
+NFOLD_WIDE = {"A": [[1, 1]], "B": [[1, 0]], "N": 500}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [NFOLD_WIDE, dict(NFOLD_WIDE, variant="plain"), {"types": [TYPE], "assignment": [0] * 500}],
+    ids=["spec", "plain", "catalog"],
+)
+def test_nfold_over_its_entry_cap_fails_closed(tmp_path, capsys, data):
+    out = tmp_path / "out.json"
+    argv = ["nfold", "--input", write(tmp_path, "in.json", data), "--output", str(out), "--quiet"]
+    code, report = run(capsys, argv)
+    assert (code, report["status"], report["result"]) == (3, "cap-exceeded", None)
+    assert not out.exists()
+
+
+def test_cap_moves_the_nfold_entry_cap_both_ways(tmp_path, capsys):
+    # N = 2: at most (2 + 1 + 2) * (2 * 5 + 3) = 65 entries
+    small = write(tmp_path, "small.json", {"A": [[1, 1]], "B": [[1, 0]], "N": 2, "variant": "c"})
+    assert run(capsys, ["nfold", "--input", small, "--cap", "64", "--quiet"])[0] == 3
+    assert run(capsys, ["nfold", "--input", small, "--cap", "65"])[0] == 0
+    wide = write(tmp_path, "wide.json", dict(NFOLD_WIDE, variant="plain"))
+    code, report = run(capsys, ["nfold", "--input", wide, "--cap", "1259009"])
+    assert code == 0
+    assert (report["result"]["rows"], report["result"]["cols"]) == (501, 1000)
+
+
+def test_nfold_of_a_billion_players_fails_closed_without_building_a_row(tmp_path, capsys, monkeypatch):
+    def built(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(gravernash.nfold, "_diagonal_rows", built)
+    monkeypatch.setattr(gravernash.nfold, "_linking_rows", built)
+    inp = write(tmp_path, "in.json", dict(NFOLD_WIDE, N=10**9, variant="c"))
+    start = time.perf_counter()
+    code, report = run(capsys, ["nfold", "--input", inp, "--quiet"])
+    assert time.perf_counter() - start < 1
+    assert (code, report["status"]) == (3, "cap-exceeded")
 
 
 def test_huge_power_exponent_fails_closed_before_any_cost_is_evaluated(tmp_path, capsys, monkeypatch):

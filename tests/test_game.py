@@ -6,12 +6,12 @@ import pytest
 import gravernash.game
 from gravernash import (
     CertificateError,
+    DimensionError,
     GameInstance,
     InfeasibleError,
     IntMatrix,
     PlayerSpec,
     StrategyProfile,
-    DimensionError,
     ValidationError,
     aggregate_usage,
     best_response,

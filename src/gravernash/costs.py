@@ -6,13 +6,13 @@ nonnegative integer arguments.  A shifted wrapper exists for internal
 use (best responses shift by the other players' usage) and preserves
 convexity and exactness.
 
-Validity is decided by the parameters alone.  `convex_ok` is the rule
-for any separable objective (`solve`, inverse shapes): the parameters
-are exact (an int or a Fraction, an int where an integer is due) and
-give a convex function on y >= 0.  `params_ok` builds on it with the
-sign conditions that make a cost nondecreasing, as a game's costs must
-be.  A power cost's exponent is a size cap as well: one above
-MAX_EXPONENT (64) raises ResourceCapExceeded as the cost is built.
+A cost is valid from the moment it is built: its constructor raises
+ValidationError unless the parameters are exact (an int or a Fraction,
+an int where an integer is due) and give a convex function on y >= 0,
+the one rule under which Graver augmentation finds optima.  `params_ok`
+is a game's further rule, the signs that make a cost nondecreasing.  A
+power cost's exponent is a size cap as well: one above MAX_EXPONENT (64)
+raises ResourceCapExceeded as the cost is built, before the rule.
 
 Every valid cost has an integer form: `scale()` is a positive integer L
 such that L*f(y) is an integer at every integer y >= 0, and `times(M)`,
@@ -49,6 +49,11 @@ def _denominators(*values) -> int:
     return lcm(*(v.denominator for v in values))
 
 
+def _require(cost, ok: bool) -> None:
+    if not ok:
+        raise ValidationError(f"{type(cost).__name__}: parameters not exact or not convex")
+
+
 def _times(m: int, q) -> int:
     """m*q as an int; `times(m)` makes integral parameters only when m is a multiple of `scale()`."""
     numerator, denominator = m * q.numerator, q.denominator
@@ -64,15 +69,15 @@ class AffineCost:
     a: Fraction
     b: Fraction
 
+    def __post_init__(self) -> None:
+        _require(self, _rationals(self.a, self.b))
+
     def value(self, y: int) -> Fraction:
         _check_arg(y)
         return self.a * y + self.b
 
-    def convex_ok(self) -> bool:
-        return _rationals(self.a, self.b)
-
     def params_ok(self) -> bool:
-        return self.convex_ok() and self.a >= 0 and self.b >= 0
+        return self.a >= 0 and self.b >= 0
 
     def scale(self) -> int:
         return _denominators(self.a, self.b)
@@ -83,21 +88,21 @@ class AffineCost:
 
 @dataclass(frozen=True)
 class QuadraticCost:
-    """a*y^2 + b*y + c."""
+    """a*y^2 + b*y + c with a >= 0."""
 
     a: Fraction
     b: Fraction
     c: Fraction
 
+    def __post_init__(self) -> None:
+        _require(self, _rationals(self.a, self.b, self.c) and self.a >= 0)
+
     def value(self, y: int) -> Fraction:
         _check_arg(y)
         return self.a * y * y + self.b * y + self.c
 
-    def convex_ok(self) -> bool:
-        return _rationals(self.a, self.b, self.c) and self.a >= 0
-
     def params_ok(self) -> bool:
-        return self.convex_ok() and self.b >= 0 and self.c >= 0
+        return self.b >= 0 and self.c >= 0
 
     def scale(self) -> int:
         return _denominators(self.a, self.b, self.c)
@@ -113,7 +118,7 @@ MAX_EXPONENT = 64
 
 @dataclass(frozen=True)
 class PowerCost:
-    """a*y^k with integer exponent k >= 1.
+    """a*y^k with a >= 0 and integer exponent k >= 1.
 
     An int exponent above MAX_EXPONENT raises ResourceCapExceeded when the
     cost is built, before any value is computed.
@@ -127,24 +132,14 @@ class PowerCost:
             raise ResourceCapExceeded(
                 f"a power cost's exponent is at most {MAX_EXPONENT}, got {self.k}"
             )
+        _require(self, _rationals(self.a) and all_ints((self.k,)) and self.a >= 0 and self.k >= 1)
 
     def value(self, y: int) -> Fraction:
         _check_arg(y)
-        # a Fraction or float exponent would give a float power
-        if not all_ints((self.k,)):
-            raise ValidationError(f"a power cost's exponent must be an int, got {self.k!r}")
-        if self.k >= 1:
-            return self.a * y**self.k
-        if self.k < 0 and y == 0:
-            raise ValidationError(f"a power cost with exponent {self.k} is undefined at 0")
-        # a negative exponent must not turn y into a float
-        return self.a * Fraction(y) ** self.k
-
-    def convex_ok(self) -> bool:
-        return _rationals(self.a) and all_ints((self.k,)) and self.a >= 0 and self.k >= 1
+        return self.a * y**self.k
 
     def params_ok(self) -> bool:
-        return self.convex_ok()
+        return True  # a >= 0 and k >= 1 make it nondecreasing
 
     def scale(self) -> int:
         return _denominators(self.a)
@@ -155,15 +150,23 @@ class PowerCost:
 
 @dataclass(frozen=True)
 class PiecewiseLinearCost:
-    """Integral of a nondecreasing nonnegative step function of slopes.
+    """Integral of a nondecreasing step function of slopes; c0 is its value at 0.
 
     Slope slopes[i] applies between breakpoints[i-1] and breakpoints[i]
-    (with implicit endpoints 0 and infinity); c0 is the value at 0.
+    (with implicit endpoints 0 and infinity), positive ints in increasing order.
     """
 
     breakpoints: tuple[int, ...]
     slopes: tuple[Fraction, ...]
     c0: Fraction
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "breakpoints", tuple(self.breakpoints))
+        object.__setattr__(self, "slopes", tuple(self.slopes))
+        bps, slopes = self.breakpoints, self.slopes
+        _require(self, all_ints(bps) and _rationals(self.c0, *slopes))
+        _require(self, len(slopes) == len(bps) + 1 and list(slopes) == sorted(slopes))
+        _require(self, all(a < b for a, b in zip((0,) + bps, bps)))
 
     def value(self, y: int) -> Fraction:
         _check_arg(y)
@@ -176,19 +179,8 @@ class PiecewiseLinearCost:
             prev = bp
         return total + self.slopes[-1] * (y - prev)
 
-    def convex_ok(self) -> bool:
-        if not (all_ints(self.breakpoints) and _rationals(self.c0, *self.slopes)):
-            return False
-        if len(self.slopes) != len(self.breakpoints) + 1:
-            return False
-        if list(self.slopes) != sorted(self.slopes):
-            return False
-        if any(bp <= 0 for bp in self.breakpoints):
-            return False
-        return list(self.breakpoints) == sorted(set(self.breakpoints))
-
     def params_ok(self) -> bool:
-        return self.convex_ok() and self.slopes[0] >= 0
+        return self.slopes[0] >= 0
 
     def scale(self) -> int:
         return _denominators(self.c0, *self.slopes)
@@ -201,20 +193,21 @@ class PiecewiseLinearCost:
 
 @dataclass(frozen=True)
 class ShiftedCost:
-    """base(y + shift); used for best responses against fixed rivals."""
+    """base(y + shift) with an int shift >= 0; used for best responses against fixed rivals."""
 
     base: "UnivariateCost"
     shift: int
+
+    def __post_init__(self) -> None:
+        _require(self, isinstance(self.base, UnivariateCost))
+        _require(self, all_ints((self.shift,)) and self.shift >= 0)
 
     def value(self, y: int) -> Fraction:
         _check_arg(y)
         return self.base.value(y + self.shift)
 
-    def convex_ok(self) -> bool:
-        return all_ints((self.shift,)) and self.shift >= 0 and self.base.convex_ok()
-
     def params_ok(self) -> bool:
-        return self.convex_ok() and self.base.params_ok()
+        return self.base.params_ok()
 
     def scale(self) -> int:
         return self.base.scale()
@@ -231,6 +224,11 @@ ZERO_COST = AffineCost(0, 0)
 @dataclass(frozen=True)
 class SeparableObjective:
     terms: tuple[UnivariateCost, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "terms", tuple(self.terms))
+        if not all(isinstance(t, UnivariateCost) for t in self.terms):
+            raise ValidationError("objective terms must be cost objects from gravernash.costs")
 
     def __len__(self) -> int:
         return len(self.terms)

@@ -13,8 +13,8 @@ computed here.
 A best response is found the same way: player k's own program, given
 the others, is the equilibrium program of a one-player game whose
 coupling bound is what the rivals leave and whose costs are shifted by
-the rivals' usage.  A game's costs are valid by their parameters alone
-(`params_ok`: convex and nondecreasing on y >= 0).
+the rivals' usage.  Costs are exact and convex once built (`costs`); a
+game's must also pass `params_ok`, the signs that make them nondecreasing.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class GameInstance:
         if len(self.costs) != n:
             raise DimensionError("cost count != resource count")
         if not all(c.params_ok() for c in self.costs.terms):
-            raise ValidationError("cost functions must be convex monotone")
+            raise ValidationError("a game's cost functions must be nondecreasing")
 
     @property
     def n(self) -> int:

@@ -8,6 +8,8 @@ and collections keep their canonical order.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from typing import Any
 
@@ -36,7 +38,16 @@ def frac_to_str(x: Fraction) -> str:
         raise ResourceCapExceeded(f"a result number is too long to print: {exc}") from exc
 
 
+# the exponent of a rational's text, as `Fraction(str)` reads it
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def frac_from_str(s: Any) -> Fraction:
+    """A JSON int, or a string that `Fraction` reads.
+
+    Like `int()`, it refuses a number of more digits than the interpreter's
+    limit, whether in the numerator or in the denominator.
+    """
     if isinstance(s, bool):
         raise ValidationError(f"not a rational: {s!r}")
     if isinstance(s, int):
@@ -47,7 +58,17 @@ def frac_from_str(s: Any) -> Fraction:
             # int() raises ValueError past the interpreter's digit limit
             if s.isascii() and (s.isdigit() or (s[:1] == "-" and s[1:].isdigit())):
                 return Fraction(int(s))
-            return Fraction(s)
+            limit = sys.get_int_max_str_digits()
+            exponent = _EXPONENT.search(s)
+            # an exponent past limit + len(s) is too long unless its mantissa
+            # is 0; it is decided before Fraction builds its power of ten
+            if limit and exponent and abs(int(exponent[1])) > limit + len(s):
+                if Fraction(s[: exponent.start(1)] + "0" + s[exponent.end(1) :]):
+                    raise ValueError(f"more than {limit} digits")
+                return Fraction(0)
+            x = Fraction(s)
+            str(x.numerator), str(x.denominator)  # ValueError past the limit
+            return x
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"not a rational: {s!r}") from exc
     raise ValidationError(f"not a rational: {s!r}")
@@ -130,8 +151,10 @@ def _cost_fields(obj: dict) -> UnivariateCost:
 def cost_from_json(obj: Any) -> UnivariateCost:
     """A cost function of a known kind with all its fields.
 
-    The instance built on it checks it once: `IpInstance` and `GameInstance`
-    raise ValidationError for a cost that fails `convex_ok` (exit code 2).
+    The cost's constructor checks it: ValidationError (exit code 2) unless
+    it is exact and convex, ResourceCapExceeded (exit code 3) for a power
+    exponent above `costs.MAX_EXPONENT`.  A game's sign rule, `params_ok`,
+    is checked by `GameInstance`.
     """
     try:
         return _cost_fields(_object(obj, "a cost"))

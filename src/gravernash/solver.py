@@ -15,7 +15,8 @@ Both walks run in integers: the objective is multiplied once by its
 scale L, a positive integer that makes every term's values integral, and
 a positive factor changes no comparison between steps.  Improvements
 are reported divided by L, and the objective of a result, like the
-optimality certificate, is evaluated on the unscaled objective.
+optimality certificate, is evaluated on the unscaled objective.  The
+walks rely on exact convex terms, which every cost checks as it is built.
 """
 
 from __future__ import annotations
@@ -50,23 +51,18 @@ class IpInstance:
             raise DimensionError("objective length != column count")
         if any(b < 0 for b in self.u):
             raise ValidationError("upper bounds must be nonnegative")
-        # the augmentation relies on convexity and on exact rational values
-        if not all(t.convex_ok() for t in self.objective.terms):
-            raise ValidationError(
-                "objective terms must be convex with int or Fraction parameters"
-            )
 
     @cached_property
     def integer_objective(self) -> tuple[int, tuple[Optional[Callable[[int], int]], ...]]:
         """(L, f): L times the objective as one int-valued function per column.
 
-        A constant column's function is None: it moves no difference and no
-        improvement, so `best_step` does not evaluate it.
+        A constant column's function is None, and no integer form is built
+        for it: it moves no difference and no improvement.
         """
         scale = self.objective.scale()
-        forms = (t.times(scale) for t in self.objective.terms)
         return scale, tuple(
-            None if isinstance(f, AffineCost) and f.a == 0 else f.value for f in forms
+            None if isinstance(t, AffineCost) and t.a == 0 else t.times(scale).value
+            for t in self.objective.terms
         )
 
     def is_feasible(self, x: IntVec) -> bool:

@@ -303,8 +303,18 @@ def test_input_error_exit_codes(tmp_path, capsys):
         b'{"D": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
         # a byte that is not UTF-8
         b'{"D": [[1, 1]], "note": "\xff"}',
+        # rationals whose numerator or denominator passes the digit limit,
+        # refused before the power of ten is built
+        *(
+            b'{"D": [[1, -1]], "d": [0], "u": [5, 5], "xstar": [0, 0], "shapes": '
+            b'[{"kind": "affine", "a": "' + a + b'", "b": "0"}, {"kind": "affine", "a": "1", "b": "0"}]}'
+            for a in (b"1e5000", b"1e10000000", b"1e-10000000", b"9" * 3000 + b"." + b"9" * 3000)
+        ),
     ],
-    ids=["5000-digit-int", "nested-100000-deep", "not-utf-8"],
+    ids=[
+        "5000-digit-int", "nested-100000-deep", "not-utf-8", "exponent-past-the-digit-limit",
+        "10-byte-exponent", "10-byte-negative-exponent", "6000-digit-decimal",
+    ],
 )
 def test_json_text_the_decoder_refuses_is_an_input_error(tmp_path, capsys, text):
     inp = tmp_path / "bad.json"
@@ -413,7 +423,7 @@ def test_malformed_input_is_one_json_report(tmp_path, capsys, command, data):
 def bad_cost_inputs():
     """A concave and an empty piecewise cost in every other command that decodes costs.
 
-    The decoder does not check costs; the instance built on them does.
+    Each cost refuses its parameters as the decoder builds it.
     """
     profile = {"strategies": [[1, 0], [0, 1]]}
     for name, cost in [("concave", quadratic(-1, 0, 0)), ("empty", piecewise(breakpoints=[], slopes=[]))]:

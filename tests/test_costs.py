@@ -40,8 +40,8 @@ def test_negative_argument_rejected():
 def test_validate_examples():
     assert QuadraticCost(F(1), F(0), F(0)).params_ok()
     assert not AffineCost(F(-1), F(0)).params_ok()
-    decreasing = PiecewiseLinearCost(breakpoints=(2,), slopes=(F(3), F(1)), c0=F(0))
-    assert not decreasing.params_ok()
+    falling = PiecewiseLinearCost(breakpoints=(2,), slopes=(F(-1), F(1)), c0=F(0))
+    assert not falling.params_ok()
 
 
 def test_validate_probe_catches_differences():
@@ -55,26 +55,33 @@ def test_validate_probe_catches_differences():
 
 
 def test_convexity_rule_examples():
+    """A cost that is not convex on y >= 0 cannot be built; a convex one that falls can, but fails params_ok."""
     centered = QuadraticCost(F(1), F(-4), F(4))
-    assert centered.convex_ok() and not centered.params_ok()
+    assert not centered.params_ok()
     malformed = [
-        QuadraticCost(F(-1), F(0), F(0)),
-        PowerCost(F(-1), 2),
-        PowerCost(F(1), 0),
-        PowerCost(F(1), -1),
-        PiecewiseLinearCost(breakpoints=(), slopes=(), c0=F(0)),
-        PiecewiseLinearCost(breakpoints=(1, 2), slopes=(F(1),), c0=F(0)),
-        PiecewiseLinearCost(breakpoints=(2,), slopes=(F(3), F(1)), c0=F(0)),
-        PiecewiseLinearCost(breakpoints=(0,), slopes=(F(1), F(2)), c0=F(0)),
-        PiecewiseLinearCost(breakpoints=(2, 2), slopes=(F(1), F(2), F(3)), c0=F(0)),
+        (QuadraticCost, F(-1), F(0), F(0)),
+        (PowerCost, F(-1), 2),
+        (PowerCost, F(1), 0),
+        (PowerCost, F(1), -1),
+        (PiecewiseLinearCost, (), (), F(0)),
+        (PiecewiseLinearCost, (1, 2), (F(1),), F(0)),
+        (PiecewiseLinearCost, (2,), (F(3), F(1)), F(0)),
+        (PiecewiseLinearCost, (0,), (F(1), F(2)), F(0)),
+        (PiecewiseLinearCost, (-1,), (F(1), F(2)), F(0)),
+        (PiecewiseLinearCost, (2, 2), (F(1), F(2), F(3)), F(0)),
+        (PiecewiseLinearCost, (3, 2), (F(1), F(2), F(3)), F(0)),
+        (ShiftedCost, QuadraticCost(F(1), F(0), F(0)), -1),
     ]
-    for cost in malformed:
-        assert not cost.convex_ok()
-        assert not cost.params_ok()
+    for family, *params in malformed:
+        with pytest.raises(ValidationError):
+            family(*params)
 
 
 def _random_cost(rng: random.Random, wrap: bool = True):
-    """Parameters drawn so that valid and invalid ones both occur often."""
+    """Parameters drawn so that valid and invalid ones both occur often.
+
+    An invalid draw raises ValidationError as its cost is built.
+    """
 
     def rat() -> Fraction:
         return F(rng.randint(-2, 4), rng.randint(1, 3))
@@ -98,15 +105,18 @@ def _random_cost(rng: random.Random, wrap: bool = True):
 def test_parameter_rules_imply_the_probe():
     """Reference check of the parameter rules by first differences over 0..101.
 
-    convex_ok must give nondecreasing differences (convexity); params_ok
-    must also give nonnegative ones (monotone growth).
+    A cost that can be built must give nondecreasing differences
+    (convexity); params_ok must also give nonnegative ones (monotone
+    growth).
     """
     rng = random.Random(101)
     monotone = set()
+    refused = 0
     for _ in range(400):
-        cost = _random_cost(rng)
-        if not cost.convex_ok():
-            assert not cost.params_ok(), cost
+        try:
+            cost = _random_cost(rng)
+        except ValidationError:
+            refused += 1
             continue
         values = [cost.value(y) for y in range(102)]
         diffs = [b - a for a, b in zip(values, values[1:])]
@@ -114,6 +124,7 @@ def test_parameter_rules_imply_the_probe():
         if cost.params_ok():
             assert all(d >= 0 for d in diffs), cost
             monotone.add(type(cost).__name__)
+    assert refused > 50
     assert monotone == {
         "AffineCost",
         "QuadraticCost",
@@ -143,7 +154,9 @@ def test_shifted_wrapper():
     shifted = ShiftedCost(sq, 2)
     assert shifted.value(3) == 25
     assert shifted.params_ok()
-    assert not ShiftedCost(sq, -1).params_ok()
+    assert not ShiftedCost(AffineCost(F(-1), F(9)), 2).params_ok()
+    with pytest.raises(ValidationError):
+        ShiftedCost(sq, -1)
 
 
 def test_exactness_no_rounding():
@@ -152,41 +165,37 @@ def test_exactness_no_rounding():
 
 
 def test_convexity_rule_wants_exact_parameters():
+    """A float, a bool, or a Fraction where an int is due cannot be built into a cost."""
     sq = QuadraticCost(F(1), F(0), F(0))
     inexact = [
-        AffineCost(0.5, F(0)),
-        AffineCost(F(1), True),
-        QuadraticCost(F(1), 0.0, F(0)),
-        PowerCost(1.0, 2),
-        PowerCost(F(1), 2.0),
-        PowerCost(F(1), True),
-        PiecewiseLinearCost(breakpoints=(1.5,), slopes=(F(0), F(1)), c0=F(0)),
-        PiecewiseLinearCost(breakpoints=(1,), slopes=(F(0), 1.0), c0=F(0)),
-        ShiftedCost(sq, 1.0),
-        ShiftedCost(AffineCost(0.5, 0), 1),
+        (AffineCost, 0.5, F(0)),
+        (AffineCost, F(1), True),
+        (QuadraticCost, F(1), 0.0, F(0)),
+        (PowerCost, 1.0, 2),
+        (PowerCost, F(1), 2.0),
+        (PowerCost, F(1), True),
+        (PowerCost, 1, F(1, 2)),
+        (PowerCost, 1, F(2)),
+        (PiecewiseLinearCost, (1.5,), (F(0), F(1)), F(0)),
+        (PiecewiseLinearCost, (1,), (F(0), 1.0), F(0)),
+        (PiecewiseLinearCost, (1,), (F(0), F(1)), "0"),
+        (ShiftedCost, sq, 1.0),
+        (ShiftedCost, sq, True),
+        (ShiftedCost, 0.5, 1),
     ]
-    for cost in inexact:
-        assert not cost.convex_ok(), cost
-        assert not cost.params_ok(), cost
-    assert AffineCost(1, 2).params_ok() and PowerCost(2, 3).params_ok()
-    # an exponent outside the rule still evaluates exactly, never to a float
-    assert PowerCost(F(1), -1).value(2) == F(1, 2)
-    assert type(PowerCost(F(1), -1).value(2)) is Fraction
-    assert PowerCost(F(1), 2).value(3) == 9 and type(PowerCost(1, 2).value(3)) is int
-    for k in (F(1, 2), 0.5, 2.0, True):
+    for family, *params in inexact:
         with pytest.raises(ValidationError):
-            PowerCost(1, k).value(4)
+            family(*params)
+    assert AffineCost(1, 2).params_ok() and PowerCost(2, 3).params_ok()
+    assert PowerCost(F(1), 2).value(3) == 9 and type(PowerCost(1, 2).value(3)) is int
 
 
 def test_negative_exponent_at_zero_is_an_input_error():
-    """y^k with k < 0 is undefined at 0: the package's error, not ZeroDivisionError."""
-    for k in (-1, -3):
+    """y^k with k < 1 is not a cost: the package's error when it is built, never ZeroDivisionError at 0."""
+    for k in (-3, -1, 0):
         with pytest.raises(ValidationError):
-            PowerCost(F(1), k).value(0)
-        with pytest.raises(ValidationError):
-            ShiftedCost(PowerCost(F(1), k), -2).value(2)
-    assert PowerCost(F(1), -1).value(2) == F(1, 2)
-    assert PowerCost(F(3), 0).value(0) == 3
+            PowerCost(F(1), k)
+    assert PowerCost(F(3), 1).value(0) == 0
 
 
 def test_power_exponent_above_the_cap_fails_closed():
@@ -198,7 +207,11 @@ def test_power_exponent_above_the_cap_fails_closed():
         with pytest.raises(ResourceCapExceeded):
             PowerCost(F(1), k)
     # a non-int exponent is an input error, found by the rule, not by the cap
-    assert not PowerCost(F(1), 10.0**7).convex_ok()
+    with pytest.raises(ValidationError):
+        PowerCost(F(1), 10.0**7)
+    # the cap is checked first: a negative a with a huge exponent is a cap
+    with pytest.raises(ResourceCapExceeded):
+        PowerCost(F(-1), MAX_EXPONENT + 1)
 
 
 def test_integer_forms_scale_every_value():
@@ -227,3 +240,27 @@ def test_objective_scale_is_the_lcm():
     assert obj.scale() == 12
     assert SeparableObjective(()).scale() == 1
     assert type(obj.value((1, 2, 3))) is Fraction
+
+
+def test_each_family_checks_itself_when_built():
+    """Every cost family, and the objective, refuses at construction what the augmentation cannot use."""
+    sq = QuadraticCost(F(1), F(0), F(0))
+    refused = {
+        AffineCost: [(0.5, 0), (1, None)],
+        QuadraticCost: [(F(-1, 2), 0, 0), (1, 0, 0.25)],
+        PowerCost: [(F(-1), 2), (1, 0), (F(1, 3), 1.0)],
+        PiecewiseLinearCost: [((2,), (2, 1), 0), ((2,), (0, 1), 0.0), ([1, 1], [0, 1, 2], 0)],
+        ShiftedCost: [(sq, -1), (sq, 0.0), ("sq", 1)],
+    }
+    for family, cases in refused.items():
+        for params in cases:
+            with pytest.raises(ValidationError):
+                family(*params)
+    # sequence fields and terms become tuples, so costs and objectives stay hashable
+    pw = PiecewiseLinearCost([1, 3], [0, 1, 2], 0)
+    assert (pw.breakpoints, pw.slopes) == ((1, 3), (0, 1, 2))
+    obj = SeparableObjective(t for t in (sq, pw))
+    assert obj.terms == (sq, pw) and hash(obj) == hash(SeparableObjective((sq, pw)))
+    for bad in ((sq, 1), (sq, F(1)), (sq, None), ({"kind": "affine"},)):
+        with pytest.raises(ValidationError):
+            SeparableObjective(bad)

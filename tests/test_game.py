@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -275,3 +277,11 @@ def test_is_generalized_nash_matches_oracle_on_every_profile(rng):
             profiles += 1
             non_equilibria += not verdict
     assert non_equilibria > 0 and profiles > non_equilibria
+
+
+def test_readme_quick_start_runs(capsys):
+    """The README's library example builds its costs and game and prints what it says it prints."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "((1, 0), (0, 1)) 2\n"

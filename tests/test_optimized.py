@@ -16,7 +16,7 @@ def test_checks_survive_optimized_mode():
     )
     done = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_lp.py", "tests/test_linalg.py"],
+         "tests/test_lp.py", "tests/test_linalg.py", "tests/test_costs.py"],
         cwd=ROOT,
         env=env,
         capture_output=True,

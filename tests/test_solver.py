@@ -177,16 +177,22 @@ def test_brute_ip_opt_infeasible():
 
 
 def test_library_rejects_objectives_it_cannot_minimize_exactly():
-    """A float parameter or a concave term is an input error, not a float or a wrong "optimal"."""
-    floats = SeparableObjective(tuple(AffineCost(0.5, 0) for _ in range(3)))
-    with pytest.raises(ValidationError):
-        solve_ip(IpInstance(D111, (3,), (3, 3, 3), floats))
-    concave = SeparableObjective((QuadraticCost(-1, 0, 0), AffineCost(F(1), F(0)), AffineCost(F(1), F(0))))
-    with pytest.raises(ValidationError):
-        solve_ip(IpInstance(D111, (3,), (3, 3, 3), concave))
-    for bad in (PowerCost(F(1), 2.0), PowerCost(F(1), True), AffineCost(F(1), 0.0)):
+    """A float parameter or a concave term is an input error, not a float or a wrong "optimal".
+
+    The cost refuses it as it is built, so no instance can hold one.
+    """
+    for family, *params in (
+        (AffineCost, 0.5, 0),
+        (QuadraticCost, -1, 0, 0),
+        (PowerCost, F(1), 2.0),
+        (PowerCost, F(1), True),
+        (AffineCost, F(1), 0.0),
+    ):
         with pytest.raises(ValidationError):
-            IpInstance(D111, (3,), (3, 3, 3), SeparableObjective((bad, bad, bad)))
+            family(*params)
+    # nor can a term that is not a cost, which the instance would meet as an AttributeError
+    with pytest.raises(ValidationError):
+        IpInstance(D111, (3,), (3, 3, 3), SeparableObjective((F(1), F(1), F(1))))
     # ints and Fractions are both exact
     mixed = SeparableObjective((AffineCost(1, F(1, 2)), QuadraticCost(F(1, 3), -1, 0), PowerCost(2, 3)))
     inst = IpInstance(D111, (3,), (3, 3, 3), mixed)
@@ -200,7 +206,7 @@ def test_phase_one_terms_are_range_distances():
     for x0 in range(-4, 7):
         for u in range(5):
             term = solver._range_distance(x0, u)
-            assert term.convex_ok() and term.scale() == 1
+            assert term.scale() == 1
             low = min(0, x0)
             lo, hi = -low, u - low
             box = range(max(u, x0) - low + 1)

@@ -190,7 +190,7 @@ def test_library_rejects_objectives_it_cannot_minimize_exactly():
     ):
         with pytest.raises(ValidationError):
             family(*params)
-    # nor can a term that is not a cost, which the instance would meet as an AttributeError
+    # nor can an objective hold a term that is not a cost
     with pytest.raises(ValidationError):
         IpInstance(D111, (3,), (3, 3, 3), SeparableObjective((F(1), F(1), F(1))))
     # ints and Fractions are both exact

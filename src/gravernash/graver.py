@@ -6,9 +6,10 @@ splits into a sum of two nonzero sign-compatible kernel vectors.
 The completion queues a basis of the kernel lattice (`graver_basis`
 reduces D for it; the solver passes the one its reduction of [D | -d]
 yields), repeatedly sums pairs, conformally reduces each candidate
-against the current set, keeps irreducible remainders and their
-negations until a fixpoint, and finally filters to the conformally
-minimal elements.  When the matrix declares interchangeable column
+against the current set in one pass (`conformal_reduce`), keeps
+irreducible remainders and their negations until a fixpoint, and
+finally keeps the remainders that the same reduction by later records
+leaves unchanged.  When the matrix declares interchangeable column
 bricks (`IntMatrix.bricks`), it works on orbits of the brick
 permutations: one representative per orbit is queued, reduced, paired
 and filtered, and every image of it is kept.
@@ -38,7 +39,6 @@ from .linalg import (
     kernel_lattice_basis,
     one_norm,
     vneg,
-    vsub,
 )
 
 DEFAULT_ELEMENT_CAP = 100_000
@@ -69,8 +69,16 @@ def sign_masks(g: IntVec) -> tuple[int, int, IntVec]:
     return pos, neg, g
 
 
-def _divisor(z: IntVec, reducers):
-    """The first nonzero g of the `sign_masks` records `reducers` conformally below z, or None."""
+def conformal_reduce(z: IntVec, reducers) -> IntVec:
+    """Normal form of z: subtract conformal divisors until none applies.
+
+    `reducers` holds (pos, neg, g) records from `sign_masks`.  One pass
+    subtracts each nonzero g while it lies conformally below z, and stops
+    when a subtraction leaves 0.  If g is not below z and h is, then g is
+    not below z - h either, which lies below z; so the pass subtracts what
+    a scan restarted after each subtraction would.  Each subtraction
+    strictly shrinks the 1-norm of z.
+    """
     zpos, zneg, _ = sign_masks(z)
     out_pos, out_neg = ~zpos, ~zneg
     zabs = tuple(map(abs, z))
@@ -78,24 +86,15 @@ def _divisor(z: IntVec, reducers):
         # g cannot divide z unless its supports nest inside z's
         if pos & out_pos or neg & out_neg or not (pos or neg):
             continue
-        # they nest, so g and z agree in sign wherever g is nonzero
-        if all(map(operator.le, map(abs, g), zabs)):
-            return g
-    return None
-
-
-def conformal_reduce(z: IntVec, reducers) -> IntVec:
-    """Normal form of z: subtract conformal divisors until none applies.
-
-    `reducers` holds (pos, neg, g) records from `sign_masks`; the first
-    nonzero g conformally below z is subtracted.  Every such subtraction
-    strictly shrinks the 1-norm of z, so this terminates.
-    """
-    while not is_zero(z):
-        g = _divisor(z, reducers)
-        if g is None:
-            break
-        z = vsub(z, g)
+        # they nest, so g and z agree in sign wherever g is nonzero, and so
+        # do g and z - g: g still divides z - g exactly when its entries fit
+        while all(map(operator.le, map(abs, g), zabs)):
+            z = tuple(map(operator.sub, z, g))
+            zpos, zneg, _ = sign_masks(z)
+            if not (zpos or zneg):
+                return z
+            out_pos, out_neg = ~zpos, ~zneg
+            zabs = tuple(map(abs, z))
     return z
 
 
@@ -226,6 +225,6 @@ def _basis_from_lattice(mat: IntMatrix, lattice, cap: int) -> GraverBasis:
     minimal: list[IntVec] = []
     ends = [start for start, _ in batches[1:]] + [len(current)]
     for (start, r), end in zip(batches, ends):
-        if _divisor(r, current[end:]) is None:
+        if conformal_reduce(r, current[end:]) == r:
             minimal += (g for _, _, g in current[start:end])
     return GraverBasis(matrix=mat, elements=tuple(sorted(minimal)))

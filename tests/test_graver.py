@@ -134,17 +134,32 @@ def linear_scan_reduce(z, basis):
 
 
 def test_masked_reduce_matches_linear_scan():
+    """The one-pass reduction ends where a scan restarted after every subtraction ends.
+
+    Zero and repeated records are mixed in, and half the vectors are k * g
+    for a record g and k up to 4, so that one record is subtracted several
+    times in a row and the reduction often reaches 0 before its last record.
+    """
     rng = random.Random(11)
-    for _ in range(300):
+    zeroed = 0
+    for _ in range(600):
         n = rng.randint(1, 7)
         basis = [
             tuple(rng.randint(-2, 2) for _ in range(n))
             for _ in range(rng.randint(0, 12))
         ]
-        z = tuple(rng.randint(-6, 6) for _ in range(n))
-        assert conformal_reduce(z, [sign_masks(g) for g in basis]) == (
-            linear_scan_reduce(z, basis)
-        )
+        basis += rng.choices(basis, k=rng.randint(0, 3)) if basis else []
+        basis += [(0,) * n] * rng.randint(0, 2)
+        rng.shuffle(basis)
+        if basis and rng.random() < 0.5:
+            k, g = rng.randint(1, 4), rng.choice(basis)
+            z = tuple(k * a for a in g)
+        else:
+            z = tuple(rng.randint(-6, 6) for _ in range(n))
+        reduced = conformal_reduce(z, [sign_masks(g) for g in basis])
+        assert reduced == linear_scan_reduce(z, basis)
+        zeroed += not is_zero(z) and is_zero(reduced)
+    assert zeroed >= 100, zeroed
 
 
 def test_sign_masks():

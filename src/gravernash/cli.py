@@ -262,8 +262,13 @@ def main(argv=None) -> int:
         _diag(args, f"{type(exc).__name__}: {exc}")
 
     if args.output and text is not None:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            report["status"], report["result"] = "input-error", None
+            code = EXIT_INPUT
+            _diag(args, f"cannot write output: {exc}")
     print(json.dumps(report, sort_keys=True))
     return code
 

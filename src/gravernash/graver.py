@@ -208,6 +208,13 @@ def _complete(mat: IntMatrix, lattice, cap: int):
 
 
 def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
+    # G(D) spans ker(D) and is closed under negation, so it has at least
+    # 2 * dim ker(D) >= 2 * (ncols - nrows) elements: refuse before reducing
+    if 2 * (mat.ncols - mat.nrows) > cap:
+        raise ResourceCapExceeded(
+            f"the Graver basis of a {mat.nrows} x {mat.ncols} matrix"
+            f" passes the element cap of {cap}"
+        )
     return _basis_from_lattice(mat, kernel_lattice_basis(mat), cap)
 
 

@@ -45,16 +45,27 @@ class Box:
         return total
 
 
+def _exceeds(counts: Iterable[int], cap: int) -> bool:
+    """Whether the product of `counts` passes cap, multiplying only until it does."""
+    counts = list(counts)
+    if 0 in counts:
+        return False
+    total = 1
+    for count in counts:
+        total *= count
+        if total > cap:
+            return True
+    return False
+
+
 def enumerate_box_points(
     box: Box,
     predicate: Optional[Callable[[IntVec], bool]] = None,
     cap: int = DEFAULT_POINT_CAP,
 ) -> list[IntVec]:
     """All integer points of the box passing the predicate, lexicographic."""
-    if box.size() > cap:
-        raise ResourceCapExceeded(
-            f"box holds {box.size()} points, above the cap of {cap}"
-        )
+    if _exceeds((max(0, hi - lo + 1) for lo, hi in zip(box.lower, box.upper)), cap):
+        raise ResourceCapExceeded(f"box holds more than {cap} points, past the cap")
     ranges = [range(lo, hi + 1) for lo, hi in zip(box.lower, box.upper)]
     points = itertools.product(*ranges)
     if predicate is None:
@@ -139,11 +150,8 @@ def brute_nash_check(
     generalized Nash equilibria), each in lexicographic order.
     """
     per_player = [_strategy_set(game, k, cap) for k in range(game.num_players)]
-    total = 1
-    for s in per_player:
-        total *= len(s)
-    if total > cap:
-        raise ResourceCapExceeded(f"{total} profiles exceed the cap of {cap}")
+    if _exceeds(map(len, per_player), cap):
+        raise ResourceCapExceeded(f"more than {cap} profiles, past the cap")
 
     feasible = []
     for combo in itertools.product(*per_player):

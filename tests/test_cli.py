@@ -566,6 +566,34 @@ def test_result_number_too_long_to_print_is_a_cap(tmp_path, capsys, command, dat
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "data, cap",
+    [
+        # a 9100-column box of 3^9100 points: its size has over 4300 digits
+        ({"op": "graver", "bound": 1, "D": {"rows": 0, "cols": 9100, "entries": []}}, []),
+        # each player's box holds 4 points and 2 strategies: 8 profiles
+        ({"op": "nash", "game": dict(GAME, players=GAME["players"][:1] * 3)}, ["--cap", "5"]),
+    ],
+    ids=["box", "profiles"],
+)
+def test_oracle_over_its_cap_fails_closed_without_the_whole_count(tmp_path, capsys, data, cap):
+    inp = write(tmp_path, "in.json", data)
+    code, report = run(capsys, ["oracle", "--input", inp, "--quiet", *cap])
+    assert (code, report["status"], report["result"]) == (3, "cap-exceeded", None)
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, where):
+    """An --output path that cannot be opened: one report, exit 2, a diagnostic, no traceback."""
+    out = tmp_path / "missing" / "out.json" if where == "missing-directory" else tmp_path
+    inp = write(tmp_path, "mat.json", {"D": [[1, 1, 1]]})
+    code = main(["graver", "--input", inp, "--output", str(out)])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert (code, report["status"], report["result"]) == (2, "input-error", None)
+    assert "cannot write output" in captured.err
+
+
 @pytest.mark.parametrize("cap, code", [("-5", 2), ("0", 3)])
 def test_negative_cap_is_a_usage_error(tmp_path, capsys, cap, code):
     inp = write(tmp_path, "mat.json", {"D": [[1, 1]]})

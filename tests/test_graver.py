@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import gravernash.graver
 from gravernash import (
     IntMatrix,
     ResourceCapExceeded,
@@ -213,6 +214,25 @@ def test_resource_cap():
     mat = IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]])
     with pytest.raises(ResourceCapExceeded):
         graver_basis(mat, cap=1)
+
+
+def test_graver_basis_refuses_a_wide_matrix_before_the_hermite_reduction(monkeypatch):
+    """G(D) has at least 2 (ncols - nrows) elements; past the cap nothing is reduced."""
+
+    def reduced(mat):
+        raise AssertionError("the Hermite reduction ran")
+
+    monkeypatch.setattr(gravernash.graver, "kernel_lattice_basis", reduced)
+    with pytest.raises(ResourceCapExceeded):
+        graver_basis(IntMatrix(0, 10**9, ()))
+    three_ones = IntMatrix.from_rows([[1, 1, 1]])
+    with pytest.raises(ResourceCapExceeded):
+        graver_basis(three_ones, cap=3)
+    monkeypatch.undo()
+    # at 2 (ncols - nrows) = 4 the completion runs, and its own cap holds
+    with pytest.raises(ResourceCapExceeded):
+        graver_basis(three_ones, cap=4)
+    assert len(graver_basis(three_ones, cap=6)) == 6
 
 
 def test_sums_of_compatible_elements_are_not_minimal():

@@ -33,6 +33,8 @@ def test_enumerate_box_points():
     assert odd == [(1,), (3,)]
     with pytest.raises(ResourceCapExceeded):
         enumerate_box_points(Box((0, 0), (9, 9)), cap=50)
+    # 3^30 points but for one empty range: none, and no cap is passed
+    assert enumerate_box_points(Box((-1,) * 30 + (1,), (1,) * 30 + (0,)), cap=50) == []
 
 
 def test_brute_graver_small_cases():

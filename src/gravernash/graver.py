@@ -21,6 +21,19 @@ supports do not nest is rejected with two integer ANDs before any entry
 is compared.  Once they nest, g and z agree in sign wherever g is
 nonzero, and g is below z exactly when |g_i| <= |z_i| everywhere.  The
 same masks decide sign-compatibility of pairs.
+
+G(D) depends on D alone, so `graver_basis` keeps the bases it completed
+in a per-process memo, keyed by the matrix and its declared bricks (the
+orbit completion keeps other records than the trivial group's).  A
+repeated matrix is neither reduced nor completed again; its stored
+count of kept records decides the cap as a fresh completion would, so
+no cap verdict depends on what the process asked before.  The memo
+holds at most DEFAULT_ELEMENT_CAP elements in all, drops the least
+recently used basis first and never stores a larger basis.  Only a
+process that asks for one matrix more than once gains: a loop over many
+instances on one matrix, `inverse` then `verify-inverse`, tests.  A
+one-shot CLI process does not, and neither does `solve_ip`: it completes
+from the lattice of [D | -d], and the records it keeps depend on d.
 """
 
 from __future__ import annotations
@@ -191,9 +204,7 @@ def _complete(mat: IntMatrix, lattice, cap: int):
         if vneg(r) not in orbit:
             current += map(sign_masks, map(vneg, orbit))
         if len(current) > cap:
-            raise ResourceCapExceeded(
-                f"Graver completion exceeded the element cap of {cap}"
-            )
+            raise _cap_exceeded(cap)
         rpos, rneg, _ = sign_masks(r)
         for pos, neg, g in current:
             if not (rpos & neg or rneg & pos):  # sign-compatible
@@ -207,7 +218,27 @@ def _complete(mat: IntMatrix, lattice, cap: int):
     return current, batches
 
 
+# the bases `graver_basis` completed in this process, least recently used
+# first: (mat, mat.bricks) -> (G(mat), number of records its completion kept)
+_memo: dict[tuple[IntMatrix, tuple], tuple[GraverBasis, int]] = {}
+_memo_elements = 0  # elements of the bases in `_memo`, at most DEFAULT_ELEMENT_CAP
+
+
+def _cap_exceeded(cap: int) -> ResourceCapExceeded:
+    return ResourceCapExceeded(f"Graver completion exceeded the element cap of {cap}")
+
+
 def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
+    """G(mat), completed from a Hermite reduction of mat, or taken from the memo.
+
+    A basis completed earlier in this process, for the same entries and
+    the same declared bricks, is returned without a reduction or a
+    completion.  The memo stores with it the number of records its
+    completion kept.  A completion raises once that number passes `cap`
+    and never drops a record, so a stored basis raises
+    `ResourceCapExceeded` exactly when a fresh completion would.
+    """
+    global _memo_elements
     # G(D) spans ker(D) and is closed under negation, so it has at least
     # 2 * dim ker(D) >= 2 * (ncols - nrows) elements: refuse before reducing
     if 2 * (mat.ncols - mat.nrows) > cap:
@@ -215,12 +246,32 @@ def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
             f"the Graver basis of a {mat.nrows} x {mat.ncols} matrix"
             f" passes the element cap of {cap}"
         )
-    return _basis_from_lattice(mat, kernel_lattice_basis(mat), cap)
+    # `==` ignores the bricks, and the orbit completion keeps other records
+    key = (mat, mat.bricks)
+    entry = _memo.pop(key, None)  # stored again below, as the most recent
+    if entry is None:
+        current, batches = _complete(mat, kernel_lattice_basis(mat), cap)
+        entry = _minimal(mat, current, batches), len(current)
+        if len(entry[0]) > DEFAULT_ELEMENT_CAP:  # more than the memo may hold
+            return entry[0]
+        _memo_elements += len(entry[0])
+        while _memo_elements > DEFAULT_ELEMENT_CAP:
+            oldest, _ = _memo.pop(next(iter(_memo)))
+            _memo_elements -= len(oldest)
+    _memo[key] = entry
+    basis, kept = entry
+    if kept > cap:
+        raise _cap_exceeded(cap)
+    return basis
 
 
 def _basis_from_lattice(mat: IntMatrix, lattice, cap: int) -> GraverBasis:
     """G(mat), completed from `lattice`, any basis of the kernel lattice of `mat`."""
-    current, batches = _complete(mat, lattice, cap)
+    return _minimal(mat, *_complete(mat, lattice, cap))
+
+
+def _minimal(mat: IntMatrix, current, batches) -> GraverBasis:
+    """G(mat): the minimal records of the completion (`_complete`) of mat."""
     # Every element of G(D) is in `current`: the completion reduces it to
     # zero, and only the element itself divides it conformally.  So the
     # minimal elements of `current` are exactly G(D).  A batch is minimal

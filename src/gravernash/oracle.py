@@ -38,12 +38,6 @@ class Box:
         if len(self.lower) != len(self.upper):
             raise ValidationError("box bounds must have equal lengths")
 
-    def size(self) -> int:
-        total = 1
-        for lo, hi in zip(self.lower, self.upper):
-            total *= max(0, hi - lo + 1)
-        return total
-
 
 def _exceeds(counts: Iterable[int], cap: int) -> bool:
     """Whether the product of `counts` passes cap, multiplying only until it does."""

@@ -224,8 +224,11 @@ def _walk_into_box(inst: IpInstance, x0: IntVec, basis: GraverBasis) -> Optional
     the widened box [min(0, x0), max(u, x0)], shifted here to start at 0;
     augmenting along G(D) minimizes the summed distance of the
     coordinates from their original ranges [0, u_j], and the instance
-    is feasible exactly when that minimum is 0.
+    is feasible exactly when that minimum is 0.  An x0 already in the
+    box is returned at once: every term is 0 there, so no step improves.
     """
+    if all(0 <= v <= ub for v, ub in zip(x0, inst.u)):
+        return x0
     low = tuple(min(0, v) for v in x0)
     wide = IpInstance(
         inst.D,

@@ -12,7 +12,13 @@ from gravernash import (
     conformal_reduce,
     graver_basis,
 )
-from gravernash.graver import DEFAULT_ELEMENT_CAP, GraverBasis, _complete, sign_masks
+from gravernash.graver import (
+    DEFAULT_ELEMENT_CAP,
+    GraverBasis,
+    _basis_from_lattice,
+    _complete,
+    sign_masks,
+)
 from gravernash.linalg import conformal_leq, is_zero, kernel_lattice_basis, one_norm, vneg, vsub
 from gravernash.nfold import NfoldSpec, build_multitype_matrix, build_nash_matrix
 from gravernash.oracle import Box, enumerate_box_points
@@ -69,7 +75,9 @@ def test_negation_closure_and_determinism():
         mat = rand_matrix(rng, rng.randint(1, 2), rng.randint(1, 4), -2, 2)
         basis = graver_basis(mat)
         assert set(basis.elements) == {vneg(g) for g in basis.elements}
-        assert basis.elements == graver_basis(mat).elements
+        # a second graver_basis(mat) would read the memo: complete afresh
+        fresh = _basis_from_lattice(mat, kernel_lattice_basis(mat), DEFAULT_ELEMENT_CAP)
+        assert basis.elements == fresh.elements
 
 
 def test_pairwise_minimality():
@@ -324,3 +332,130 @@ def test_representative_filter_matches_the_all_pairs_filter():
         assert graver_basis(mat).elements == want, mat
         removed += len(want) < len(current)
     assert removed >= 3, removed
+
+
+def empty_memo(monkeypatch) -> dict:
+    """Give `graver_basis` an empty memo until the test ends."""
+    monkeypatch.setattr(gravernash.graver, "_memo", {})
+    monkeypatch.setattr(gravernash.graver, "_memo_elements", 0)
+    return gravernash.graver._memo
+
+
+def fresh_kept(mat: IntMatrix) -> int:
+    """The number of records a fresh completion of `mat` keeps."""
+    return len(_complete(mat, kernel_lattice_basis(mat), DEFAULT_ELEMENT_CAP)[0])
+
+
+def fresh_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
+    return _basis_from_lattice(mat, kernel_lattice_basis(mat), cap)
+
+
+def test_a_stored_basis_passes_the_cap_exactly_when_a_fresh_completion_does(monkeypatch):
+    """cap = k - 1 raises and cap = k returns, k the records a fresh completion keeps, in either order."""
+    completions = []
+    real = gravernash.graver._complete
+
+    def counted(mat, lattice, cap):
+        completions.append(mat)
+        return real(mat, lattice, cap)
+
+    monkeypatch.setattr(gravernash.graver, "_complete", counted)
+    nash = build_nash_matrix(NfoldSpec(IntMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[1, 0]]), 3))
+    # the completion of the 2 x 5 matrix keeps 66 records for 62 elements,
+    # so a cap of |G| passes a fresh completion's cap
+    wide = IntMatrix.from_rows([[-2, 3, -1, -1, 3], [0, -1, -2, 3, 3]])
+    assert fresh_kept(wide) > len(fresh_basis(wide))
+    for mat in (IntMatrix.from_rows([[1, 2, 3]]), nash, wide):
+        k = fresh_kept(mat)
+        want = fresh_basis(mat)
+        # the completion's own cap decides, not the 2 (ncols - nrows) refusal
+        assert 2 * (mat.ncols - mat.nrows) < k - 1
+        # cap first: a refused completion stores nothing
+        memo = empty_memo(monkeypatch)
+        completions.clear()
+        with pytest.raises(ResourceCapExceeded, match="Graver completion exceeded"):
+            graver_basis(mat, cap=k - 1)
+        assert not memo
+        assert graver_basis(mat, cap=k) == want
+        with pytest.raises(ResourceCapExceeded, match="Graver completion exceeded"):
+            graver_basis(mat, cap=k - 1)
+        assert graver_basis(mat, cap=k) == want
+        assert len(completions) == 2
+        # after a call with the default cap, every verdict comes from the memo
+        memo = empty_memo(monkeypatch)
+        completions.clear()
+        assert graver_basis(mat) == want
+        with pytest.raises(ResourceCapExceeded, match="Graver completion exceeded"):
+            graver_basis(mat, cap=k - 1)
+        assert graver_basis(mat, cap=k) == want
+        assert len(completions) == 1 and memo[mat, mat.bricks] == (want, k)
+
+
+def test_the_memo_keeps_a_matrix_with_bricks_apart_from_its_entries(monkeypatch):
+    """A nash matrix and the same entries without bricks each get their own completion's basis."""
+    memo = empty_memo(monkeypatch)
+    spec = NfoldSpec(IntMatrix.from_rows([[1, 1, 1]]), IntMatrix.from_rows([[1, 2, 0]]), 2)
+    built = build_nash_matrix(spec)
+    plain = IntMatrix.from_rows(built.entries, built.ncols)
+    assert built == plain and built.bricks and not plain.bricks
+    for mat in (plain, built, plain, built):
+        basis = graver_basis(mat)
+        assert basis == fresh_basis(mat)
+        assert basis.matrix.bricks == mat.bricks
+    assert len(memo) == 2
+    for mat in (plain, built):
+        assert memo[mat, mat.bricks][1] == fresh_kept(mat)
+
+
+def test_interleaved_calls_answer_as_fresh_completions(monkeypatch):
+    """Repeated matrices under mixed caps: every basis and every verdict is a fresh completion's."""
+    empty_memo(monkeypatch)
+    rng = random.Random(22)
+    pool = [rand_matrix(rng, rng.randint(1, 2), rng.randint(2, 5), -2, 2) for _ in range(8)]
+    kept = {mat: fresh_kept(mat) for mat in pool}
+    raised = returned = 0
+    for _ in range(300):
+        mat = rng.choice(pool)
+        cap = rng.choice(
+            [DEFAULT_ELEMENT_CAP, kept[mat], max(0, kept[mat] - 1), rng.randint(0, 2 * kept[mat])]
+        )
+        try:
+            want = fresh_basis(mat, cap)
+        except ResourceCapExceeded:
+            with pytest.raises(ResourceCapExceeded):
+                graver_basis(mat, cap)
+            raised += 1
+        else:
+            assert graver_basis(mat, cap) == want == fresh_basis(mat)
+            returned += 1
+    assert raised > 50 and returned > 50, (raised, returned)
+
+
+def test_the_memo_holds_at_most_the_element_cap(monkeypatch):
+    """Least recently used bases go first, and a basis past the bound is returned but not kept."""
+    memo = empty_memo(monkeypatch)
+    bound = 24
+    monkeypatch.setattr(gravernash.graver, "DEFAULT_ELEMENT_CAP", bound)
+    rng = random.Random(23)
+    pool = [rand_matrix(rng, 1, rng.randint(3, 5), -2, 2) for _ in range(10)]
+    order, size = [], {}  # the keys the memo should hold, least recently used first
+    skipped = evicted = 0
+    for _ in range(200):
+        mat = rng.choice(pool)
+        basis = graver_basis(mat)
+        assert basis == fresh_basis(mat)
+        key = (mat, mat.bricks)
+        size[key] = len(basis)
+        if key in order:
+            order.remove(key)
+            order.append(key)
+        elif len(basis) > bound:
+            skipped += 1
+        else:
+            order.append(key)
+            while sum(map(size.__getitem__, order)) > bound:
+                del order[0]
+                evicted += 1
+        assert list(memo) == order
+        assert sum(len(b) for b, _ in memo.values()) == gravernash.graver._memo_elements <= bound
+    assert skipped > 10 and evicted > 10, (skipped, evicted)

@@ -19,14 +19,9 @@ from gravernash.errors import ValidationError
 from conftest import identity_matrix, squares_objective, zero_matrix
 
 
-def test_box_size():
-    assert Box((0, 0), (1, 2)).size() == 6
-    assert Box((1,), (0,)).size() == 0
+def test_enumerate_box_points():
     with pytest.raises(ValidationError):
         Box((0,), (1, 1))
-
-
-def test_enumerate_box_points():
     pts = enumerate_box_points(Box((0, 0), (1, 1)))
     assert pts == [(0, 0), (0, 1), (1, 0), (1, 1)]
     odd = enumerate_box_points(Box((0,), (4,)), predicate=lambda p: p[0] % 2 == 1)

@@ -106,6 +106,11 @@ class IntMatrix:
     bricks: tuple[tuple[tuple[int, ...], ...], ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
+        # tuples all the way down, so that a matrix built from lists hashes
+        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
+        object.__setattr__(
+            self, "bricks", tuple(tuple(map(tuple, blocks)) for blocks in self.bricks)
+        )
         check_ints((self.nrows, self.ncols), "matrix dimensions")
         if self.nrows < 0 or self.ncols < 0:
             raise ValidationError("matrix dimensions must be nonnegative")

@@ -17,6 +17,7 @@ from gravernash import (
     StrategyProfile,
     ValidationError,
     conformal_leq,
+    graver_basis,
     kernel_lattice_basis,
 )
 from gravernash import linalg
@@ -192,3 +193,12 @@ def test_declared_bricks_do_not_change_equality():
     plain = IntMatrix.from_rows(SWAPPABLE)
     assert declared == plain
     assert hash(declared) == hash(plain)
+
+
+def test_a_matrix_built_from_lists_is_stored_as_tuples():
+    """Lists are copied into tuples, so the matrix hashes and `graver_basis` can remember it."""
+    listed = IntMatrix(3, 4, [list(r) for r in SWAPPABLE], [[[0, 1], [2, 3]]])
+    declared = IntMatrix(3, 4, SWAPPABLE, (((0, 1), (2, 3)),))
+    assert listed.entries == SWAPPABLE and listed.bricks == declared.bricks
+    assert hash(listed) == hash(declared)
+    assert graver_basis(listed) == graver_basis(IntMatrix.from_rows(SWAPPABLE))

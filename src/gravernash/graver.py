@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import heapq
 import operator
+import threading
 from dataclasses import dataclass
 from itertools import chain, permutations, product
 
@@ -222,6 +223,7 @@ def _complete(mat: IntMatrix, lattice, cap: int):
 # first: (mat, mat.bricks) -> (G(mat), number of records its completion kept)
 _memo: dict[tuple[IntMatrix, tuple], tuple[GraverBasis, int]] = {}
 _memo_elements = 0  # elements of the bases in `_memo`, at most DEFAULT_ELEMENT_CAP
+_memo_lock = threading.Lock()  # guards `_memo` and `_memo_elements`
 
 
 def _cap_exceeded(cap: int) -> ResourceCapExceeded:
@@ -238,7 +240,6 @@ def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
     and never drops a record, so a stored basis raises
     `ResourceCapExceeded` exactly when a fresh completion would.
     """
-    global _memo_elements
     # G(D) spans ker(D) and is closed under negation, so it has at least
     # 2 * dim ker(D) >= 2 * (ncols - nrows) elements: refuse before reducing
     if 2 * (mat.ncols - mat.nrows) > cap:
@@ -248,21 +249,34 @@ def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
         )
     # `==` ignores the bricks, and the orbit completion keeps other records
     key = (mat, mat.bricks)
-    entry = _memo.pop(key, None)  # stored again below, as the most recent
+    with _memo_lock:
+        entry = _memo.pop(key, None)
+        if entry is not None:
+            _memo[key] = entry  # now the most recently used
     if entry is None:
         current, batches = _complete(mat, kernel_lattice_basis(mat), cap)
         entry = _minimal(mat, current, batches), len(current)
-        if len(entry[0]) > DEFAULT_ELEMENT_CAP:  # more than the memo may hold
-            return entry[0]
-        _memo_elements += len(entry[0])
-        while _memo_elements > DEFAULT_ELEMENT_CAP:
-            oldest, _ = _memo.pop(next(iter(_memo)))
-            _memo_elements -= len(oldest)
-    _memo[key] = entry
+        _remember(key, entry)
     basis, kept = entry
     if kept > cap:
         raise _cap_exceeded(cap)
     return basis
+
+
+def _remember(key, entry: tuple[GraverBasis, int]) -> None:
+    """Store a completed basis in the memo, dropping the least recently used past the bound."""
+    global _memo_elements
+    size = len(entry[0])
+    if size > DEFAULT_ELEMENT_CAP:
+        return
+    with _memo_lock:
+        if key in _memo:  # another thread completed the same matrix
+            return
+        _memo[key] = entry
+        _memo_elements += size
+        while _memo_elements > DEFAULT_ELEMENT_CAP:
+            oldest, _ = _memo.pop(next(iter(_memo)))
+            _memo_elements -= len(oldest)
 
 
 def _basis_from_lattice(mat: IntMatrix, lattice, cap: int) -> GraverBasis:

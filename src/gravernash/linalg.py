@@ -88,7 +88,8 @@ class IntMatrix:
     """Immutable integer matrix stored row-major.
 
     Its dimensions and entries must be ints: a float, a bool or a string
-    is a ValidationError, never converted.
+    is a ValidationError, never converted.  Rows and bricks given as
+    lists are stored as tuples.
 
     `bricks` declares classes of interchangeable column blocks: each class
     is a tuple of at least two disjoint nonempty blocks of equal width, a

@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -459,3 +461,37 @@ def test_the_memo_holds_at_most_the_element_cap(monkeypatch):
         assert list(memo) == order
         assert sum(len(b) for b, _ in memo.values()) == gravernash.graver._memo_elements <= bound
     assert skipped > 10 and evicted > 10, (skipped, evicted)
+
+
+def test_threads_sharing_the_memo_keep_its_total(monkeypatch):
+    """More threads than cores, switching often: the memo's total stays the size of what it holds."""
+    memo = empty_memo(monkeypatch)
+    bound = 16
+    monkeypatch.setattr(gravernash.graver, "DEFAULT_ELEMENT_CAP", bound)
+    rng = random.Random(24)
+    pool = [rand_matrix(rng, 1, rng.randint(2, 4), -2, 2) for _ in range(12)]
+    want = {mat: fresh_basis(mat) for mat in pool}
+    errors = []
+
+    def work(seed):
+        draw = random.Random(seed)
+        try:
+            for _ in range(1000):
+                mat = draw.choice(pool)
+                assert graver_basis(mat) == want[mat]
+        except BaseException as exc:  # re-raised by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert sum(len(b) for b, _ in memo.values()) == gravernash.graver._memo_elements <= bound

@@ -22,25 +22,25 @@ is compared.  Once they nest, g and z agree in sign wherever g is
 nonzero, and g is below z exactly when |g_i| <= |z_i| everywhere.  The
 same masks decide sign-compatibility of pairs.
 
-G(D) depends on D alone, so `graver_basis` keeps the bases it completed
-in a per-process memo, keyed by the matrix and its declared bricks (the
-orbit completion keeps other records than the trivial group's).  A
-repeated matrix is neither reduced nor completed again; its stored
-count of kept records decides the cap as a fresh completion would, so
-no cap verdict depends on what the process asked before.  The memo
-holds at most DEFAULT_ELEMENT_CAP elements in all, drops the least
-recently used basis first and never stores a larger basis.  Only a
-process that asks for one matrix more than once gains: a loop over many
-instances on one matrix, `inverse` then `verify-inverse`, tests.  A
-one-shot CLI process does not, and neither does `solve_ip`: it completes
-from the lattice of [D | -d], and the records it keeps depend on d.
+G(D) depends on D alone, so `graver_basis` keeps the MEMO_SIZE most
+recently used bases in a per-process memo (`functools.lru_cache`), keyed
+by the matrix, its declared bricks (`==` ignores them, and the orbit
+completion keeps other records than the trivial group's) and the cap.
+A repeated key is neither reduced nor completed again, and since the
+cap is part of the key, every cap verdict is a fresh completion's.  A
+completion that raises is not kept.  The bases stay held until
+`clear_memo()` or the end of the process.  Only a process that asks for
+one matrix more than once gains; the one such caller measured is the
+benchmark's inverse-cli workload, which runs the CLI's `main` in process
+481 times a round on 21 matrices.  A one-shot CLI process gains nothing,
+and `solve_ip` completes from the lattice of [D | -d] without the memo.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import operator
-import threading
 from dataclasses import dataclass
 from itertools import chain, permutations, product
 
@@ -205,7 +205,9 @@ def _complete(mat: IntMatrix, lattice, cap: int):
         if vneg(r) not in orbit:
             current += map(sign_masks, map(vneg, orbit))
         if len(current) > cap:
-            raise _cap_exceeded(cap)
+            raise ResourceCapExceeded(
+                f"Graver completion exceeded the element cap of {cap}"
+            )
         rpos, rneg, _ = sign_masks(r)
         for pos, neg, g in current:
             if not (rpos & neg or rneg & pos):  # sign-compatible
@@ -219,26 +221,16 @@ def _complete(mat: IntMatrix, lattice, cap: int):
     return current, batches
 
 
-# the bases `graver_basis` completed in this process, least recently used
-# first: (mat, mat.bricks) -> (G(mat), number of records its completion kept)
-_memo: dict[tuple[IntMatrix, tuple], tuple[GraverBasis, int]] = {}
-_memo_elements = 0  # elements of the bases in `_memo`, at most DEFAULT_ELEMENT_CAP
-_memo_lock = threading.Lock()  # guards `_memo` and `_memo_elements`
-
-
-def _cap_exceeded(cap: int) -> ResourceCapExceeded:
-    return ResourceCapExceeded(f"Graver completion exceeded the element cap of {cap}")
+# how many completed bases `graver_basis` keeps per process
+MEMO_SIZE = 32
 
 
 def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
     """G(mat), completed from a Hermite reduction of mat, or taken from the memo.
 
-    A basis completed earlier in this process, for the same entries and
-    the same declared bricks, is returned without a reduction or a
-    completion.  The memo stores with it the number of records its
-    completion kept.  A completion raises once that number passes `cap`
-    and never drops a record, so a stored basis raises
-    `ResourceCapExceeded` exactly when a fresh completion would.
+    A basis completed earlier in this process for the same entries, the
+    same declared bricks and the same cap is returned without a
+    reduction or a completion.  A completion that raises is not kept.
     """
     # G(D) spans ker(D) and is closed under negation, so it has at least
     # 2 * dim ker(D) >= 2 * (ncols - nrows) elements: refuse before reducing
@@ -248,44 +240,22 @@ def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
             f" passes the element cap of {cap}"
         )
     # `==` ignores the bricks, and the orbit completion keeps other records
-    key = (mat, mat.bricks)
-    with _memo_lock:
-        entry = _memo.pop(key, None)
-        if entry is not None:
-            _memo[key] = entry  # now the most recently used
-    if entry is None:
-        current, batches = _complete(mat, kernel_lattice_basis(mat), cap)
-        entry = _minimal(mat, current, batches), len(current)
-        _remember(key, entry)
-    basis, kept = entry
-    if kept > cap:
-        raise _cap_exceeded(cap)
-    return basis
+    return _memo(mat, mat.bricks, cap)
 
 
-def _remember(key, entry: tuple[GraverBasis, int]) -> None:
-    """Store a completed basis in the memo, dropping the least recently used past the bound."""
-    global _memo_elements
-    size = len(entry[0])
-    if size > DEFAULT_ELEMENT_CAP:
-        return
-    with _memo_lock:
-        if key in _memo:  # another thread completed the same matrix
-            return
-        _memo[key] = entry
-        _memo_elements += size
-        while _memo_elements > DEFAULT_ELEMENT_CAP:
-            oldest, _ = _memo.pop(next(iter(_memo)))
-            _memo_elements -= len(oldest)
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _memo(mat: IntMatrix, bricks, cap: int) -> GraverBasis:
+    return _basis_from_lattice(mat, kernel_lattice_basis(mat), cap)
+
+
+def clear_memo() -> None:
+    """Forget every basis `graver_basis` keeps."""
+    _memo.cache_clear()
 
 
 def _basis_from_lattice(mat: IntMatrix, lattice, cap: int) -> GraverBasis:
     """G(mat), completed from `lattice`, any basis of the kernel lattice of `mat`."""
-    return _minimal(mat, *_complete(mat, lattice, cap))
-
-
-def _minimal(mat: IntMatrix, current, batches) -> GraverBasis:
-    """G(mat): the minimal records of the completion (`_complete`) of mat."""
+    current, batches = _complete(mat, lattice, cap)
     # Every element of G(D) is in `current`: the completion reduces it to
     # zero, and only the element itself divides it conformally.  So the
     # minimal elements of `current` are exactly G(D).  A batch is minimal

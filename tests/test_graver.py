@@ -1,7 +1,5 @@
 import json
 import random
-import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -19,6 +17,7 @@ from gravernash.graver import (
     GraverBasis,
     _basis_from_lattice,
     _complete,
+    clear_memo,
     sign_masks,
 )
 from gravernash.linalg import conformal_leq, is_zero, kernel_lattice_basis, one_norm, vneg, vsub
@@ -336,11 +335,12 @@ def test_representative_filter_matches_the_all_pairs_filter():
     assert removed >= 3, removed
 
 
-def empty_memo(monkeypatch) -> dict:
-    """Give `graver_basis` an empty memo until the test ends."""
-    monkeypatch.setattr(gravernash.graver, "_memo", {})
-    monkeypatch.setattr(gravernash.graver, "_memo_elements", 0)
-    return gravernash.graver._memo
+@pytest.fixture
+def empty_memo():
+    """Give the test an empty `graver_basis` memo, and leave one behind."""
+    clear_memo()
+    yield gravernash.graver._memo
+    clear_memo()
 
 
 def fresh_kept(mat: IntMatrix) -> int:
@@ -352,16 +352,16 @@ def fresh_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
     return _basis_from_lattice(mat, kernel_lattice_basis(mat), cap)
 
 
-def test_a_stored_basis_passes_the_cap_exactly_when_a_fresh_completion_does(monkeypatch):
+def test_cap_verdicts_do_not_depend_on_earlier_calls(monkeypatch):
     """cap = k - 1 raises and cap = k returns, k the records a fresh completion keeps, in either order."""
     completions = []
-    real = gravernash.graver._complete
+    real = gravernash.graver._basis_from_lattice
 
     def counted(mat, lattice, cap):
-        completions.append(mat)
+        completions.append(cap)
         return real(mat, lattice, cap)
 
-    monkeypatch.setattr(gravernash.graver, "_complete", counted)
+    monkeypatch.setattr(gravernash.graver, "_basis_from_lattice", counted)
     nash = build_nash_matrix(NfoldSpec(IntMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[1, 0]]), 3))
     # the completion of the 2 x 5 matrix keeps 66 records for 62 elements,
     # so a cap of |G| passes a fresh completion's cap
@@ -372,30 +372,27 @@ def test_a_stored_basis_passes_the_cap_exactly_when_a_fresh_completion_does(monk
         want = fresh_basis(mat)
         # the completion's own cap decides, not the 2 (ncols - nrows) refusal
         assert 2 * (mat.ncols - mat.nrows) < k - 1
-        # cap first: a refused completion stores nothing
-        memo = empty_memo(monkeypatch)
-        completions.clear()
-        with pytest.raises(ResourceCapExceeded, match="Graver completion exceeded"):
-            graver_basis(mat, cap=k - 1)
-        assert not memo
-        assert graver_basis(mat, cap=k) == want
-        with pytest.raises(ResourceCapExceeded, match="Graver completion exceeded"):
-            graver_basis(mat, cap=k - 1)
-        assert graver_basis(mat, cap=k) == want
-        assert len(completions) == 2
-        # after a call with the default cap, every verdict comes from the memo
-        memo = empty_memo(monkeypatch)
-        completions.clear()
-        assert graver_basis(mat) == want
-        with pytest.raises(ResourceCapExceeded, match="Graver completion exceeded"):
-            graver_basis(mat, cap=k - 1)
-        assert graver_basis(mat, cap=k) == want
-        assert len(completions) == 1 and memo[mat, mat.bricks] == (want, k)
+        # the caps asked, in order, and the ones that complete: a refused
+        # completion is not kept, a returned one is, per cap
+        cap = DEFAULT_ELEMENT_CAP
+        for asked, completed in (
+            ([k - 1, k, k - 1, k, cap], [k - 1, k, k - 1, cap]),
+            ([cap, k - 1, k, k - 1, k, cap], [cap, k - 1, k, k - 1]),
+        ):
+            clear_memo()
+            completions.clear()
+            for c in asked:
+                if c < k:
+                    with pytest.raises(ResourceCapExceeded, match="Graver completion exceeded"):
+                        graver_basis(mat, cap=c)
+                else:
+                    assert graver_basis(mat, cap=c) == want
+            assert completions == completed
+    clear_memo()
 
 
-def test_the_memo_keeps_a_matrix_with_bricks_apart_from_its_entries(monkeypatch):
+def test_the_memo_keeps_a_matrix_with_bricks_apart_from_its_entries(empty_memo):
     """A nash matrix and the same entries without bricks each get their own completion's basis."""
-    memo = empty_memo(monkeypatch)
     spec = NfoldSpec(IntMatrix.from_rows([[1, 1, 1]]), IntMatrix.from_rows([[1, 2, 0]]), 2)
     built = build_nash_matrix(spec)
     plain = IntMatrix.from_rows(built.entries, built.ncols)
@@ -404,14 +401,11 @@ def test_the_memo_keeps_a_matrix_with_bricks_apart_from_its_entries(monkeypatch)
         basis = graver_basis(mat)
         assert basis == fresh_basis(mat)
         assert basis.matrix.bricks == mat.bricks
-    assert len(memo) == 2
-    for mat in (plain, built):
-        assert memo[mat, mat.bricks][1] == fresh_kept(mat)
+    assert empty_memo.cache_info()[:2] == (2, 2)  # (hits, misses)
 
 
-def test_interleaved_calls_answer_as_fresh_completions(monkeypatch):
+def test_interleaved_calls_answer_as_fresh_completions(empty_memo):
     """Repeated matrices under mixed caps: every basis and every verdict is a fresh completion's."""
-    empty_memo(monkeypatch)
     rng = random.Random(22)
     pool = [rand_matrix(rng, rng.randint(1, 2), rng.randint(2, 5), -2, 2) for _ in range(8)]
     kept = {mat: fresh_kept(mat) for mat in pool}
@@ -431,67 +425,4 @@ def test_interleaved_calls_answer_as_fresh_completions(monkeypatch):
             assert graver_basis(mat, cap) == want == fresh_basis(mat)
             returned += 1
     assert raised > 50 and returned > 50, (raised, returned)
-
-
-def test_the_memo_holds_at_most_the_element_cap(monkeypatch):
-    """Least recently used bases go first, and a basis past the bound is returned but not kept."""
-    memo = empty_memo(monkeypatch)
-    bound = 24
-    monkeypatch.setattr(gravernash.graver, "DEFAULT_ELEMENT_CAP", bound)
-    rng = random.Random(23)
-    pool = [rand_matrix(rng, 1, rng.randint(3, 5), -2, 2) for _ in range(10)]
-    order, size = [], {}  # the keys the memo should hold, least recently used first
-    skipped = evicted = 0
-    for _ in range(200):
-        mat = rng.choice(pool)
-        basis = graver_basis(mat)
-        assert basis == fresh_basis(mat)
-        key = (mat, mat.bricks)
-        size[key] = len(basis)
-        if key in order:
-            order.remove(key)
-            order.append(key)
-        elif len(basis) > bound:
-            skipped += 1
-        else:
-            order.append(key)
-            while sum(map(size.__getitem__, order)) > bound:
-                del order[0]
-                evicted += 1
-        assert list(memo) == order
-        assert sum(len(b) for b, _ in memo.values()) == gravernash.graver._memo_elements <= bound
-    assert skipped > 10 and evicted > 10, (skipped, evicted)
-
-
-def test_threads_sharing_the_memo_keep_its_total(monkeypatch):
-    """More threads than cores, switching often: the memo's total stays the size of what it holds."""
-    memo = empty_memo(monkeypatch)
-    bound = 16
-    monkeypatch.setattr(gravernash.graver, "DEFAULT_ELEMENT_CAP", bound)
-    rng = random.Random(24)
-    pool = [rand_matrix(rng, 1, rng.randint(2, 4), -2, 2) for _ in range(12)]
-    want = {mat: fresh_basis(mat) for mat in pool}
-    errors = []
-
-    def work(seed):
-        draw = random.Random(seed)
-        try:
-            for _ in range(1000):
-                mat = draw.choice(pool)
-                assert graver_basis(mat) == want[mat]
-        except BaseException as exc:  # re-raised by the assertion below
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not errors, errors
-    assert sum(len(b) for b, _ in memo.values()) == gravernash.graver._memo_elements <= bound
+    assert empty_memo.cache_info().hits > 100

@@ -352,7 +352,7 @@ def fresh_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
     return _basis_from_lattice(mat, kernel_lattice_basis(mat), cap)
 
 
-def test_cap_verdicts_do_not_depend_on_earlier_calls(monkeypatch):
+def test_cap_verdicts_do_not_depend_on_earlier_calls(empty_memo, monkeypatch):
     """cap = k - 1 raises and cap = k returns, k the records a fresh completion keeps, in either order."""
     completions = []
     real = gravernash.graver._basis_from_lattice
@@ -388,7 +388,6 @@ def test_cap_verdicts_do_not_depend_on_earlier_calls(monkeypatch):
                 else:
                     assert graver_basis(mat, cap=c) == want
             assert completions == completed
-    clear_memo()
 
 
 def test_the_memo_keeps_a_matrix_with_bricks_apart_from_its_entries(empty_memo):

@@ -18,6 +18,7 @@ payloads.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -46,10 +47,13 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 # `nfold`'s default cap on the entries of the matrix it prints; --cap overrides it
 NFOLD_ENTRY_CAP = 10**6
+# keyed by matrix and cap (a decoded matrix declares no bricks): repeated
+# in-process `main` calls gain, and 32 bases cover inverse-cli's 21 matrices
+_graver_basis = functools.lru_cache(maxsize=32)(graver_basis)
 
 
 def _cmd_graver(data, caps):
-    basis = graver_basis(serialize.matrix_from_json(data["D"]), **caps)
+    basis = _graver_basis(serialize.matrix_from_json(data["D"]), **caps)
     return "ok", serialize.graver_to_json(basis), {"graver_size": len(basis)}
 
 
@@ -128,7 +132,7 @@ def _cmd_best_response(data, caps):
 
 def _cmd_inverse(data, caps):
     inst = serialize.iiop_from_json(data)
-    basis = graver_basis(inst.D, **caps)
+    basis = _graver_basis(inst.D, **caps)
     answer = solve_iiop(inst, basis)
     payload = serialize.answer_to_json(answer)
     counters = {"graver_size": len(basis), "feasible_shifts": len(answer.shifts)}
@@ -138,7 +142,7 @@ def _cmd_inverse(data, caps):
 def _cmd_verify_inverse(data, caps):
     inst = serialize.iiop_from_json(data["instance"])
     answer = serialize.answer_from_json(data["answer"])
-    basis = graver_basis(inst.D, **caps)
+    basis = _graver_basis(inst.D, **caps)
     ok = verify_answer(inst, basis, answer)
     return "ok" if ok else "invalid", {"valid": ok}, {}
 

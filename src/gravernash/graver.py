@@ -22,29 +22,19 @@ is compared.  Once they nest, g and z agree in sign wherever g is
 nonzero, and g is below z exactly when |g_i| <= |z_i| everywhere.  The
 same masks decide sign-compatibility of pairs.
 
-G(D) depends on D alone, so `graver_basis` keeps the MEMO_SIZE most
-recently used bases in a per-process memo (`functools.lru_cache`), keyed
-by the matrix, its declared bricks (`==` ignores them, and the orbit
-completion keeps other records than the trivial group's) and the cap.
-A repeated key is neither reduced nor completed again, and since the
-cap is part of the key, every cap verdict is a fresh completion's.  A
-completion that raises is not kept.  The bases stay held until
-`clear_memo()` or the end of the process.  Only a process that asks for
-one matrix more than once gains; the one such caller measured is the
-benchmark's inverse-cli workload, which runs the CLI's `main` in process
-481 times a round on 21 matrices.  A one-shot CLI process gains nothing,
-and `solve_ip` completes from the lattice of [D | -d] without the memo.
+`graver_basis` is a pure function of D and the cap and keeps nothing
+between calls; the CLI, whose in-process `main` calls repeat matrices,
+keeps its own cache of bases.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import operator
 from dataclasses import dataclass
 from itertools import chain, permutations, product
 
-from .errors import ResourceCapExceeded
+from .errors import ResourceCapExceeded, ValidationError
 from .linalg import (
     IntMatrix,
     IntVec,
@@ -221,17 +211,19 @@ def _complete(mat: IntMatrix, lattice, cap: int):
     return current, batches
 
 
-# how many completed bases `graver_basis` keeps per process
-MEMO_SIZE = 32
+def check_cap(cap) -> None:
+    """ValidationError unless cap is an int >= 0; a bool is no int here."""
+    if type(cap) is not int or cap < 0:
+        raise ValidationError(f"a cap must be an int >= 0, got {cap!r}")
 
 
 def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
-    """G(mat), completed from a Hermite reduction of mat, or taken from the memo.
+    """G(mat), completed from a Hermite reduction of mat.
 
-    A basis completed earlier in this process for the same entries, the
-    same declared bricks and the same cap is returned without a
-    reduction or a completion.  A completion that raises is not kept.
+    A pure function of mat and cap: nothing is kept between calls.
+    ResourceCapExceeded when the completion keeps more than cap records.
     """
+    check_cap(cap)
     # G(D) spans ker(D) and is closed under negation, so it has at least
     # 2 * dim ker(D) >= 2 * (ncols - nrows) elements: refuse before reducing
     if 2 * (mat.ncols - mat.nrows) > cap:
@@ -239,18 +231,7 @@ def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
             f"the Graver basis of a {mat.nrows} x {mat.ncols} matrix"
             f" passes the element cap of {cap}"
         )
-    # `==` ignores the bricks, and the orbit completion keeps other records
-    return _memo(mat, mat.bricks, cap)
-
-
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _memo(mat: IntMatrix, bricks, cap: int) -> GraverBasis:
     return _basis_from_lattice(mat, kernel_lattice_basis(mat), cap)
-
-
-def clear_memo() -> None:
-    """Forget every basis `graver_basis` keeps."""
-    _memo.cache_clear()
 
 
 def _basis_from_lattice(mat: IntMatrix, lattice, cap: int) -> GraverBasis:

@@ -20,7 +20,7 @@ from .game import (
     aggregate_usage,
     is_feasible_profile,
 )
-from .graver import GraverBasis
+from .graver import GraverBasis, check_cap
 from .linalg import IntMatrix, IntVec, conformal_leq, is_zero, vadd, vsub
 from .solver import IpInstance
 
@@ -41,6 +41,7 @@ class Box:
 
 def _exceeds(counts: Iterable[int], cap: int) -> bool:
     """Whether the product of `counts` passes cap, multiplying only until it does."""
+    check_cap(cap)
     counts = list(counts)
     if 0 in counts:
         return False

@@ -3,6 +3,7 @@ import contextlib
 import copy
 import io
 import json
+import random
 import time
 from pathlib import Path
 
@@ -10,9 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gravernash.cli
+import gravernash.graver
 import gravernash.nfold
+from gravernash import IntMatrix, ResourceCapExceeded
 from gravernash.cli import main
 from gravernash.costs import PowerCost
+from gravernash.graver import DEFAULT_ELEMENT_CAP, GraverBasis, _basis_from_lattice, _complete
+from gravernash.linalg import kernel_lattice_basis
+from gravernash.nfold import NfoldSpec, build_nash_matrix
+
+from conftest import rand_matrix
 
 SQ = {"kind": "quadratic", "a": "1", "b": "0", "c": "0"}
 
@@ -743,3 +752,82 @@ def test_fuzzed_input_gives_one_report_and_a_known_exit_code(tmp_path_factory, c
     assert len(lines) == 1
     assert isinstance(json.loads(lines[0]), dict)
     assert code in (0, 1, 2, 3)
+
+
+@pytest.fixture
+def basis_cache():
+    """The CLI's cache of Graver bases, empty at the start of the test and at its end."""
+    gravernash.cli._graver_basis.cache_clear()
+    yield gravernash.cli._graver_basis
+    gravernash.cli._graver_basis.cache_clear()
+
+
+def fresh_kept(mat: IntMatrix) -> int:
+    """The number of records a fresh completion of `mat` keeps."""
+    return len(_complete(mat, kernel_lattice_basis(mat), DEFAULT_ELEMENT_CAP)[0])
+
+
+def fresh_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
+    return _basis_from_lattice(mat, kernel_lattice_basis(mat), cap)
+
+
+def test_cap_verdicts_do_not_depend_on_earlier_calls(basis_cache, monkeypatch):
+    """cap = k - 1 raises and cap = k returns, k the records a fresh completion keeps, in either order."""
+    completions = []
+    real = gravernash.graver._basis_from_lattice
+
+    def counted(mat, lattice, cap):
+        completions.append(cap)
+        return real(mat, lattice, cap)
+
+    monkeypatch.setattr(gravernash.graver, "_basis_from_lattice", counted)
+    nash = build_nash_matrix(NfoldSpec(IntMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[1, 0]]), 3))
+    # the completion of the 2 x 5 matrix keeps 66 records for 62 elements,
+    # so a cap of |G| passes a fresh completion's cap
+    wide = IntMatrix.from_rows([[-2, 3, -1, -1, 3], [0, -1, -2, 3, 3]])
+    assert fresh_kept(wide) > len(fresh_basis(wide))
+    for mat in (IntMatrix.from_rows([[1, 2, 3]]), nash, wide):
+        k = fresh_kept(mat)
+        want = fresh_basis(mat)
+        # the completion's own cap decides, not the 2 (ncols - nrows) refusal
+        assert 2 * (mat.ncols - mat.nrows) < k - 1
+        # the caps asked, in order, and the ones that complete: a refused
+        # completion is not kept, a returned one is, per cap
+        cap = DEFAULT_ELEMENT_CAP
+        for asked, completed in (
+            ([k - 1, k, k - 1, k, cap], [k - 1, k, k - 1, cap]),
+            ([cap, k - 1, k, k - 1, k, cap], [cap, k - 1, k, k - 1]),
+        ):
+            basis_cache.cache_clear()
+            completions.clear()
+            for c in asked:
+                if c < k:
+                    with pytest.raises(ResourceCapExceeded, match="Graver completion exceeded"):
+                        basis_cache(mat, cap=c)
+                else:
+                    assert basis_cache(mat, cap=c) == want
+            assert completions == completed
+
+
+def test_interleaved_calls_answer_as_fresh_completions(basis_cache):
+    """Repeated matrices under mixed caps: every basis and every verdict is a fresh completion's."""
+    rng = random.Random(22)
+    pool = [rand_matrix(rng, rng.randint(1, 2), rng.randint(2, 5), -2, 2) for _ in range(8)]
+    kept = {mat: fresh_kept(mat) for mat in pool}
+    raised = returned = 0
+    for _ in range(300):
+        mat = rng.choice(pool)
+        cap = rng.choice(
+            [DEFAULT_ELEMENT_CAP, kept[mat], max(0, kept[mat] - 1), rng.randint(0, 2 * kept[mat])]
+        )
+        try:
+            want = fresh_basis(mat, cap)
+        except ResourceCapExceeded:
+            with pytest.raises(ResourceCapExceeded):
+                basis_cache(mat, cap=cap)
+            raised += 1
+        else:
+            assert basis_cache(mat, cap=cap) == want == fresh_basis(mat)
+            returned += 1
+    assert raised > 50 and returned > 50, (raised, returned)
+    assert basis_cache.cache_info().hits > 100

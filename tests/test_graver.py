@@ -6,18 +6,28 @@ import pytest
 
 import gravernash.graver
 from gravernash import (
+    GameInstance,
     IntMatrix,
+    IpInstance,
+    PlayerSpec,
     ResourceCapExceeded,
+    SeparableObjective,
+    StrategyProfile,
+    ValidationError,
     brute_graver,
+    brute_ip_opt,
+    brute_nash_check,
     conformal_reduce,
+    find_equilibrium,
     graver_basis,
+    is_generalized_nash,
+    solve_ip,
 )
+from gravernash.costs import ZERO_COST
 from gravernash.graver import (
     DEFAULT_ELEMENT_CAP,
     GraverBasis,
-    _basis_from_lattice,
     _complete,
-    clear_memo,
     sign_masks,
 )
 from gravernash.linalg import conformal_leq, is_zero, kernel_lattice_basis, one_norm, vneg, vsub
@@ -76,9 +86,7 @@ def test_negation_closure_and_determinism():
         mat = rand_matrix(rng, rng.randint(1, 2), rng.randint(1, 4), -2, 2)
         basis = graver_basis(mat)
         assert set(basis.elements) == {vneg(g) for g in basis.elements}
-        # a second graver_basis(mat) would read the memo: complete afresh
-        fresh = _basis_from_lattice(mat, kernel_lattice_basis(mat), DEFAULT_ELEMENT_CAP)
-        assert basis.elements == fresh.elements
+        assert basis.elements == graver_basis(mat).elements
 
 
 def test_pairwise_minimality():
@@ -335,93 +343,62 @@ def test_representative_filter_matches_the_all_pairs_filter():
     assert removed >= 3, removed
 
 
-@pytest.fixture
-def empty_memo():
-    """Give the test an empty `graver_basis` memo, and leave one behind."""
-    clear_memo()
-    yield gravernash.graver._memo
-    clear_memo()
+def test_repeated_calls_do_the_same_work(monkeypatch):
+    """graver_basis keeps nothing between calls: a second pass reduces and completes as the first."""
+    counts = {"reduce": 0, "kernel": 0}
 
+    def counting(name, real):
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
 
-def fresh_kept(mat: IntMatrix) -> int:
-    """The number of records a fresh completion of `mat` keeps."""
-    return len(_complete(mat, kernel_lattice_basis(mat), DEFAULT_ELEMENT_CAP)[0])
+        return counted
 
-
-def fresh_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
-    return _basis_from_lattice(mat, kernel_lattice_basis(mat), cap)
-
-
-def test_cap_verdicts_do_not_depend_on_earlier_calls(empty_memo, monkeypatch):
-    """cap = k - 1 raises and cap = k returns, k the records a fresh completion keeps, in either order."""
-    completions = []
-    real = gravernash.graver._basis_from_lattice
-
-    def counted(mat, lattice, cap):
-        completions.append(cap)
-        return real(mat, lattice, cap)
-
-    monkeypatch.setattr(gravernash.graver, "_basis_from_lattice", counted)
+    monkeypatch.setattr(gravernash.graver, "conformal_reduce", counting("reduce", conformal_reduce))
+    monkeypatch.setattr(
+        gravernash.graver, "kernel_lattice_basis", counting("kernel", kernel_lattice_basis)
+    )
     nash = build_nash_matrix(NfoldSpec(IntMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[1, 0]]), 3))
-    # the completion of the 2 x 5 matrix keeps 66 records for 62 elements,
-    # so a cap of |G| passes a fresh completion's cap
-    wide = IntMatrix.from_rows([[-2, 3, -1, -1, 3], [0, -1, -2, 3, 3]])
-    assert fresh_kept(wide) > len(fresh_basis(wide))
-    for mat in (IntMatrix.from_rows([[1, 2, 3]]), nash, wide):
-        k = fresh_kept(mat)
-        want = fresh_basis(mat)
-        # the completion's own cap decides, not the 2 (ncols - nrows) refusal
-        assert 2 * (mat.ncols - mat.nrows) < k - 1
-        # the caps asked, in order, and the ones that complete: a refused
-        # completion is not kept, a returned one is, per cap
-        cap = DEFAULT_ELEMENT_CAP
-        for asked, completed in (
-            ([k - 1, k, k - 1, k, cap], [k - 1, k, k - 1, cap]),
-            ([cap, k - 1, k, k - 1, k, cap], [cap, k - 1, k, k - 1]),
-        ):
-            clear_memo()
-            completions.clear()
-            for c in asked:
-                if c < k:
-                    with pytest.raises(ResourceCapExceeded, match="Graver completion exceeded"):
-                        graver_basis(mat, cap=c)
-                else:
-                    assert graver_basis(mat, cap=c) == want
-            assert completions == completed
+    assert nash.bricks
+    matrices = [IntMatrix.from_rows([[1, 2, 3]]), nash, IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]])]
+    passes = []
+    for _ in range(2):
+        for key in counts:
+            counts[key] = 0
+        bases = [graver_basis(mat) for mat in matrices]
+        passes.append((dict(counts), bases))
+    assert passes[0] == passes[1]
+    assert passes[0][0]["reduce"] > 0 and passes[0][0]["kernel"] == len(matrices)
 
 
-def test_the_memo_keeps_a_matrix_with_bricks_apart_from_its_entries(empty_memo):
-    """A nash matrix and the same entries without bricks each get their own completion's basis."""
-    spec = NfoldSpec(IntMatrix.from_rows([[1, 1, 1]]), IntMatrix.from_rows([[1, 2, 0]]), 2)
-    built = build_nash_matrix(spec)
-    plain = IntMatrix.from_rows(built.entries, built.ncols)
-    assert built == plain and built.bricks and not plain.bricks
-    for mat in (plain, built, plain, built):
-        basis = graver_basis(mat)
-        assert basis == fresh_basis(mat)
-        assert basis.matrix.bricks == mat.bricks
-    assert empty_memo.cache_info()[:2] == (2, 2)  # (hits, misses)
+I_2 = IntMatrix.from_rows([[1, 0], [0, 1]])
+FREE = SeparableObjective((ZERO_COST, ZERO_COST))
+POINT = IpInstance(I_2, (0, 0), (1, 1), FREE)
+ONE_PLAYER = GameInstance(
+    players=(PlayerSpec(IntMatrix.from_rows([[1, 1]]), (1,), (1, 1), IntMatrix.from_rows([[0, 0]])),),
+    b0=(0,),
+    costs=FREE,
+)
+# every library function that takes a cap: the game functions reach the
+# check through solve_ip, the oracles through their count
+CAP_ENTRY_POINTS = {
+    "graver_basis": lambda cap: graver_basis(I_2, cap=cap),
+    "solve_ip": lambda cap: solve_ip(POINT, cap=cap),
+    "find_equilibrium": lambda cap: find_equilibrium(ONE_PLAYER, cap=cap),
+    "is_generalized_nash": lambda cap: is_generalized_nash(
+        ONE_PLAYER, StrategyProfile(((1, 0),)), cap=cap
+    ),
+    "enumerate_box_points": lambda cap: enumerate_box_points(Box((0,), (1,)), cap=cap),
+    "brute_graver": lambda cap: brute_graver(I_2, 1, cap=cap),
+    "brute_ip_opt": lambda cap: brute_ip_opt(POINT, cap=cap),
+    "brute_nash_check": lambda cap: brute_nash_check(ONE_PLAYER, cap=cap),
+}
 
 
-def test_interleaved_calls_answer_as_fresh_completions(empty_memo):
-    """Repeated matrices under mixed caps: every basis and every verdict is a fresh completion's."""
-    rng = random.Random(22)
-    pool = [rand_matrix(rng, rng.randint(1, 2), rng.randint(2, 5), -2, 2) for _ in range(8)]
-    kept = {mat: fresh_kept(mat) for mat in pool}
-    raised = returned = 0
-    for _ in range(300):
-        mat = rng.choice(pool)
-        cap = rng.choice(
-            [DEFAULT_ELEMENT_CAP, kept[mat], max(0, kept[mat] - 1), rng.randint(0, 2 * kept[mat])]
-        )
-        try:
-            want = fresh_basis(mat, cap)
-        except ResourceCapExceeded:
-            with pytest.raises(ResourceCapExceeded):
-                graver_basis(mat, cap)
-            raised += 1
-        else:
-            assert graver_basis(mat, cap) == want == fresh_basis(mat)
-            returned += 1
-    assert raised > 50 and returned > 50, (raised, returned)
-    assert empty_memo.cache_info().hits > 100
+@pytest.mark.parametrize("cap", [-1, 1.5, True])
+@pytest.mark.parametrize("entry", list(CAP_ENTRY_POINTS))
+def test_a_cap_that_is_not_a_nonnegative_int_is_refused_as_input(entry, cap):
+    """Before any reduction or count; each entry point returns with cap = 10."""
+    CAP_ENTRY_POINTS[entry](10)
+    with pytest.raises(ValidationError, match="a cap must be an int >= 0"):
+        CAP_ENTRY_POINTS[entry](cap)

@@ -47,9 +47,15 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 # `nfold`'s default cap on the entries of the matrix it prints; --cap overrides it
 NFOLD_ENTRY_CAP = 10**6
+
+
 # keyed by matrix and cap (a decoded matrix declares no bricks): repeated
-# in-process `main` calls gain, and 32 bases cover inverse-cli's 21 matrices
-_graver_basis = functools.lru_cache(maxsize=32)(graver_basis)
+# in-process `main` calls gain, and 32 bases cover inverse-cli's 21 matrices.
+# `graver_basis` is looked up at each miss, so a wrapper set on this module's
+# name (a tracer's, say) sees every completion
+@functools.lru_cache(maxsize=32)
+def _graver_basis(mat, **caps):
+    return graver_basis(mat, **caps)
 
 
 def _cmd_graver(data, caps):

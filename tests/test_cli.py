@@ -771,6 +771,22 @@ def fresh_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
     return _basis_from_lattice(mat, kernel_lattice_basis(mat), cap)
 
 
+def test_repeated_main_calls_complete_a_matrix_once_per_cap(tmp_path, capsys, basis_cache, monkeypatch):
+    """Each completion goes through the module's `graver_basis` name, once per matrix and cap."""
+    completions = []
+
+    def counted(mat, **caps):
+        completions.append(caps)
+        return gravernash.graver.graver_basis(mat, **caps)
+
+    monkeypatch.setattr(gravernash.cli, "graver_basis", counted)
+    src = write(tmp_path, "m.json", {"D": [[1, 1, 1]]})
+    reports = [run(capsys, ["graver", "--input", src, *cap]) for cap in ([], [], ["--cap", "9"], [])]
+    assert [code for code, _ in reports] == [0] * 4
+    assert all(report["result"] == reports[0][1]["result"] for _, report in reports)
+    assert completions == [{}, {"cap": 9}]
+
+
 def test_cap_verdicts_do_not_depend_on_earlier_calls(basis_cache, monkeypatch):
     """cap = k - 1 raises and cap = k returns, k the records a fresh completion keeps, in either order."""
     completions = []

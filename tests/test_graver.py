@@ -363,8 +363,7 @@ def test_repeated_calls_do_the_same_work(monkeypatch):
     matrices = [IntMatrix.from_rows([[1, 2, 3]]), nash, IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]])]
     passes = []
     for _ in range(2):
-        for key in counts:
-            counts[key] = 0
+        counts.update(reduce=0, kernel=0)
         bases = [graver_basis(mat) for mat in matrices]
         passes.append((dict(counts), bases))
     assert passes[0] == passes[1]

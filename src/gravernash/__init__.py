@@ -47,7 +47,7 @@ from .nfold import (
     build_nfold,
     pad_to_c,
 )
-from .oracle import Box, brute_graver, brute_ip_opt, brute_nash_check, enumerate_box_points
+from .oracle import brute_graver, brute_ip_opt, brute_nash_check, enumerate_box_points
 from .solver import (
     IpInstance,
     SolveResult,

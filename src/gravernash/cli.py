@@ -25,7 +25,7 @@ import sys
 import time
 
 from . import serialize
-from .errors import DimensionError, InfeasibleError, ResourceCapExceeded
+from .errors import DimensionError, InfeasibleError, ResourceCapExceeded, ValidationError
 from .game import (
     best_response,
     find_equilibrium,
@@ -77,7 +77,7 @@ def _cmd_nfold(data, caps):
     # a catalog of player types builds the equilibrium matrix only
     variants = ("nash",) if "types" in data else builders
     if not isinstance(variant, str) or variant not in variants:
-        raise serialize.ValidationError(f"unknown variant {variant!r} for this input")
+        raise ValidationError(f"unknown variant {variant!r} for this input")
     if "types" in data:
         types, assignment = serialize.catalog_from_json(data)
         # sized before build_multitype_matrix checks the catalog
@@ -177,7 +177,7 @@ def _cmd_oracle(data, caps):
             "potential_minima": [serialize.profile_to_json(p) for p in minima],
             "equilibria": [serialize.profile_to_json(p) for p in equilibria],
         }, {}
-    raise serialize.ValidationError(f"unknown oracle op {op!r}")
+    raise ValidationError(f"unknown oracle op {op!r}")
 
 
 _COMMANDS = {
@@ -233,16 +233,16 @@ def main(argv=None) -> int:
             with open(args.input, "rb") as fh:
                 raw = fh.read()
         except OSError as exc:
-            raise serialize.ValidationError(f"cannot read input: {exc}") from exc
+            raise ValidationError(f"cannot read input: {exc}") from exc
         report["input_digest"] = hashlib.sha256(raw).hexdigest()
         try:
             data = json.loads(raw)
         # a ValueError also for bytes that are not UTF-8 and for an int past
         # the int-to-string digit limit; a RecursionError for deep nesting
         except (ValueError, RecursionError) as exc:
-            raise serialize.ValidationError(f"invalid JSON input: {exc}") from exc
+            raise ValidationError(f"invalid JSON input: {exc}") from exc
         if not isinstance(data, dict):
-            raise serialize.ValidationError("the input must be a JSON object")
+            raise ValidationError("the input must be a JSON object")
 
         # without --cap every library call keeps its own default cap
         caps = {} if args.cap is None else {"cap": args.cap}
@@ -266,7 +266,7 @@ def main(argv=None) -> int:
         _diag(args, str(exc))
         code = EXIT_CAP
     # a CertificateError is a program fault, not an input error: it propagates
-    except (serialize.ValidationError, DimensionError, KeyError) as exc:
+    except (ValidationError, DimensionError, KeyError) as exc:
         report["status"] = "input-error"
         code = EXIT_INPUT
         _diag(args, f"{type(exc).__name__}: {exc}")
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
 
 
 def _diag(args, message: str) -> None:
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(f"gravernash: {message}", file=sys.stderr)
 
 

@@ -17,32 +17,26 @@ raises ResourceCapExceeded as the cost is built, before the rule.
 Every valid cost has an integer form: `scale()` is a positive integer L
 such that L*f(y) is an integer at every integer y >= 0, and `times(M)`,
 for any multiple M of L, is M*f with integer parameters, whose values
-are plain ints.  The augmentation and the inverse solver evaluate these
-forms; the inverse verifier evaluates `value`.
+are plain ints.  `SeparableObjective.integer_forms` builds them once per
+objective, with L the objective's scale; the augmentation and the
+inverse solver evaluate them, the inverse verifier evaluates `value`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import DimensionError, ResourceCapExceeded, ValidationError
-from .linalg import _INT, all_ints
+from .linalg import all_ints, all_rationals
 
 
 def _check_arg(y: int) -> None:
     if y < 0:
         raise ValidationError(f"cost functions are defined on y >= 0, got {y}")
-
-
-_RATIONAL = _INT | {Fraction}
-
-
-def _rationals(*values) -> bool:
-    """Exact rationals only: ints and Fractions, never a float or a bool."""
-    return _RATIONAL.issuperset(map(type, values))
 
 
 def _denominators(*values) -> int:
@@ -70,7 +64,7 @@ class AffineCost:
     b: Fraction
 
     def __post_init__(self) -> None:
-        _require(self, _rationals(self.a, self.b))
+        _require(self, all_rationals((self.a, self.b)))
 
     def value(self, y: int) -> Fraction:
         _check_arg(y)
@@ -95,7 +89,7 @@ class QuadraticCost:
     c: Fraction
 
     def __post_init__(self) -> None:
-        _require(self, _rationals(self.a, self.b, self.c) and self.a >= 0)
+        _require(self, all_rationals((self.a, self.b, self.c)) and self.a >= 0)
 
     def value(self, y: int) -> Fraction:
         _check_arg(y)
@@ -132,7 +126,7 @@ class PowerCost:
             raise ResourceCapExceeded(
                 f"a power cost's exponent is at most {MAX_EXPONENT}, got {self.k}"
             )
-        _require(self, _rationals(self.a) and all_ints((self.k,)) and self.a >= 0 and self.k >= 1)
+        _require(self, all_rationals((self.a,)) and all_ints((self.k,)) and self.a >= 0 and self.k >= 1)
 
     def value(self, y: int) -> Fraction:
         _check_arg(y)
@@ -164,7 +158,7 @@ class PiecewiseLinearCost:
         object.__setattr__(self, "breakpoints", tuple(self.breakpoints))
         object.__setattr__(self, "slopes", tuple(self.slopes))
         bps, slopes = self.breakpoints, self.slopes
-        _require(self, all_ints(bps) and _rationals(self.c0, *slopes))
+        _require(self, all_ints(bps) and all_rationals((self.c0, *slopes)))
         _require(self, len(slopes) == len(bps) + 1 and list(slopes) == sorted(slopes))
         _require(self, all(a < b for a, b in zip((0,) + bps, bps)))
 
@@ -244,3 +238,16 @@ class SeparableObjective:
     def scale(self) -> int:
         """The least common multiple of the terms' scales."""
         return lcm(*(t.scale() for t in self.terms))
+
+    @cached_property
+    def integer_forms(self) -> tuple[int, tuple[Optional[Callable[[int], int]], ...]]:
+        """(L, f): L = scale() and L times each term as an int-valued function.
+
+        A constant term's function is None, and no integer form is built
+        for it: it moves no difference and no improvement.
+        """
+        scale = self.scale()
+        return scale, tuple(
+            None if isinstance(t, AffineCost) and t.a == 0 else t.times(scale).value
+            for t in self.terms
+        )

@@ -9,24 +9,25 @@ produces normalized weights or a nonnegative Farkas combination v of
 the H-rows whose weighted difference sums are strictly negative in
 every coordinate, certifying that no weights exist.
 
-The solver evaluates the H-rows in integers, through the instance's
-integer objective: each is L times the difference row.  One positive
-factor on every row changes no sign and no simplex pivot, so the LP's
-point is the weight vector itself, and its Farkas coefficients times L
-are the certificate for the unscaled rows.  The verifier shares none of
+The solver evaluates the H-rows in integers, through the shapes' integer
+forms (`SeparableObjective.integer_forms`): each is L times the
+difference row.  One positive factor on every row changes no sign and
+no simplex pivot, so the LP's point is the weight vector itself, and
+its Farkas coefficients times L are the certificate for the unscaled
+rows.  The verifier shares none of
 this: it evaluates the difference rows from the shapes' own values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .costs import SeparableObjective, _rationals
+from .costs import SeparableObjective
 from .errors import ValidationError
 from .graver import GraverBasis
-from .linalg import IntMatrix, IntVec, RatVec, all_ints, check_ints, vadd
+from .linalg import IntMatrix, IntVec, RatVec, all_ints, all_rationals, check_ints, vadd
 from .lp import FeasiblePoint, rational_lp_feasibility
 from .solver import IpInstance
 
@@ -38,21 +39,19 @@ class IiopInstance:
     u: IntVec
     xstar: IntVec
     shapes: SeparableObjective
-    # P with the shapes as its objective, built and checked once
-    problem: IpInstance = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "d", tuple(self.d))
         object.__setattr__(self, "u", tuple(self.u))
         object.__setattr__(self, "xstar", tuple(self.xstar))
         check_ints(self.xstar, "xstar")
+        # P with the shapes as its objective checks D, d, u and the shapes
         problem = IpInstance(self.D, self.d, self.u, self.shapes)
         # nonzero weights need at least one variable to sit on
         if self.D.ncols == 0:
             raise ValidationError("an inverse instance needs at least one variable")
         if not problem.is_feasible(self.xstar):
             raise ValidationError("xstar must lie in P")
-        object.__setattr__(self, "problem", problem)
 
     @property
     def n(self) -> int:
@@ -68,7 +67,7 @@ class IiopAnswer:
 
     def __post_init__(self) -> None:
         # an answer is checked in exact arithmetic, so a float never enters one
-        if not _rationals(*(self.lam or ()), *(self.certificate or ())):
+        if not all_rationals((*(self.lam or ()), *(self.certificate or ()))):
             raise ValidationError("weights and certificate coefficients must be ints or Fractions")
         if not all(all_ints(g) for g in self.shifts):
             raise ValidationError("shifts must be integers")
@@ -90,10 +89,11 @@ def feasible_shifts(basis: GraverBasis, inst: IiopInstance) -> list[IntVec]:
 def _difference_rows(inst: IiopInstance, shifts: Sequence[IntVec]) -> list[IntVec]:
     """Row L*(f_j(x*_j + g_j) - f_j(x*_j)) for each shift g, in ints.
 
-    L and the functions L*f_j come from the instance's integer objective;
-    a constant column contributes 0.  Each L*f_j(x*_j) is evaluated once.
+    L and the functions L*f_j are the shapes' integer forms, from
+    `SeparableObjective.integer_forms`; a constant column contributes 0.
+    Each L*f_j(x*_j) is evaluated once.
     """
-    _, forms = inst.problem.integer_objective
+    _, forms = inst.shapes.integer_forms
     at_xstar = [0 if f is None else f(x) for f, x in zip(forms, inst.xstar)]
     return [
         tuple(
@@ -116,7 +116,7 @@ def solve_iiop(inst: IiopInstance, basis: GraverBasis) -> IiopAnswer:
         # the LP fixes (1, ..., 1) . lam = 1: the weights are normalized
         return IiopAnswer(verdict="yes", lam=outcome.lam, shifts=shifts)
     # the rows are L times the difference rows, so the ray is 1/L times theirs
-    scale, _ = inst.problem.integer_objective
+    scale, _ = inst.shapes.integer_forms
     certificate = tuple(scale * v for v in outcome.coefficients)
     return IiopAnswer(verdict="no", shifts=shifts, certificate=certificate)
 

@@ -22,13 +22,19 @@ RatVec = tuple[Fraction, ...]
 # vector helpers
 
 
-# exact types, so that a bool is no integer here
+# exact types, so that a bool is no integer here and a float no rational
 _INT = frozenset({int})
+_RATIONAL = _INT | {Fraction}
 
 
 def all_ints(values: Iterable) -> bool:
     """True iff every value's type is exactly int."""
     return _INT.issuperset(map(type, values))
+
+
+def all_rationals(values: Iterable) -> bool:
+    """True iff every value's type is exactly int or Fraction: never a float or a bool."""
+    return _RATIONAL.issuperset(map(type, values))
 
 
 def check_ints(values: Iterable, what: str) -> None:

@@ -3,13 +3,14 @@
 Everything here enumerates integer boxes directly and shares no logic
 with the completion procedure or the augmentation solver beyond the
 elementary sign-pattern predicates, so it can serve as an independent
-oracle.  Hard caps keep the enumerations at desk scale.
+oracle.  A box is given by its bounds: two integer vectors `lower` and
+`upper` of one length, holding the points p with lower <= p <= upper.
+Hard caps keep the enumerations at desk scale.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
@@ -27,18 +28,6 @@ from .solver import IpInstance
 DEFAULT_POINT_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class Box:
-    lower: IntVec
-    upper: IntVec
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lower", tuple(self.lower))
-        object.__setattr__(self, "upper", tuple(self.upper))
-        if len(self.lower) != len(self.upper):
-            raise ValidationError("box bounds must have equal lengths")
-
-
 def _exceeds(counts: Iterable[int], cap: int) -> bool:
     """Whether the product of `counts` passes cap, multiplying only until it does."""
     check_cap(cap)
@@ -54,18 +43,18 @@ def _exceeds(counts: Iterable[int], cap: int) -> bool:
 
 
 def enumerate_box_points(
-    box: Box,
+    lower: IntVec,
+    upper: IntVec,
     predicate: Optional[Callable[[IntVec], bool]] = None,
     cap: int = DEFAULT_POINT_CAP,
 ) -> list[IntVec]:
-    """All integer points of the box passing the predicate, lexicographic."""
-    if _exceeds((max(0, hi - lo + 1) for lo, hi in zip(box.lower, box.upper)), cap):
+    """All integer points p with lower <= p <= upper passing the predicate, lexicographic."""
+    if len(lower) != len(upper):
+        raise ValidationError("box bounds must have equal lengths")
+    if _exceeds((max(0, hi - lo + 1) for lo, hi in zip(lower, upper)), cap):
         raise ResourceCapExceeded(f"box holds more than {cap} points, past the cap")
-    ranges = [range(lo, hi + 1) for lo, hi in zip(box.lower, box.upper)]
-    points = itertools.product(*ranges)
-    if predicate is None:
-        return [tuple(p) for p in points]
-    return [tuple(p) for p in points if predicate(tuple(p))]
+    points = itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lower, upper)))
+    return [p for p in points if predicate is None or predicate(p)]
 
 
 def brute_graver(
@@ -80,12 +69,12 @@ def brute_graver(
     if bound < 0:
         raise ValidationError(f"the box bound must be nonnegative, not {bound}")
     n = mat.ncols
-    box = Box(tuple([-bound] * n), tuple([bound] * n))
-    kernel = [
-        p
-        for p in enumerate_box_points(box, cap=cap)
-        if not is_zero(p) and is_zero(mat.matvec(p))
-    ]
+    kernel = enumerate_box_points(
+        (-bound,) * n,
+        (bound,) * n,
+        predicate=lambda p: not is_zero(p) and is_zero(mat.matvec(p)),
+        cap=cap,
+    )
     minimal = [
         g
         for g in kernel
@@ -98,9 +87,8 @@ def brute_ip_opt(
     inst: IpInstance, cap: int = DEFAULT_POINT_CAP
 ) -> tuple[Fraction, list[IntVec]]:
     """Exhaustive minimum of the objective over the feasible box points."""
-    box = Box(tuple([0] * inst.D.ncols), inst.u)
     feasible = enumerate_box_points(
-        box, predicate=lambda p: inst.D.matvec(p) == inst.d, cap=cap
+        (0,) * inst.D.ncols, inst.u, predicate=lambda p: inst.D.matvec(p) == inst.d, cap=cap
     )
     if not feasible:
         raise InfeasibleError("no integer point satisfies the constraints")
@@ -111,9 +99,8 @@ def brute_ip_opt(
 
 def _strategy_set(game: GameInstance, k: int, cap: int) -> list[IntVec]:
     player = game.players[k]
-    box = Box(tuple([0] * game.n), player.u)
     return enumerate_box_points(
-        box, predicate=lambda p: player.A.matvec(p) == player.b, cap=cap
+        (0,) * game.n, player.u, predicate=lambda p: player.A.matvec(p) == player.b, cap=cap
     )
 
 

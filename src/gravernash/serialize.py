@@ -129,25 +129,6 @@ def ratvec_from_json(obj: Any) -> RatVec:
     return tuple(frac_from_str(x) for x in _list(obj, "a rational vector"))
 
 
-def _cost_fields(obj: dict) -> UnivariateCost:
-    kind = obj["kind"]
-    if kind == "affine":
-        return AffineCost(frac_from_str(obj["a"]), frac_from_str(obj["b"]))
-    if kind == "quadratic":
-        return QuadraticCost(
-            frac_from_str(obj["a"]), frac_from_str(obj["b"]), frac_from_str(obj["c"])
-        )
-    if kind == "power":
-        return PowerCost(frac_from_str(obj["a"]), int_from_json(obj["k"]))
-    if kind == "piecewise_linear":
-        return PiecewiseLinearCost(
-            breakpoints=intvec_from_json(obj["breakpoints"]),
-            slopes=ratvec_from_json(obj["slopes"]),
-            c0=frac_from_str(obj["c0"]),
-        )
-    raise ValidationError(f"unknown cost kind: {kind!r}")
-
-
 def cost_from_json(obj: Any) -> UnivariateCost:
     """A cost function of a known kind with all its fields.
 
@@ -156,10 +137,26 @@ def cost_from_json(obj: Any) -> UnivariateCost:
     exponent above `costs.MAX_EXPONENT`.  A game's sign rule, `params_ok`,
     is checked by `GameInstance`.
     """
+    obj = _object(obj, "a cost")
     try:
-        return _cost_fields(_object(obj, "a cost"))
+        kind = obj["kind"]
+        if kind == "affine":
+            return AffineCost(frac_from_str(obj["a"]), frac_from_str(obj["b"]))
+        if kind == "quadratic":
+            return QuadraticCost(
+                frac_from_str(obj["a"]), frac_from_str(obj["b"]), frac_from_str(obj["c"])
+            )
+        if kind == "power":
+            return PowerCost(frac_from_str(obj["a"]), int_from_json(obj["k"]))
+        if kind == "piecewise_linear":
+            return PiecewiseLinearCost(
+                breakpoints=intvec_from_json(obj["breakpoints"]),
+                slopes=ratvec_from_json(obj["slopes"]),
+                c0=frac_from_str(obj["c0"]),
+            )
     except KeyError as exc:
         raise ValidationError(f"malformed cost spec: {obj!r}") from exc
+    raise ValidationError(f"unknown cost kind: {kind!r}")
 
 
 def objective_from_json(obj: Any) -> SeparableObjective:

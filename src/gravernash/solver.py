@@ -12,7 +12,8 @@ objective.  Since a feasible point is optimal exactly when no single
 Graver step improves it, both walks end at optima.
 
 Both walks run in integers: the objective is multiplied once by its
-scale L, a positive integer that makes every term's values integral, and
+scale L (`SeparableObjective.integer_forms`), a positive integer that
+makes every term's values integral, and
 a positive factor changes no comparison between steps.  Improvements
 are reported divided by L, and the objective of a result, like the
 optimality certificate, is evaluated on the unscaled objective.  The
@@ -23,8 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 from .costs import ZERO_COST, AffineCost, PiecewiseLinearCost, SeparableObjective
 from .errors import DimensionError, ValidationError
@@ -51,19 +51,6 @@ class IpInstance:
             raise DimensionError("objective length != column count")
         if any(b < 0 for b in self.u):
             raise ValidationError("upper bounds must be nonnegative")
-
-    @cached_property
-    def integer_objective(self) -> tuple[int, tuple[Optional[Callable[[int], int]], ...]]:
-        """(L, f): L times the objective as one int-valued function per column.
-
-        A constant column's function is None, and no integer form is built
-        for it: it moves no difference and no improvement.
-        """
-        scale = self.objective.scale()
-        return scale, tuple(
-            None if isinstance(t, AffineCost) and t.a == 0 else t.times(scale).value
-            for t in self.objective.terms
-        )
 
     def is_feasible(self, x: IntVec) -> bool:
         return (
@@ -95,7 +82,7 @@ def best_step(x: IntVec, g: IntVec, inst: IpInstance) -> tuple[int, Fraction | i
     Returns (step, improvement) with improvement >= 0, in the
     objective's own units: an int when L = 1, else a Fraction.
     """
-    scale, forms = inst.integer_objective
+    scale, forms = inst.objective.integer_forms
     lam_max = None
     moved = []  # (L*f_j, x_j, g_j) for every non-constant j with g_j != 0
     for f, xi, gi, ui in zip(forms, x, g, inst.u):

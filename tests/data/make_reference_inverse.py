@@ -20,16 +20,14 @@ repository root:
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from io import StringIO
 from pathlib import Path
 
 from gravernash import IntMatrix
-from gravernash.cli import main
 from gravernash.nfold import NfoldSpec, build_nash_matrix
 
 RANDOM_SEED = 2009
@@ -45,9 +43,14 @@ NASH_WIDE_PAIRS = (([[1, 1, 1]], [[1, 2, 0]]), ([[1, -1, 2]], [[1, 1, 0]]))
 NASH_WIDE_COUNT = 4
 PATH = Path(__file__).with_name("reference_inverse.json")
 
-
-def _frac(rng: random.Random, lo: int, hi: int) -> str:
-    return str(Fraction(rng.randint(lo, hi), rng.randint(1, 6)))
+# the solve snapshot's runner and rational draw, so that the snapshots
+# record a CLI call alike and draw coefficients alike
+_SOLVE = importlib.util.spec_from_file_location(
+    "make_reference_solve", Path(__file__).with_name("make_reference_solve.py")
+)
+_solve = importlib.util.module_from_spec(_SOLVE)
+_SOLVE.loader.exec_module(_solve)
+_frac = _solve._frac
 
 
 def _shape(rng: random.Random, center: int) -> dict:
@@ -158,16 +161,9 @@ def reference_instances() -> list[tuple[str, dict]]:
 
 
 def run_command(command: str, data: dict, workdir: Path) -> dict:
-    """Exit code, report status and payload text of one CLI call."""
-    inp, out = workdir / "in.json", workdir / "out.json"
-    inp.write_text(json.dumps(data))
-    out.unlink(missing_ok=True)
-    stdout = StringIO()
-    with redirect_stdout(stdout), redirect_stderr(StringIO()):
-        code = main([command, "--input", str(inp), "--output", str(out), "--quiet"])
-    report = json.loads(stdout.getvalue())
-    payload = out.read_text() if out.exists() else None
-    return {"exit": code, "status": report["status"], "payload": payload}
+    """Exit code, report status and payload text of one CLI call; the counters are not kept."""
+    got = _solve.run_command(command, data, workdir)
+    return {key: got[key] for key in ("exit", "status", "payload")}
 
 
 def run_case(instance: dict, workdir: Path) -> dict:

@@ -31,7 +31,6 @@ from gravernash import (
 from gravernash.cli import main as cli_main
 from gravernash.costs import QuadraticCost, SeparableObjective
 from gravernash.linalg import conformal_leq, is_zero, vneg
-from gravernash.oracle import Box
 
 from conftest import inf_norm, rand_matrix, random_convex_objective, random_game, square_cost
 
@@ -117,7 +116,7 @@ def test_acceptance_4_solver_matches_oracle_with_certificates():
             break
         basis = graver_basis(mat)
         points = enumerate_box_points(
-            Box((0,) * nvars, u), predicate=lambda p: mat.matvec(p) == inst.d
+            (0,) * nvars, u, predicate=lambda p: mat.matvec(p) == inst.d
         )
         for p in points:
             certified, _ = check_optimal(p, basis, inst)
@@ -143,11 +142,9 @@ def test_acceptance_5_zero_padding_embeds_basis():
         if not is_zero(big.matvec(padded)):
             violations += 1
             continue
-        box = Box(
-            tuple(min(0, x) for x in padded), tuple(max(0, x) for x in padded)
-        )
         splitters = enumerate_box_points(
-            box,
+            tuple(min(0, x) for x in padded),
+            tuple(max(0, x) for x in padded),
             predicate=lambda v: (
                 not is_zero(v)
                 and v != padded

@@ -20,6 +20,7 @@ from gravernash.costs import PowerCost
 from gravernash.graver import DEFAULT_ELEMENT_CAP, GraverBasis, _basis_from_lattice, _complete
 from gravernash.linalg import kernel_lattice_basis
 from gravernash.nfold import NfoldSpec, build_nash_matrix
+from gravernash.serialize import frac_from_str
 
 from conftest import rand_matrix
 
@@ -332,6 +333,11 @@ def test_json_text_the_decoder_refuses_is_an_input_error(tmp_path, capsys, text)
     code, report = run(capsys, ["inverse", "--input", str(inp), "--output", str(out), "--quiet"])
     assert (code, report["status"], report["result"]) == (2, "input-error", None)
     assert not out.exists()
+
+
+def test_a_zero_mantissa_with_an_exponent_past_the_digit_limit_reads_as_zero():
+    """0 times any power of ten is 0, so the exponent's size refuses nothing then."""
+    assert frac_from_str("0e99999999") == 0
 
 
 def test_removed_seed_flag_and_random_graver_op_are_usage_errors(tmp_path, capsys):

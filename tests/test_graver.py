@@ -32,7 +32,7 @@ from gravernash.graver import (
 )
 from gravernash.linalg import conformal_leq, is_zero, kernel_lattice_basis, one_norm, vneg, vsub
 from gravernash.nfold import NfoldSpec, build_multitype_matrix, build_nash_matrix
-from gravernash.oracle import Box, enumerate_box_points
+from gravernash.oracle import enumerate_box_points
 
 from conftest import (
     all_pairs_minimal,
@@ -93,11 +93,9 @@ def test_pairwise_minimality():
     mat = IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]])
     basis = graver_basis(mat)
     for g in basis:
-        box = Box(
-            tuple(min(0, x) for x in g), tuple(max(0, x) for x in g)
-        )
         splitters = enumerate_box_points(
-            box,
+            tuple(min(0, x) for x in g),
+            tuple(max(0, x) for x in g),
             predicate=lambda u: (
                 not is_zero(u)
                 and u != g
@@ -387,7 +385,7 @@ CAP_ENTRY_POINTS = {
     "is_generalized_nash": lambda cap: is_generalized_nash(
         ONE_PLAYER, StrategyProfile(((1, 0),)), cap=cap
     ),
-    "enumerate_box_points": lambda cap: enumerate_box_points(Box((0,), (1,)), cap=cap),
+    "enumerate_box_points": lambda cap: enumerate_box_points((0,), (1,), cap=cap),
     "brute_graver": lambda cap: brute_graver(I_2, 1, cap=cap),
     "brute_ip_opt": lambda cap: brute_ip_opt(POINT, cap=cap),
     "brute_nash_check": lambda cap: brute_nash_check(ONE_PLAYER, cap=cap),

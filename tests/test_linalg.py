@@ -22,7 +22,7 @@ from gravernash import (
 )
 from gravernash import linalg
 from gravernash.linalg import is_zero
-from gravernash.oracle import Box, enumerate_box_points
+from gravernash.oracle import enumerate_box_points
 
 from conftest import identity_matrix, rand_matrix, squares_objective
 
@@ -100,9 +100,8 @@ def test_kernel_basis_spans_boxed_kernel_points():
         basis = kernel_lattice_basis(mat)
         for v in basis:
             assert is_zero(mat.matvec(v))
-        box = Box((-2,) * mat.ncols, (2,) * mat.ncols)
         kernel_points = enumerate_box_points(
-            box, predicate=lambda p: is_zero(mat.matvec(p))
+            (-2,) * mat.ncols, (2,) * mat.ncols, predicate=lambda p: is_zero(mat.matvec(p))
         )
         for p in kernel_points:
             assert _integer_combination(basis, p) is not None
@@ -113,6 +112,9 @@ def test_matrix_shape_validation():
         IntMatrix(2, 2, ((1, 2),))
     with pytest.raises(DimensionError):
         identity_matrix(2).matvec((1, 2, 3))
+    # no rows give no width: one must be passed
+    with pytest.raises(ValidationError):
+        IntMatrix.from_rows([])
 
 
 A11 = IntMatrix.from_rows([[1, 1]])

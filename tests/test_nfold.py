@@ -19,7 +19,7 @@ from gravernash import (
 )
 from gravernash.linalg import conformal_leq, is_zero
 from gravernash.nfold import embedded_columns
-from gravernash.oracle import Box, enumerate_box_points
+from gravernash.oracle import enumerate_box_points
 
 from conftest import identity_matrix, rand_matrix, zero_matrix
 
@@ -171,8 +171,9 @@ def test_multitype_kernel_is_padded_embedding_of_supermatrix():
     types, assignment = ((A11, B10), (a2, b2)), (0, 1)
     small = build_multitype_matrix(types, assignment)
     n = small.ncols
-    box = Box((-1,) * n, (1,) * n)
-    small_kernel = enumerate_box_points(box, predicate=lambda p: is_zero(small.matvec(p)))
+    small_kernel = enumerate_box_points(
+        (-1,) * n, (1,) * n, predicate=lambda p: is_zero(small.matvec(p))
+    )
 
     # the undeleted matrix: both slots present for both players
     full = _full_multitype(types, len(assignment))

@@ -1,7 +1,6 @@
 import pytest
 
 from gravernash import (
-    Box,
     GameInstance,
     InfeasibleError,
     IntMatrix,
@@ -21,15 +20,15 @@ from conftest import identity_matrix, squares_objective, zero_matrix
 
 def test_enumerate_box_points():
     with pytest.raises(ValidationError):
-        Box((0,), (1, 1))
-    pts = enumerate_box_points(Box((0, 0), (1, 1)))
+        enumerate_box_points((0,), (1, 1))
+    pts = enumerate_box_points((0, 0), (1, 1))
     assert pts == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    odd = enumerate_box_points(Box((0,), (4,)), predicate=lambda p: p[0] % 2 == 1)
+    odd = enumerate_box_points((0,), (4,), predicate=lambda p: p[0] % 2 == 1)
     assert odd == [(1,), (3,)]
     with pytest.raises(ResourceCapExceeded):
-        enumerate_box_points(Box((0, 0), (9, 9)), cap=50)
+        enumerate_box_points((0, 0), (9, 9), cap=50)
     # 3^30 points but for one empty range: none, and no cap is passed
-    assert enumerate_box_points(Box((-1,) * 30 + (1,), (1,) * 30 + (0,)), cap=50) == []
+    assert enumerate_box_points((-1,) * 30 + (1,), (1,) * 30 + (0,), cap=50) == []
 
 
 def test_brute_graver_small_cases():

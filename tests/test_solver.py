@@ -22,7 +22,7 @@ from gravernash import (
 )
 from gravernash.costs import ZERO_COST, AffineCost, PowerCost, QuadraticCost, SeparableObjective
 from gravernash.linalg import is_zero, kernel_lattice_basis
-from gravernash.oracle import Box, enumerate_box_points
+from gravernash.oracle import enumerate_box_points
 
 from conftest import (
     fraction_best_step,
@@ -79,6 +79,16 @@ def test_greedy_augment_trivial_kernel():
     assert len(basis) == 0
     result = greedy_augment((2,), basis, inst)
     assert result.x == (2,)
+
+
+def test_augmentation_and_certificate_refuse_an_infeasible_point():
+    basis = graver_basis(D111)
+    # off D x = d, outside the box, and of the wrong length
+    for point in ((1, 1, 0), (4, 0, -1), (1, 1)):
+        with pytest.raises(ValidationError):
+            greedy_augment(point, basis, SUM3)
+        with pytest.raises(ValidationError):
+            check_optimal(point, basis, SUM3)
 
 
 def test_check_optimal_examples():
@@ -163,7 +173,7 @@ def test_check_optimal_matches_value_optimality():
         value, _ = brute_ip_opt(inst)
         basis = graver_basis(mat)
         points = enumerate_box_points(
-            Box((0,) * nvars, u), predicate=lambda p: mat.matvec(p) == inst.d
+            (0,) * nvars, u, predicate=lambda p: mat.matvec(p) == inst.d
         )
         for p in points:
             ok, _ = check_optimal(p, basis, inst)

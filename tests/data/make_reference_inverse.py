@@ -12,8 +12,14 @@ such instances are "yes", so parabolas pulled off x* are drawn until
 PULLED_NO of them are answered "no".  Last comes the nash-wide family,
 drawn from a seed of its own: instances on the N = 2 equilibrium
 matrices of A=[1 1 1], B=[1 2 0] and A=[1 -1 2], B=[1 1 0], whose
-24-48 feasible shifts give the LP its widest tableaux.  Run from the
-repository root:
+24-48 feasible shifts give the LP its widest tableaux.  The linear family
+comes after it, from a seed of its own too: integral increasing linear
+shapes (affine, a in 1..3, b = 0, so the solver's scale L is 1) at
+points inside the box, as the benchmark draws them, on the 1x5 matrix
+[1 -2 -2 0 -1] and on the N = 2 equilibrium matrix of A=[1 1], B=[1 0].
+The eight 1x5 instances are answered "no", with Farkas coefficients that
+the solver returns unscaled; the eight on the equilibrium matrix "yes".
+Run from the repository root:
 
     PYTHONPATH=src python tests/data/make_reference_inverse.py
 """
@@ -41,6 +47,10 @@ WIDE_ROWS = [[1, 2, -1, 1, -2]]
 NASH_WIDE_SEED = 2010
 NASH_WIDE_PAIRS = (([[1, 1, 1]], [[1, 2, 0]]), ([[1, -1, 2]], [[1, 1, 0]]))
 NASH_WIDE_COUNT = 4
+LINEAR_SEED = 2011
+LINEAR_ROWS = [[1, -2, -2, 0, -1]]
+LINEAR_PAIR = ([[1, 1]], [[1, 0]])
+LINEAR_COUNT = 8
 PATH = Path(__file__).with_name("reference_inverse.json")
 
 # the solve snapshot's runner and rational draw, so that the snapshots
@@ -78,6 +88,11 @@ def _instance(rows, u, xstar, shapes) -> dict:
     return {"D": rows, "d": d, "u": u, "xstar": xstar, "shapes": shapes}
 
 
+def _linear(rng: random.Random, center: int) -> dict:
+    """An integral increasing linear shape; the center plays no part."""
+    return {"kind": "affine", "a": str(rng.randint(1, 3)), "b": "0"}
+
+
 def _box_instance(rng: random.Random, rows) -> dict:
     u = [rng.randint(2, 4) for _ in rows[0]]
     xstar = [rng.randint(0, ui) for ui in u]
@@ -98,7 +113,7 @@ def _nash_instance(rng: random.Random) -> dict:
     return _instance(rows, u, xstar, [_shape(rng, x) for x in xstar])
 
 
-def _nash_wide_instance(rng: random.Random, a, b) -> dict:
+def _nash_wide_instance(rng: random.Random, a, b, shape=_shape) -> dict:
     """A point inside the boxes of the N = 2 equilibrium matrix of (A, B); B >= 0, one row."""
     big_n, n = 2, len(a[0])
     spec = NfoldSpec(IntMatrix.from_rows(a), IntMatrix.from_rows(b), big_n)
@@ -110,7 +125,7 @@ def _nash_wide_instance(rng: random.Random, a, b) -> dict:
     s = rng.randint(1, 2)
     u = [v for ui in us for v in ui] + [sum(ui[j] for ui in us) for j in range(n)] + [load + 3]
     xstar = [v for x in xs for v in x] + y + [s]
-    return _instance(rows, u, xstar, [_shape(rng, x) for x in xstar])
+    return _instance(rows, u, xstar, [shape(rng, x) for x in xstar])
 
 
 def nash_wide_instances() -> list[tuple[str, dict]]:
@@ -119,6 +134,21 @@ def nash_wide_instances() -> list[tuple[str, dict]]:
         (f"nash-wide {p} {i}", _nash_wide_instance(rng, a, b))
         for p, (a, b) in enumerate(NASH_WIDE_PAIRS)
         for i in range(NASH_WIDE_COUNT)
+    ]
+
+
+def _linear_box_instance(rng: random.Random, rows) -> dict:
+    u = [rng.randint(3, 5) for _ in rows[0]]
+    xstar = [rng.randint(1, ui - 1) for ui in u]
+    return _instance(rows, u, xstar, [_linear(rng, x) for x in xstar])
+
+
+def linear_instances() -> list[tuple[str, dict]]:
+    rng = random.Random(LINEAR_SEED)
+    a, b = LINEAR_PAIR
+    return [
+        *((f"linear 1x5 {i}", _linear_box_instance(rng, LINEAR_ROWS)) for i in range(LINEAR_COUNT)),
+        *((f"linear nash {i}", _nash_wide_instance(rng, a, b, _linear)) for i in range(LINEAR_COUNT)),
     ]
 
 
@@ -189,7 +219,7 @@ def write_snapshot() -> None:
         snapshot += pulled
         snapshot += [
             {"name": name, "instance": inst, **run_case(inst, Path(tmp))}
-            for name, inst in nash_wide_instances()
+            for name, inst in (*nash_wide_instances(), *linear_instances())
         ]
     # one case per line, so a changed answer shows as a changed line
     lines = ",\n".join(json.dumps(case, separators=(",", ":")) for case in snapshot)

@@ -361,8 +361,10 @@ def test_reference_inverse_snapshot(tmp_path):
     """`inverse` and `verify-inverse` answer byte for byte as a committed snapshot of earlier code."""
     run_case = _snapshot_runner()
     cases = json.loads((Path(__file__).parent / "data" / "reference_inverse.json").read_text())
-    assert len(cases) == 83
+    assert len(cases) == 99
     assert {c["inverse"]["status"] for c in cases} == {"ok", "no"}
+    # "no" answers at L = 1, whose certificate is the LP's ray itself
+    assert sum(c["name"].startswith("linear") and c["inverse"]["status"] == "no" for c in cases) == 8
     for case in cases:
         got = run_case(case["instance"], tmp_path)
         assert got["inverse"] == case["inverse"], case["name"]

@@ -61,6 +61,15 @@ class GraverBasis:
     def __iter__(self):
         return iter(self.elements)
 
+    def check_matrix(self, D: IntMatrix) -> None:
+        """ValidationError unless this is the basis of D.
+
+        The basis of another matrix holds steps that leave D x = d, or
+        lacks steps that improve, so an answer read from it is wrong.
+        """
+        if self.matrix != D:
+            raise ValidationError("the basis is not G(D) for the instance's matrix D")
+
 
 def sign_masks(g: IntVec) -> tuple[int, int, IntVec]:
     """The record (pos, neg, g): bit i of pos is set iff g[i] > 0, of neg iff g[i] < 0."""

@@ -11,11 +11,16 @@ every coordinate, certifying that no weights exist.
 
 The solver evaluates the H-rows in integers, through the shapes' integer
 forms (`SeparableObjective.integer_forms`): each is L times the
-difference row.  One positive factor on every row changes no sign and
-no simplex pivot, so the LP's point is the weight vector itself, and
-its Farkas coefficients times L are the certificate for the unscaled
-rows.  The verifier shares none of
-this: it evaluates the difference rows from the shapes' own values.
+difference row, and each change L*f_j(x*_j + s) - L*f_j(x*_j) is
+evaluated once per column j and step s.  One positive factor on every
+row changes no sign and no simplex pivot, so the LP's point is the
+weight vector itself, and its Farkas coefficients times L are the
+certificate for the unscaled rows; when L = 1, as for integral affine
+shapes, the LP's ray is the certificate and no product is formed.  The
+LP checks both answers on the integers it builds them from (see `lp`).
+Every entry point takes G(D) for the instance's own D and refuses a
+basis of another matrix.  The verifier shares none of the solver's
+row code: it evaluates the difference rows from the shapes' own values.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Optional, Sequence
 from .costs import SeparableObjective
 from .errors import ValidationError
 from .graver import GraverBasis
-from .linalg import IntMatrix, IntVec, RatVec, all_ints, all_rationals, check_ints, vadd
+from .linalg import IntMatrix, IntVec, RatVec, all_ints, all_rationals, check_ints
 from .lp import FeasiblePoint, rational_lp_feasibility
 from .solver import IpInstance
 
@@ -74,16 +79,18 @@ class IiopAnswer:
 
 
 def feasible_shifts(basis: GraverBasis, inst: IiopInstance) -> list[IntVec]:
-    """H = Graver directions g with x* + g still inside the box.
+    """H = Graver directions g with x* + g still inside the box, in basis order.
 
-    D g = 0 keeps the equations satisfied automatically.
+    D g = 0 keeps the equations satisfied automatically.  0 <= x* + g <= u
+    is tested as -x* <= g <= u - x*.  ValidationError unless `basis` is
+    G(D) for the instance's D.
     """
-    out = []
-    for g in basis.elements:
-        moved = vadd(inst.xstar, g)
-        if all(0 <= v <= b for v, b in zip(moved, inst.u)):
-            out.append(g)
-    return out
+    basis.check_matrix(inst.D)
+    low = [-x for x in inst.xstar]
+    high = [b - x for b, x in zip(inst.u, inst.xstar)]
+    return [
+        g for g in basis.elements if all(lo <= v <= hi for lo, v, hi in zip(low, g, high))
+    ]
 
 
 def _difference_rows(inst: IiopInstance, shifts: Sequence[IntVec]) -> list[IntVec]:
@@ -91,17 +98,19 @@ def _difference_rows(inst: IiopInstance, shifts: Sequence[IntVec]) -> list[IntVe
 
     L and the functions L*f_j are the shapes' integer forms, from
     `SeparableObjective.integer_forms`; a constant column contributes 0.
-    Each L*f_j(x*_j) is evaluated once.
+    Each change is evaluated once per column and step, and L*f_j(x*_j)
+    once per column.
     """
     _, forms = inst.shapes.integer_forms
-    at_xstar = [0 if f is None else f(x) for f, x in zip(forms, inst.xstar)]
-    return [
-        tuple(
-            f(x + step) - fx if step and f else 0
-            for f, x, fx, step in zip(forms, inst.xstar, at_xstar, g)
-        )
-        for g in shifts
-    ]
+    changes = []  # per column: step -> L*f_j(x*_j + step) - L*f_j(x*_j)
+    for j, (f, x) in enumerate(zip(forms, inst.xstar)):
+        steps = {g[j] for g in shifts}
+        if f is None:
+            changes.append(dict.fromkeys(steps, 0))
+        else:
+            fx = f(x)
+            changes.append({s: f(x + s) - fx if s else 0 for s in steps})
+    return [tuple(c[s] for c, s in zip(changes, g)) for g in shifts]
 
 
 def solve_iiop(inst: IiopInstance, basis: GraverBasis) -> IiopAnswer:
@@ -117,7 +126,9 @@ def solve_iiop(inst: IiopInstance, basis: GraverBasis) -> IiopAnswer:
         return IiopAnswer(verdict="yes", lam=outcome.lam, shifts=shifts)
     # the rows are L times the difference rows, so the ray is 1/L times theirs
     scale, _ = inst.shapes.integer_forms
-    certificate = tuple(scale * v for v in outcome.coefficients)
+    certificate = outcome.coefficients
+    if scale != 1:
+        certificate = tuple(scale * v for v in certificate)
     return IiopAnswer(verdict="no", shifts=shifts, certificate=certificate)
 
 

@@ -23,9 +23,12 @@ and the ray are the same.  On infeasibility the simplex duals yield a
 nonnegative combination v of the rows with
 sum_i v_i row_i + strict_row <= 0  componentwise, which certifies that
 no lam exists.  Both answers are checked against the input system
-before they are returned, in integers: a point or a ray is scaled by
-the common denominator of its entries, which keeps every sign the check
-looks at.
+before they are returned, on the integers the tableau ends with, over
+a positive denominator: the point is the basic rows' right-hand sides
+over the basis determinant, the ray the surpluses' reduced costs over
+the strict row's dual.  Multiplying the system by that denominator
+keeps every sign the check looks at, and each returned Fraction is
+built once, from the same integers.
 
 Every entry of a row and of the strict row must be an int; anything
 else, a Fraction, a float or a bool included, raises ValidationError,
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .errors import CertificateError, DimensionError
@@ -57,12 +59,6 @@ class FarkasRay:
     """Coefficients v >= 0, one per input row, with v^T R + strict_row <= 0."""
 
     coefficients: RatVec
-
-
-def _integral(v) -> tuple[int, list[int]]:
-    """(s, s*v) for the positive common denominator s of v's entries: v's signs, in ints."""
-    s = lcm(*(x.denominator for x in v))
-    return s, [x.numerator * (s // x.denominator) for x in v]
 
 
 def rational_lp_feasibility(
@@ -139,13 +135,12 @@ def rational_lp_feasibility(
 
     reduced = tableau[cost_row]
     if reduced[-1] == 0:  # the artificial is 0
-        lam = [ZERO] * n
+        lam = [0] * n  # lam times det
         for i, b in enumerate(basis):
             if b < n:
-                lam[b] = Fraction(tableau[i][-1], det)
-        point = FeasiblePoint(tuple(lam))
-        _check_point(rows, strict_row, point.lam)
-        return point
+                lam[b] = tableau[i][-1]
+        _check_point(rows, strict_row, lam, det)
+        return FeasiblePoint(tuple(Fraction(x, det) if x else ZERO for x in lam))
 
     # duals y_i = delta_im - d_i / det, d_i the reduced cost of t_i (of a
     # for i = m); the ray is -y_i / y_m, in which det cancels
@@ -156,25 +151,39 @@ def rational_lp_feasibility(
     y_strict = det - slack_cost[m]
     if y_strict <= 0:
         raise CertificateError("phase-1 duals give no Farkas ray")
-    ray = FarkasRay(tuple(Fraction(slack_cost[i], y_strict) for i in range(m)))
-    _check_ray(rows, strict_row, ray.coefficients)
-    return ray
+    ray = slack_cost[:m]  # the ray times y_strict
+    _check_ray(rows, strict_row, ray, y_strict)
+    return FarkasRay(tuple(Fraction(x, y_strict) if x else ZERO for x in ray))
 
 
-def _check_point(rows, strict_row, lam) -> None:
-    _, scaled = _integral(lam)
+def _check_point(rows, strict_row, numerators, denominator) -> None:
+    """CertificateError unless lam = numerators / denominator solves the system.
+
+    With denominator > 0, the system on the numerators is the system on
+    lam scaled by it.
+    """
     if not (
-        all(x >= 0 for x in scaled)
-        and all(dot(r, scaled) >= 0 for r in rows)
-        and dot(strict_row, scaled) > 0
+        denominator > 0
+        and all(x >= 0 for x in numerators)
+        and all(dot(r, numerators) >= 0 for r in rows)
+        and dot(strict_row, numerators) > 0
     ):
         raise CertificateError("simplex point violates the system")
 
 
-def _check_ray(rows, strict_row, v) -> None:
-    # s*v^T R + s*strict_row <= 0 is v^T R + strict_row <= 0 scaled by s > 0
-    s, scaled = _integral(v)
-    support = [(vi, r) for vi, r in zip(scaled, rows) if vi]
-    combos = [sum(vi * r[j] for vi, r in support) + s * c for j, c in enumerate(strict_row)]
-    if not (all(x >= 0 for x in scaled) and all(c <= 0 for c in combos)):
+def _check_ray(rows, strict_row, numerators, denominator) -> None:
+    """CertificateError unless v = numerators / denominator certifies infeasibility.
+
+    s v^T R + s strict_row <= 0 is v^T R + strict_row <= 0 scaled by
+    s = denominator > 0.
+    """
+    support = [(vi, r) for vi, r in zip(numerators, rows) if vi]
+    combos = [
+        sum(vi * r[j] for vi, r in support) + denominator * c for j, c in enumerate(strict_row)
+    ]
+    if not (
+        denominator > 0
+        and all(x >= 0 for x in numerators)
+        and all(c <= 0 for c in combos)
+    ):
         raise CertificateError("Farkas ray does not certify infeasibility")

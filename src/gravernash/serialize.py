@@ -31,7 +31,9 @@ from .solver import IpInstance
 
 
 def frac_to_str(x: Fraction) -> str:
-    x = Fraction(x)
+    """"p/q", or "p" when q = 1; an int or another rational goes through Fraction first."""
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     try:
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     except ValueError as exc:  # past the interpreter's int-to-string digit limit

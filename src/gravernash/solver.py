@@ -118,7 +118,11 @@ def best_step(x: IntVec, g: IntVec, inst: IpInstance) -> tuple[int, Fraction | i
 
 
 def greedy_augment(x0: IntVec, basis: GraverBasis, inst: IpInstance) -> SolveResult:
-    """Best-improvement greedy augmentation from a feasible start."""
+    """Best-improvement greedy augmentation from a feasible start.
+
+    ValidationError unless `basis` is G(D) for the instance's D.
+    """
+    basis.check_matrix(inst.D)
     if not inst.is_feasible(x0):
         raise ValidationError("greedy_augment requires a feasible start")
     x = x0
@@ -150,8 +154,10 @@ def check_optimal(
     """Graver optimality certificate: no single feasible step improves x.
 
     Returns (True, None) or (False, first violating direction in
-    canonical order).
+    canonical order).  ValidationError unless `basis` is G(D) for the
+    instance's D.
     """
+    basis.check_matrix(inst.D)
     if not inst.is_feasible(x):
         raise ValidationError("check_optimal requires a feasible point")
     fx = inst.objective.value(x)

@@ -13,13 +13,15 @@ from gravernash import (
     IpInstance,
     ValidationError,
     brute_ip_opt,
+    check_optimal,
     feasible_shifts,
     graver_basis,
+    greedy_augment,
     solve_iiop,
     verify_answer,
 )
 from gravernash import inverse
-from gravernash.costs import QuadraticCost, SeparableObjective
+from gravernash.costs import ZERO_COST, AffineCost, QuadraticCost, SeparableObjective
 from gravernash.inverse import _difference_rows, _value_rows
 
 from conftest import (
@@ -129,6 +131,58 @@ def test_feasible_shifts_respect_box():
         shapes=SeparableObjective((square_cost(), square_cost())),
     )
     assert feasible_shifts(basis, inst) == [(-1, 1)]
+    # the definition, H = {g in G(D) : 0 <= x* + g <= u} in basis order, on
+    # random instances whose x* often lies on a face of the box
+    rng = random.Random(25)
+    faces = 0
+    for case in range(150):
+        k = rng.randint(2, 5)
+        D = rand_matrix(rng, rng.randint(1, 2), k, -2, 2)
+        u = [rng.randint(0, 3) for _ in range(k)]
+        xstar = [rng.choice((0, ub, rng.randint(0, ub))) for ub in u]
+        faces += sum(x in (0, ub) for x, ub in zip(xstar, u))
+        inst = IiopInstance(
+            D=D,
+            d=D.matvec(xstar),
+            u=u,
+            xstar=xstar,
+            shapes=SeparableObjective(tuple(square_cost() for _ in range(k))),
+        )
+        basis = graver_basis(D)
+        want = [
+            g
+            for g in basis.elements
+            if all(0 <= x + v <= ub for x, v, ub in zip(xstar, g, u))
+        ]
+        assert feasible_shifts(basis, inst) == want, case
+    assert faces >= 300, faces
+
+
+def test_entry_points_refuse_a_basis_of_another_matrix():
+    """A basis of another matrix answers wrongly, so every entry point that takes one refuses it."""
+    squares = SeparableObjective((square_cost(), ZERO_COST))
+    ip = IpInstance(D=D11, d=(2,), u=(2, 2), objective=squares)
+    linear = SeparableObjective((AffineCost(1, 0), AffineCost(1, 0)))
+    iiop = IiopInstance(D=D11, d=(2,), u=(2, 2), xstar=(1, 1), shapes=linear)
+    right = graver_basis(D11)
+    assert greedy_augment((1, 1), right, ip).x == (0, 2)
+    assert check_optimal((1, 1), right, ip) == (False, (-1, 1))
+    answer = solve_iiop(iiop, right)
+    assert answer.lam == (F(1, 2), F(1, 2)) and verify_answer(iiop, right, answer)
+    # the same width (G([1 0]) would call (1, 1) optimal and answer lam = (1, 0)),
+    # and a wider matrix
+    for other in ([[1, 0]], [[1, 1, 1]]):
+        wrong = graver_basis(IntMatrix.from_rows(other))
+        with pytest.raises(ValidationError):
+            greedy_augment((1, 1), wrong, ip)
+        with pytest.raises(ValidationError):
+            check_optimal((1, 1), wrong, ip)
+        with pytest.raises(ValidationError):
+            feasible_shifts(wrong, iiop)
+        with pytest.raises(ValidationError):
+            solve_iiop(iiop, wrong)
+        with pytest.raises(ValidationError):
+            verify_answer(iiop, wrong, answer)
 
 
 def test_xstar_outside_polytope_rejected():

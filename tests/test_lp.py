@@ -89,38 +89,50 @@ def test_random_systems_one_branch_verifies():
 
 
 def test_checks_reject_corrupted_answers():
-    Q = Fraction
+    """A point or a ray is given as numerators over a positive denominator."""
     rows = [(3, -1)]
     strict = (1, 1)
-    _check_point(rows, strict, (Q(1), Q(3)))
+    _check_point(rows, strict, (1, 3), 1)
     with pytest.raises(CertificateError):
-        _check_point(rows, strict, (Q(1), Q(4)))  # 3 - 4 < 0
+        _check_point(rows, strict, (1, 4), 1)  # 3 - 4 < 0
     with pytest.raises(CertificateError):
-        _check_point(rows, strict, (Q(0), Q(0)))  # strict row not positive
+        _check_point(rows, strict, (0, 0), 1)  # strict row not positive
     neg = [(-1, -1)]
-    _check_ray(neg, strict, (Q(1),))
+    _check_ray(neg, strict, (1,), 1)
     with pytest.raises(CertificateError):
-        _check_ray(neg, strict, (Q(1, 2),))  # -1/2 + 1 > 0
+        _check_ray(neg, strict, (1,), 2)  # -1/2 + 1 > 0
     with pytest.raises(CertificateError):
-        _check_ray(neg, strict, (Q(-1),))
+        _check_ray(neg, strict, (-1,), 1)
 
 
 def test_checks_reject_corrupted_answers_on_int_rows():
-    """The checks scale a point or a ray to integers; a corrupted one still fails."""
-    Q = Fraction
+    """The checks read a point or a ray in integers; a corrupted one still fails."""
     rows = [(3, -1), (-1, 2)]
     strict = (1, 1)
-    _check_point(rows, strict, (Q(1, 3), Q(1, 2)))  # row sums 1/2 and 2/3
-    corrupted = [(Q(1, 3), Q(5, 4)), (Q(1, 2), Q(1, 5)), (Q(-1, 2), Q(1, 3)), (Q(0), Q(0))]
-    for lam in corrupted:
+    _check_point(rows, strict, (2, 3), 6)  # (1/3, 1/2): row sums 1/2 and 2/3
+    # (1/3, 5/4), (1/2, 1/5), (-1/2, 1/3), (0, 0)
+    corrupted = [((4, 15), 12), ((5, 2), 10), ((-3, 2), 6), ((0, 0), 1)]
+    for lam, den in corrupted:
         with pytest.raises(CertificateError):
-            _check_point(rows, strict, lam)
+            _check_point(rows, strict, lam, den)
     neg = [(-2, -1), (0, -3)]
-    _check_ray(neg, strict, (Q(1, 2), Q(1, 3)))  # v^T R + strict = (0, -1/2)
-    corrupted = [(Q(1, 2), Q(1, 7)), (Q(1, 3), Q(1, 3)), (Q(-1), Q(2)), (Q(0), Q(0))]
-    for v in corrupted:
+    _check_ray(neg, strict, (3, 2), 6)  # (1/2, 1/3): v^T R + strict = (0, -1/2)
+    # (1/2, 1/7), (1/3, 1/3), (-1, 2), (0, 0)
+    corrupted = [((7, 2), 14), ((1, 1), 3), ((-1, 2), 1), ((0, 0), 1)]
+    for v, den in corrupted:
         with pytest.raises(CertificateError):
-            _check_ray(neg, strict, v)
+            _check_ray(neg, strict, v, den)
+
+
+def test_checks_reject_a_denominator_that_is_not_positive():
+    """Numerators that pass over a positive denominator fail over 0 or a negative one."""
+    rows = [(3, -1)]
+    strict = (1, 1)
+    for den in (0, -1):
+        with pytest.raises(CertificateError):
+            _check_point(rows, strict, (1, 3), den)
+        with pytest.raises(CertificateError):
+            _check_ray([(-1, -1)], strict, (1,), den)
 
 
 def test_int_rows_match_rows_divided_by_a_constant():

@@ -31,7 +31,7 @@ from .solver import IpInstance
 
 
 def frac_to_str(x: Fraction) -> str:
-    """"p/q", or "p" when q = 1; an int or another rational goes through Fraction first."""
+    """The text p/q, or p when q = 1; an int or another rational goes through Fraction first."""
     if not isinstance(x, Fraction):
         x = Fraction(x)
     try:

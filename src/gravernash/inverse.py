@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import getitem, le
 from typing import Optional, Sequence
 
 from .costs import SeparableObjective
@@ -74,7 +76,7 @@ class IiopAnswer:
         # an answer is checked in exact arithmetic, so a float never enters one
         if not all_rationals((*(self.lam or ()), *(self.certificate or ()))):
             raise ValidationError("weights and certificate coefficients must be ints or Fractions")
-        if not all(all_ints(g) for g in self.shifts):
+        if not all_ints(chain.from_iterable(self.shifts)):
             raise ValidationError("shifts must be integers")
 
 
@@ -88,9 +90,7 @@ def feasible_shifts(basis: GraverBasis, inst: IiopInstance) -> list[IntVec]:
     basis.check_matrix(inst.D)
     low = [-x for x in inst.xstar]
     high = [b - x for b, x in zip(inst.u, inst.xstar)]
-    return [
-        g for g in basis.elements if all(lo <= v <= hi for lo, v, hi in zip(low, g, high))
-    ]
+    return [g for g in basis.elements if all(map(le, low, g)) and all(map(le, g, high))]
 
 
 def _difference_rows(inst: IiopInstance, shifts: Sequence[IntVec]) -> list[IntVec]:
@@ -103,14 +103,14 @@ def _difference_rows(inst: IiopInstance, shifts: Sequence[IntVec]) -> list[IntVe
     """
     _, forms = inst.shapes.integer_forms
     changes = []  # per column: step -> L*f_j(x*_j + step) - L*f_j(x*_j)
-    for j, (f, x) in enumerate(zip(forms, inst.xstar)):
-        steps = {g[j] for g in shifts}
+    for f, x, column in zip(forms, inst.xstar, zip(*shifts)):
+        steps = set(column)
         if f is None:
             changes.append(dict.fromkeys(steps, 0))
         else:
             fx = f(x)
             changes.append({s: f(x + s) - fx if s else 0 for s in steps})
-    return [tuple(c[s] for c, s in zip(changes, g)) for g in shifts]
+    return [tuple(map(getitem, changes, g)) for g in shifts]
 
 
 def solve_iiop(inst: IiopInstance, basis: GraverBasis) -> IiopAnswer:

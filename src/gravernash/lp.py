@@ -9,17 +9,23 @@ Decides whether the homogeneous system
 has a solution.  The strict inequality is scale invariant, so it is
 homogenized to strict_row . lam = 1 and the question decided by a
 phase-1 simplex with Bland's rule.  The simplex is fraction-free: the
-rows are ints, the reduced-cost row is carried in the tableau and
-pivoted with the others (Chvatal, Linear Programming, 1983, ch. 2-3),
-and every pivot is Bareiss's integer-preserving elimination (Math.
-Comp. 22, 1968), so no gcd runs until the answer is read off.  The
-tableau is condensed (Tucker form), as in lrs's integer pivoting (Avis,
-"lrs: A revised implementation of the reverse search vertex enumeration
-algorithm", 2000): the basic columns are the determinant times unit
-columns, so only the nonbasic ones are stored, and a pivot writes the
-leaving variable's column into the entering one's place.  Every stored
-number is the one the full tableau would hold, so the pivots, the point
-and the ray are the same.  On infeasibility the simplex duals yield a
+tableau's entries are ints, the reduced-cost row is carried in the
+tableau and pivoted with the others (Chvatal, Linear Programming, 1983,
+ch. 2-3), and every pivot is Bareiss's integer-preserving elimination
+(Math. Comp. 22, 1968), so no gcd runs until the answer is read off.
+The tableau is condensed (Tucker form), as in lrs's integer pivoting
+(Avis, "lrs: A revised implementation of the reverse search vertex
+enumeration algorithm", 2000): the basic columns are the determinant
+times unit columns, so only the nonbasic ones are stored, and a pivot
+writes the leaving variable's column into the entering one's place.  It
+is stored by column: one list per nonbasic variable and one for the
+right-hand side, each holding the surplus rows, the strict row and the
+cost row.  A system has many more rows than variables, so a pivot
+rebuilds a few long lists rather than many short ones; a column whose
+pivot-row entry is 0 is only scaled, and the ratio test reads the
+entering column and the right-hand side.  Every stored number is the
+one the full tableau would hold, so the pivots, the point and the ray
+are the same.  On infeasibility the simplex duals yield a
 nonnegative combination v of the rows with
 sum_i v_i row_i + strict_row <= 0  componentwise, which certifies that
 no lam exists.  Both answers are checked against the input system
@@ -76,11 +82,13 @@ def rational_lp_feasibility(
     #   -row_i . lam + t_i     = 0     (i < m, t_i the surplus of row i)
     #   strict_row . lam + a   = 1     (a the artificial)
     # phase-1 cost: minimize a.  Variables: lam_0..lam_{n-1}, then
-    # t_0..t_{m-1}, then a.
-    tableau = [[-x for x in r] + [0] for r in rows]
-    tableau.append([*strict_row, 1])
-    # the carried reduced-cost row c_N - c_B B^{-1} N | -c_B B^{-1} b, basis a
-    tableau.append([-x for x in tableau[m]])
+    # t_0..t_{m-1}, then a.  The tableau is stored by column: entry i of
+    # a column is on the surplus row i (i < m), the strict row (i = m) or
+    # the carried reduced-cost row c_N - c_B B^{-1} N | -c_B B^{-1} b
+    # (i = m + 1, basis a); the last column is the right-hand side.
+    tableau = [[-r[c] for r in rows] + [s, -s] for c, s in enumerate(strict_row)]
+    tableau.append([0] * m + [1, -1])
+    rhs = tableau[n]
     cost_row = m + 1
 
     # Condensed fraction-free tableau: T / det is the simplex tableau
@@ -92,53 +100,55 @@ def rational_lp_feasibility(
     while True:
         # Bland: the least variable with a negative reduced cost; a basic
         # variable's is 0
-        reduced = tableau[cost_row]
         col, entering = -1, n + m + 1
         for c in range(n):
-            if reduced[c] < 0 and nonbasic[c] < entering:
+            if tableau[c][cost_row] < 0 and nonbasic[c] < entering:
                 col, entering = c, nonbasic[c]
         if col < 0:
             break
+        pivot_col = tableau[col]
         leaving = -1
         for i in range(m + 1):
-            v = tableau[i][col]
+            v = pivot_col[i]
             if v > 0:
                 if leaving < 0:
                     leaving = i
                     continue
                 # ratio_i < ratio_leaving, cross-multiplied by the positive pivots
-                lhs = tableau[i][-1] * tableau[leaving][col]
-                rhs = tableau[leaving][-1] * v
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                here = rhs[i] * pivot_col[leaving]
+                best = rhs[leaving] * v
+                if here < best or (here == best and basis[i] < basis[leaving]):
                     leaving = i
         if leaving < 0:
             raise CertificateError("unbounded phase-1 simplex")
-        # Bareiss's step on the columns that stay nonbasic.  Column col then
-        # holds the leaving variable's column, det e_leaving before the step:
-        # -f off the pivot row, det on it.  A row with f = 0 is only scaled
-        # by p / det.
-        pivot_row = tableau[leaving]
-        p = pivot_row[col]
-        for i, row in enumerate(tableau):
-            if i != leaving:
-                f = row[col]
+        # Bareiss's step on the columns that stay nonbasic; the pivot row
+        # keeps its entries.  A column whose pivot-row entry is 0 is only
+        # scaled by p / det.  Column col then holds the leaving variable's
+        # column, det e_leaving before the step: -f off the pivot row, det
+        # on it.
+        p = pivot_col[leaving]
+        for c, column in enumerate(tableau):
+            if c != col:
+                f = column[leaving]
                 # exact: every entry is a minor of the scaled input matrix
                 if f:
-                    row = [(p * x - f * y) // det for x, y in zip(row, pivot_row)]
-                    row[col] = -f
-                    tableau[i] = row
+                    column = [(p * x - f * y) // det for x, y in zip(column, pivot_col)]
+                    column[leaving] = f
+                    tableau[c] = column
                 elif p != det:
-                    tableau[i] = [p * x // det for x in row]
-        pivot_row[col] = det
+                    tableau[c] = [p * x // det for x in column]
+        column = [-x for x in pivot_col]
+        column[leaving] = det
+        tableau[col] = column
+        rhs = tableau[n]
         det = p
         basis[leaving], nonbasic[col] = entering, basis[leaving]
 
-    reduced = tableau[cost_row]
-    if reduced[-1] == 0:  # the artificial is 0
+    if rhs[cost_row] == 0:  # the artificial is 0
         lam = [0] * n  # lam times det
         for i, b in enumerate(basis):
             if b < n:
-                lam[b] = tableau[i][-1]
+                lam[b] = rhs[i]
         _check_point(rows, strict_row, lam, det)
         return FeasiblePoint(tuple(Fraction(x, det) if x else ZERO for x in lam))
 
@@ -147,7 +157,7 @@ def rational_lp_feasibility(
     slack_cost = [0] * (m + 1)
     for c, v in enumerate(nonbasic):
         if v >= n:
-            slack_cost[v - n] = reduced[c]
+            slack_cost[v - n] = tableau[c][cost_row]
     y_strict = det - slack_cost[m]
     if y_strict <= 0:
         raise CertificateError("phase-1 duals give no Farkas ray")

@@ -23,6 +23,7 @@ from gravernash import (
 from gravernash import inverse
 from gravernash.costs import ZERO_COST, AffineCost, QuadraticCost, SeparableObjective
 from gravernash.inverse import _difference_rows, _value_rows
+from gravernash.nfold import NfoldSpec, build_nash_matrix
 
 from conftest import (
     fraction_solve_iiop,
@@ -246,6 +247,10 @@ def test_answers_take_exact_numbers_only():
     for shifts in (((1.0, -1),), ((F(1), -1),), ((True, -1),)):
         with pytest.raises(ValidationError):
             IiopAnswer(verdict="no", shifts=shifts, certificate=(F(1),))
+    # every shift is checked, not only the first
+    for entry in (True, 1.0, F(1)):
+        with pytest.raises(ValidationError):
+            IiopAnswer(verdict="no", shifts=((1, -1), (-1, entry)), certificate=(F(1), F(1)))
     assert IiopAnswer(verdict="yes", lam=(1, F(0))).lam == (1, 0)
     assert IiopAnswer(verdict="no", shifts=((1, -1),), certificate=(2,)).certificate == (2,)
 
@@ -401,6 +406,46 @@ def test_integer_rows_match_the_fraction_rows():
         assert verify_answer(inst, basis, got), case
         verdicts[got.verdict] += 1
     assert min(verdicts.values()) >= 50, verdicts
+
+
+def _linear_instance(rng, mat: IntMatrix, u, xstar) -> IiopInstance:
+    """Increasing linear shapes a*y, a in 1..3 and b = 0 (so L = 1), at x* = `xstar`."""
+    shapes = SeparableObjective(tuple(AffineCost(F(rng.randint(1, 3)), F(0)) for _ in xstar))
+    return IiopInstance(D=mat, d=mat.matvec(xstar), u=u, xstar=xstar, shapes=shapes)
+
+
+def test_linear_shapes_at_interior_points_match_the_dense_fraction_reference():
+    """The benchmark's systems: linear shapes at a point inside the box.
+
+    Each surplus row starts with right-hand side 0, so most pivots are
+    degenerate.  On [1 -2 -2 0 -1] and on the N = 2 equilibrium matrix of
+    A = [1 1], B = [1 0] (x-blocks, then their sums y, then the coupling
+    slack), the answers equal the dense-Fraction reference's and verify.
+    """
+    rng = random.Random(2026)
+    row = IntMatrix.from_rows([[1, -2, -2, 0, -1]])
+    nash = build_nash_matrix(
+        NfoldSpec(IntMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[1, 0]]), 2)
+    )
+    bases = {mat: graver_basis(mat) for mat in (row, nash)}
+    verdicts = {"yes": 0, "no": 0}
+    for case in range(100):
+        if case % 2:
+            u = tuple(rng.randint(3, 5) for _ in range(5))
+            inst = _linear_instance(rng, row, u, tuple(rng.randint(1, v - 1) for v in u))
+        else:
+            us = [[rng.randint(3, 5) for _ in range(2)] for _ in range(2)]
+            xs = [[rng.randint(1, v - 1) for v in ub] for ub in us]
+            load = sum(x[0] for x in xs)
+            u = (*us[0], *us[1], us[0][0] + us[1][0], us[0][1] + us[1][1], load + 3)
+            xstar = (*xs[0], *xs[1], xs[0][0] + xs[1][0], xs[0][1] + xs[1][1], rng.randint(1, 2))
+            inst = _linear_instance(rng, nash, u, xstar)
+        basis = bases[inst.D]
+        got = solve_iiop(inst, basis)
+        assert got == fraction_solve_iiop(inst, basis), case
+        assert verify_answer(inst, basis, got), case
+        verdicts[got.verdict] += 1
+    assert min(verdicts.values()) >= 30, verdicts
 
 
 def _snapshot_runner():

@@ -53,6 +53,16 @@ def test_dimension_mismatch():
         rational_lp_feasibility([(1,)], (1, 1))
 
 
+def test_inputs_are_checked_row_by_row():
+    """The strict row first, then each row's length and then its entries, row by row."""
+    with pytest.raises(ValidationError):
+        rational_lp_feasibility([(True, 1), (1,)], (1, 1))
+    with pytest.raises(DimensionError):
+        rational_lp_feasibility([(1,), (True, 1)], (1, 1))
+    with pytest.raises(ValidationError):
+        rational_lp_feasibility([(1,)], (1, True))
+
+
 @pytest.mark.parametrize("entry", [Fraction(1), Fraction(1, 2), 1.0, True], ids=repr)
 def test_an_entry_that_is_not_an_int_is_rejected(entry):
     """A row or strict-row entry must be an int; nothing is converted."""

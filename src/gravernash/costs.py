@@ -14,12 +14,17 @@ is a game's further rule, the signs that make a cost nondecreasing.  A
 power cost's exponent is a size cap as well: one above MAX_EXPONENT (64)
 raises ResourceCapExceeded as the cost is built, before the rule.
 
+A cost stores each integral parameter as an int, whether it was given
+as an int or as a Fraction, so its `value` is an int when every
+parameter is integral and a Fraction otherwise.
+
 Every valid cost has an integer form: `scale()` is a positive integer L
 such that L*f(y) is an integer at every integer y >= 0, and `times(M)`,
 for any multiple M of L, is M*f with integer parameters, whose values
-are plain ints.  `SeparableObjective.integer_forms` builds them once per
-objective, with L the objective's scale; the augmentation and the
-inverse solver evaluate them, the inverse verifier evaluates `value`.
+are plain ints.  At L = 1 the cost is its own integer form.
+`SeparableObjective.integer_forms` builds them once per objective, with
+L the objective's scale; the augmentation and the inverse solver
+evaluate them, the inverse verifier evaluates `value`.
 """
 
 from __future__ import annotations
@@ -48,6 +53,21 @@ def _require(cost, ok: bool) -> None:
         raise ValidationError(f"{type(cost).__name__}: parameters not exact or not convex")
 
 
+def _store_ints(cost, *names: str) -> None:
+    """Store each integral Fraction among the named parameters (or in a tuple of them) as its int.
+
+    Run after the checks, so every parameter is an int or a Fraction; a
+    parameter is then an int exactly when it is integral.
+    """
+    for name in names:
+        value = getattr(cost, name)
+        if type(value) is tuple:
+            value = tuple(q.numerator if q.denominator == 1 else q for q in value)
+        elif value.denominator == 1:
+            value = value.numerator
+        object.__setattr__(cost, name, value)
+
+
 def _times(m: int, q) -> int:
     """m*q as an int; `times(m)` makes integral parameters only when m is a multiple of `scale()`."""
     numerator, denominator = m * q.numerator, q.denominator
@@ -65,8 +85,9 @@ class AffineCost:
 
     def __post_init__(self) -> None:
         _require(self, all_rationals((self.a, self.b)))
+        _store_ints(self, "a", "b")
 
-    def value(self, y: int) -> Fraction:
+    def value(self, y: int) -> Fraction | int:
         _check_arg(y)
         return self.a * y + self.b
 
@@ -90,8 +111,9 @@ class QuadraticCost:
 
     def __post_init__(self) -> None:
         _require(self, all_rationals((self.a, self.b, self.c)) and self.a >= 0)
+        _store_ints(self, "a", "b", "c")
 
-    def value(self, y: int) -> Fraction:
+    def value(self, y: int) -> Fraction | int:
         _check_arg(y)
         return self.a * y * y + self.b * y + self.c
 
@@ -127,8 +149,9 @@ class PowerCost:
                 f"a power cost's exponent is at most {MAX_EXPONENT}, got {self.k}"
             )
         _require(self, all_rationals((self.a,)) and all_ints((self.k,)) and self.a >= 0 and self.k >= 1)
+        _store_ints(self, "a")
 
-    def value(self, y: int) -> Fraction:
+    def value(self, y: int) -> Fraction | int:
         _check_arg(y)
         return self.a * y**self.k
 
@@ -161,8 +184,9 @@ class PiecewiseLinearCost:
         _require(self, all_ints(bps) and all_rationals((self.c0, *slopes)))
         _require(self, len(slopes) == len(bps) + 1 and list(slopes) == sorted(slopes))
         _require(self, all(a < b for a, b in zip((0,) + bps, bps)))
+        _store_ints(self, "slopes", "c0")
 
-    def value(self, y: int) -> Fraction:
+    def value(self, y: int) -> Fraction | int:
         _check_arg(y)
         total = self.c0
         prev = 0
@@ -196,7 +220,7 @@ class ShiftedCost:
         _require(self, isinstance(self.base, UnivariateCost))
         _require(self, all_ints((self.shift,)) and self.shift >= 0)
 
-    def value(self, y: int) -> Fraction:
+    def value(self, y: int) -> Fraction | int:
         _check_arg(y)
         return self.base.value(y + self.shift)
 
@@ -243,11 +267,15 @@ class SeparableObjective:
     def integer_forms(self) -> tuple[int, tuple[Optional[Callable[[int], int]], ...]]:
         """(L, f): L = scale() and L times each term as an int-valued function.
 
-        A constant term's function is None, and no integer form is built
-        for it: it moves no difference and no improvement.
+        At L = 1 every parameter is an int and each function is the
+        term's own `value`; no copy is built.  A constant term's function
+        is None, and no integer form is built for it: it moves no
+        difference and no improvement.
         """
         scale = self.scale()
         return scale, tuple(
-            None if isinstance(t, AffineCost) and t.a == 0 else t.times(scale).value
+            None if isinstance(t, AffineCost) and t.a == 0
+            else t.value if scale == 1
+            else t.times(scale).value
             for t in self.terms
         )

@@ -188,40 +188,44 @@ def kernel_lattice_basis(mat: IntMatrix) -> list[IntVec]:
     Column-style Hermite reduction with a unimodular transform: integer
     column operations drive the matrix to column echelon form; the
     transform columns matching the zeroed-out columns span the kernel
-    lattice over Z.  Empty list when the kernel is trivial.
+    lattice over Z.  Each column is one list, the matrix column followed
+    by the transform's, so a column operation is one pass over one list.
+    Empty list when the kernel is trivial.
     """
     r, c = mat.nrows, mat.ncols
-    a = [list(mat.col(j)) for j in range(c)]
-    u = [[1 if k == j else 0 for k in range(c)] for j in range(c)]
+    # column j: the matrix's column j (r entries), then the transform's (c)
+    cols = [list(col) for col in zip(*mat.entries)] if r else [[] for _ in range(c)]
+    for j, col in enumerate(cols):
+        col += [0] * c
+        col[r + j] = 1
     k = 0
     for i in range(r):
         if k >= c:
             break
         while True:
-            nonzero = [j for j in range(k, c) if a[j][i] != 0]
+            nonzero = [j for j in range(k, c) if cols[j][i] != 0]
             if not nonzero:
                 break
             if len(nonzero) == 1:
                 j = nonzero[0]
-                a[k], a[j] = a[j], a[k]
-                u[k], u[j] = u[j], u[k]
+                cols[k], cols[j] = cols[j], cols[k]
                 k += 1
                 break
             # reduce every column in the row against the smallest pivot
-            j0 = min(nonzero, key=lambda j: (abs(a[j][i]), j))
+            j0 = min(nonzero, key=lambda j: (abs(cols[j][i]), j))
+            pivot = cols[j0]
             for j in nonzero:
                 if j == j0:
                     continue
-                q = a[j][i] // a[j0][i]
+                q = cols[j][i] // pivot[i]
                 if q:
-                    a[j] = [x - q * y for x, y in zip(a[j], a[j0])]
-                    u[j] = [x - q * y for x, y in zip(u[j], u[j0])]
-    basis = []
-    for j in range(k, c):
-        v = tuple(u[j])
-        basis.append(_sign_normalized(v))
-    # rank accounting: pivots + kernel vectors cover all columns
-    if k + len(basis) != c or not all(is_zero(mat.matvec(v)) for v in basis):
+                    cols[j] = list(map(operator.sub, cols[j], map(q.__mul__, pivot)))
+    basis = [_sign_normalized(tuple(cols[j][r:])) for j in range(k, c)]
+    # rank accounting: pivots + kernel vectors cover all columns; every
+    # vector has c entries, so D v is taken row by row without a length check
+    if k + len(basis) != c or any(
+        sum(map(operator.mul, row, v)) for v in basis for row in mat.entries
+    ):
         raise CertificateError("kernel lattice basis failed its self-check")
     return sorted(basis)
 

@@ -47,10 +47,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .errors import CertificateError, DimensionError
-from .linalg import RatVec, check_ints, dot
+from .linalg import RatVec, all_ints, check_ints, dot
 
 ZERO = Fraction(0)
 
@@ -72,10 +73,12 @@ def rational_lp_feasibility(
 ) -> FeasiblePoint | FarkasRay:
     n = len(strict_row)
     check_ints(strict_row, "the strict row's entries")
-    for r in rows:
-        if len(r) != n:
-            raise DimensionError(f"row length {len(r)} != {n}")
-        check_ints(r, "LP row entries")
+    # one pass over all entries; the row-by-row loop only names the error
+    if not (set(map(len, rows)) <= {n} and all_ints(chain.from_iterable(rows))):
+        for r in rows:
+            if len(r) != n:
+                raise DimensionError(f"row length {len(r)} != {n}")
+            check_ints(r, "LP row entries")
     m = len(rows)
 
     # standard form, all variables >= 0, rhs >= 0:

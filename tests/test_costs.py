@@ -179,6 +179,10 @@ def test_convexity_rule_wants_exact_parameters():
         (PiecewiseLinearCost, (1.5,), (F(0), F(1)), F(0)),
         (PiecewiseLinearCost, (1,), (F(0), 1.0), F(0)),
         (PiecewiseLinearCost, (1,), (F(0), F(1)), "0"),
+        # an integral Fraction is stored as an int only after these checks
+        (QuadraticCost, F(2), True, F(0)),
+        (PowerCost, True, 2),
+        (PiecewiseLinearCost, (1,), (F(1), 2), False),
         (ShiftedCost, sq, 1.0),
         (ShiftedCost, sq, True),
         (ShiftedCost, 0.5, 1),
@@ -264,3 +268,69 @@ def test_each_family_checks_itself_when_built():
     for bad in ((sq, 1), (sq, F(1)), (sq, None), ({"kind": "affine"},)):
         with pytest.raises(ValidationError):
             SeparableObjective(bad)
+
+
+def _parameters(cost):
+    """Every rational parameter of a cost of one of the four families."""
+    if isinstance(cost, PiecewiseLinearCost):
+        return (*cost.slopes, cost.c0)
+    if isinstance(cost, PowerCost):
+        return (cost.a,)
+    return tuple(vars(cost).values())
+
+
+def test_integral_parameters_are_stored_as_ints():
+    """F(2) is kept as 2 in every family, also inside a shifted cost; F(1, 2) stays a Fraction."""
+    built = [
+        (AffineCost(F(2), F(1, 2)), AffineCost(2, F(1, 2))),
+        (QuadraticCost(F(2), F(1, 2), F(2)), QuadraticCost(2, F(1, 2), 2)),
+        (PowerCost(F(2), 3), PowerCost(2, 3)),
+        (PiecewiseLinearCost((1,), (F(2), F(5, 2)), F(2)), PiecewiseLinearCost((1,), (2, F(5, 2)), 2)),
+    ]
+    for cost, twin in built:
+        types = [type(q) for q in _parameters(cost)]
+        assert types == [int if q.denominator == 1 else Fraction for q in _parameters(cost)]
+        assert types == [type(q) for q in _parameters(twin)], cost
+        assert cost == twin and hash(cost) == hash(twin)
+        shifted = ShiftedCost(cost, 1)
+        assert shifted == ShiftedCost(twin, 1) and hash(shifted) == hash(ShiftedCost(twin, 1))
+        assert [type(q) for q in _parameters(shifted.base)] == types
+    assert type(AffineCost(F(2), F(1, 2)).b) is Fraction
+    assert type(ShiftedCost(QuadraticCost(F(2), F(0), F(1)), 2).base.a) is int
+
+
+def test_integral_costs_return_int_values():
+    rng = random.Random(27)
+    seen = set()
+    for _ in range(300):
+        cost = random_rational_cost(rng)
+        for integral in (cost.times(cost.scale()), *([cost] if cost.scale() == 1 else [])):
+            assert all(type(integral.value(y)) is int for y in range(8)), integral
+        seen.add((type(cost).__name__, cost.scale() == 1))
+    assert len(seen) == 10
+    objective = SeparableObjective((AffineCost(F(3), F(1)), PowerCost(F(2), 2)))
+    assert objective.value((1, 2)) == 12 and type(objective.value((1, 2))) is Fraction
+
+
+def test_integer_forms_are_the_terms_own_values_at_scale_one():
+    """At L = 1 each form is the term's bound `value`; at L > 1 a copy scaled by L."""
+    terms = (
+        QuadraticCost(F(1), F(2), F(0)),
+        AffineCost(F(0), F(4)),
+        ShiftedCost(PowerCost(F(3), 2), 1),
+        PiecewiseLinearCost((2,), (F(1), F(3)), F(0)),
+    )
+    scale, forms = SeparableObjective(terms).integer_forms
+    assert scale == 1 and forms[1] is None
+    for j in (0, 2, 3):
+        assert forms[j].__self__ is terms[j]
+    halves = terms + (AffineCost(F(1, 2), F(0)),)
+    scale, forms = SeparableObjective(halves).integer_forms
+    assert scale == 2 and forms[1] is None
+    for term, form in zip(halves, forms):
+        if form is not None:
+            assert form.__self__ is not term
+            for y in range(6):
+                value = form(y)
+                assert type(value) is int and value == 2 * term.value(y)
+

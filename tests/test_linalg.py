@@ -62,6 +62,61 @@ def test_kernel_self_check_rejects_a_corrupted_basis(monkeypatch):
         kernel_lattice_basis(IntMatrix.from_rows([[1, 1]]))
 
 
+def _two_list_kernel_basis(mat):
+    """The Hermite reduction with separate matrix and transform lists per column.
+
+    A reference for the fused reduction: the same pivots and the same
+    column operations, so the same sorted, sign-normalized basis.
+    """
+    r, c = mat.nrows, mat.ncols
+    a = [[row[j] for row in mat.entries] for j in range(c)]
+    u = [[int(i == j) for i in range(c)] for j in range(c)]
+    k = 0
+    for i in range(r):
+        if k >= c:
+            break
+        while True:
+            nonzero = [j for j in range(k, c) if a[j][i] != 0]
+            if not nonzero:
+                break
+            if len(nonzero) == 1:
+                j = nonzero[0]
+                a[k], a[j] = a[j], a[k]
+                u[k], u[j] = u[j], u[k]
+                k += 1
+                break
+            j0 = min(nonzero, key=lambda j: (abs(a[j][i]), j))
+            for j in nonzero:
+                if j == j0:
+                    continue
+                q = a[j][i] // a[j0][i]
+                if q:
+                    a[j] = [x - q * y for x, y in zip(a[j], a[j0])]
+                    u[j] = [x - q * y for x, y in zip(u[j], u[j0])]
+    basis = []
+    for j in range(k, c):
+        v = tuple(u[j])
+        first = next((x for x in v if x), 0)
+        basis.append(v if first >= 0 else tuple(-x for x in v))
+    return sorted(basis)
+
+
+def test_kernel_basis_matches_the_two_list_reduction():
+    """Same basis as the reference on empty, zero, tall, square and wide matrices."""
+    rng = random.Random(2027)
+    shapes = [(0, 0), (0, 3), (2, 0), (3, 3)]  # no rows, no columns, zero
+    for _ in range(496):
+        r = rng.randint(0, 5)
+        shapes.append((r, rng.randint(0, r + 6)))
+    for n, (r, c) in enumerate(shapes):
+        bound = (0, 1, 3, 50)[n % 4] if n >= 4 else 0
+        entries = [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)]
+        if n % 7 == 0:  # sparse rows, as in the block matrices
+            entries = [[x if rng.random() < 0.3 else 0 for x in row] for row in entries]
+        mat = IntMatrix(r, c, entries)
+        assert kernel_lattice_basis(mat) == _two_list_kernel_basis(mat), entries
+
+
 def _integer_combination(basis, target):
     """Solve sum t_i b_i = target exactly; None unless an integer solution exists."""
     if not basis:

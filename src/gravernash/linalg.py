@@ -166,9 +166,6 @@ class IntMatrix:
             ncols = len(rows[0])
         return IntMatrix(len(rows), ncols, rows)
 
-    def col(self, j: int) -> IntVec:
-        return tuple(r[j] for r in self.entries)
-
     def matvec(self, x: Sequence[int]) -> IntVec:
         if len(x) != self.ncols:
             raise DimensionError(f"matvec: {self.ncols} columns vs vector of length {len(x)}")

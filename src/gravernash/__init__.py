@@ -37,7 +37,7 @@ from .inverse import (
     solve_iiop,
     verify_answer,
 )
-from .linalg import IntMatrix, conformal_leq, kernel_lattice_basis
+from .linalg import IntMatrix, kernel_lattice_basis
 from .lp import FarkasRay, FeasiblePoint, rational_lp_feasibility
 from .nfold import (
     NfoldSpec,
@@ -47,7 +47,7 @@ from .nfold import (
     build_nfold,
     pad_to_c,
 )
-from .oracle import brute_graver, brute_ip_opt, brute_nash_check, enumerate_box_points
+from .oracle import brute_graver, brute_ip_opt, brute_nash_check, conformal_leq, enumerate_box_points
 from .solver import (
     IpInstance,
     SolveResult,

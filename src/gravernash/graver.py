@@ -226,20 +226,23 @@ def check_cap(cap) -> None:
         raise ValidationError(f"a cap must be an int >= 0, got {cap!r}")
 
 
+def check_size(mat: IntMatrix, cap) -> None:
+    """`check_cap`; then, before any reduction, ResourceCapExceeded if G(mat) cannot fit cap."""
+    check_cap(cap)
+    # G(D) spans ker(D) and is closed under negation: |G(D)| >= 2 (ncols - nrows)
+    if 2 * (mat.ncols - mat.nrows) > cap:
+        raise ResourceCapExceeded(
+            f"the Graver basis of a {mat.nrows} x {mat.ncols} matrix passes the element cap of {cap}"
+        )
+
+
 def graver_basis(mat: IntMatrix, cap: int = DEFAULT_ELEMENT_CAP) -> GraverBasis:
     """G(mat), completed from a Hermite reduction of mat.
 
     A pure function of mat and cap: nothing is kept between calls.
     ResourceCapExceeded when the completion keeps more than cap records.
     """
-    check_cap(cap)
-    # G(D) spans ker(D) and is closed under negation, so it has at least
-    # 2 * dim ker(D) >= 2 * (ncols - nrows) elements: refuse before reducing
-    if 2 * (mat.ncols - mat.nrows) > cap:
-        raise ResourceCapExceeded(
-            f"the Graver basis of a {mat.nrows} x {mat.ncols} matrix"
-            f" passes the element cap of {cap}"
-        )
+    check_size(mat, cap)
     return _basis_from_lattice(mat, kernel_lattice_basis(mat), cap)
 
 

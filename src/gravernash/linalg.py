@@ -1,7 +1,7 @@
 """Exact integer/rational vectors and matrices.
 
 Vectors are plain tuples of Python ints (arbitrary precision by
-construction); rational vectors are tuples of fractions.Fraction.
+construction); rational vectors are tuples of ints and fractions.Fraction.
 No floating point is used anywhere in this package.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import CertificateError, DimensionError, ValidationError
@@ -35,6 +36,11 @@ def all_ints(values: Iterable) -> bool:
 def all_rationals(values: Iterable) -> bool:
     """True iff every value's type is exactly int or Fraction: never a float or a bool."""
     return _RATIONAL.issuperset(map(type, values))
+
+
+def int_rows(rows: Sequence[Sequence], n: int) -> bool:
+    """True iff every row has n entries and every entry's type is exactly int."""
+    return set(map(len, rows)) <= {n} and all_ints(chain.from_iterable(rows))
 
 
 def check_ints(values: Iterable, what: str) -> None:
@@ -79,12 +85,6 @@ def is_zero(u: Sequence) -> bool:
     return not any(u)
 
 
-def conformal_leq(u: IntVec, v: IntVec) -> bool:
-    """Conformal partial order: u_j * v_j >= 0 and |u_j| <= |v_j| everywhere."""
-    _check_same_length(u, v)
-    return all(a * b >= 0 and abs(a) <= abs(b) for a, b in zip(u, v))
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -93,9 +93,10 @@ def conformal_leq(u: IntVec, v: IntVec) -> bool:
 class IntMatrix:
     """Immutable integer matrix stored row-major.
 
-    Its dimensions and entries must be ints: a float, a bool or a string
-    is a ValidationError, never converted.  Rows and bricks given as
-    lists are stored as tuples.
+    Its dimensions and entries must be ints, nrows rows of ncols >= 0
+    entries: anything else, a float, a bool or a string included, is one
+    ValidationError, never converted.  Rows and bricks given as lists are
+    stored as tuples.
 
     `bricks` declares classes of interchangeable column blocks: each class
     is a tuple of at least two disjoint nonempty blocks of equal width, a
@@ -118,15 +119,11 @@ class IntMatrix:
         object.__setattr__(
             self, "bricks", tuple(tuple(map(tuple, blocks)) for blocks in self.bricks)
         )
-        check_ints((self.nrows, self.ncols), "matrix dimensions")
-        if self.nrows < 0 or self.ncols < 0:
-            raise ValidationError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.nrows:
-            raise ValidationError("row count does not match entries")
-        for r in self.entries:
-            if len(r) != self.ncols:
-                raise ValidationError("ragged matrix rows")
-            check_ints(r, "matrix entries")
+        if not (
+            all_ints((self.nrows, self.ncols)) and self.ncols >= 0
+            and len(self.entries) == self.nrows and int_rows(self.entries, self.ncols)
+        ):
+            raise ValidationError(f"not a {self.nrows!r} x {self.ncols!r} matrix of ints")
         if self.bricks:
             self._check_bricks()
 
@@ -159,7 +156,6 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], ncols: int | None = None) -> "IntMatrix":
-        rows = tuple(map(tuple, rows))
         if ncols is None:
             if not rows:
                 raise ValidationError("ncols required for a matrix with no rows")

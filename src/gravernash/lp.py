@@ -47,11 +47,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Sequence
 
 from .errors import CertificateError, DimensionError
-from .linalg import RatVec, all_ints, check_ints, dot
+from .linalg import RatVec, check_ints, dot, int_rows
 
 ZERO = Fraction(0)
 
@@ -74,7 +73,7 @@ def rational_lp_feasibility(
     n = len(strict_row)
     check_ints(strict_row, "the strict row's entries")
     # one pass over all entries; the row-by-row loop only names the error
-    if not (set(map(len, rows)) <= {n} and all_ints(chain.from_iterable(rows))):
+    if not int_rows(rows, n):
         for r in rows:
             if len(r) != n:
                 raise DimensionError(f"row length {len(r)} != {n}")

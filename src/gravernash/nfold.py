@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionError, ValidationError
-from .linalg import IntMatrix, IntVec, check_ints
+from .linalg import IntMatrix, IntVec
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,7 @@ class NfoldSpec:
             raise DimensionError(
                 f"A has {self.A.ncols} columns but B has {self.B.ncols}"
             )
-        check_ints((self.N,), "N")
-        if self.N < 1:
+        if type(self.N) is not int or self.N < 1:
             raise ValidationError("N must be a positive integer")
 
     @property

@@ -1,8 +1,8 @@
 """Brute-force reference implementations for tests and acceptance runs.
 
 Everything here enumerates integer boxes directly and shares no logic
-with the completion procedure or the augmentation solver beyond the
-elementary sign-pattern predicates, so it can serve as an independent
+with the completion procedure or the augmentation solver (its conformal
+order, `conformal_leq`, is its own), so it can serve as an independent
 oracle.  A box is given by its bounds: two integer vectors `lower` and
 `upper` of one length, holding the points p with lower <= p <= upper.
 Hard caps keep the enumerations at desk scale.
@@ -22,10 +22,16 @@ from .game import (
     is_feasible_profile,
 )
 from .graver import GraverBasis, check_cap
-from .linalg import IntMatrix, IntVec, conformal_leq, is_zero, vadd, vsub
+from .linalg import IntMatrix, IntVec, _check_same_length, is_zero, vadd, vsub
 from .solver import IpInstance
 
 DEFAULT_POINT_CAP = 10_000_000
+
+
+def conformal_leq(u: IntVec, v: IntVec) -> bool:
+    """Conformal partial order: u_j * v_j >= 0 and |u_j| <= |v_j| everywhere."""
+    _check_same_length(u, v)
+    return all(a * b >= 0 and abs(a) <= abs(b) for a, b in zip(u, v))
 
 
 def _exceeds(counts: Iterable[int], cap: int) -> bool:

@@ -1,8 +1,9 @@
 """JSON decoding of the CLI's inputs and encoding of its payloads.
 
 Rationals travel as strings "p/q" (or "p") so that no precision is ever
-lost to JSON numbers.  Serialization is deterministic: keys are sorted
-and collections keep their canonical order.
+lost to JSON numbers; one decodes to an int when integral, as costs store
+it.  Serialization is deterministic: keys are sorted and collections keep
+their canonical order.
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ from .nfold import NfoldSpec
 from .solver import IpInstance
 
 
-def frac_to_str(x: Fraction) -> str:
-    """The text p/q, or p when q = 1; an int or another rational goes through Fraction first."""
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
+def frac_to_str(x: Fraction | int) -> str:
+    """The text p/q, or p when q = 1, of an int or a Fraction."""
     try:
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     except ValueError as exc:  # past the interpreter's int-to-string digit limit
@@ -44,22 +43,20 @@ def frac_to_str(x: Fraction) -> str:
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
-def frac_from_str(s: Any) -> Fraction:
-    """A JSON int, or a string that `Fraction` reads.
+def frac_from_str(s: Any) -> Fraction | int:
+    """A JSON int, or a string that `Fraction` reads: an int when integral, else a Fraction.
 
     Like `int()`, it refuses a number of more digits than the interpreter's
     limit, whether in the numerator or in the denominator.
     """
-    if isinstance(s, bool):
-        raise ValidationError(f"not a rational: {s!r}")
-    if isinstance(s, int):
-        return Fraction(s)
+    if isinstance(s, int) and not isinstance(s, bool):
+        return s
     if isinstance(s, str):
         try:
             # plain ASCII integers, most of the input, skip Fraction's regex;
             # int() raises ValueError past the interpreter's digit limit
             if s.isascii() and (s.isdigit() or (s[:1] == "-" and s[1:].isdigit())):
-                return Fraction(int(s))
+                return int(s)
             limit = sys.get_int_max_str_digits()
             exponent = _EXPONENT.search(s)
             # an exponent past limit + len(s) is too long unless its mantissa
@@ -67,10 +64,10 @@ def frac_from_str(s: Any) -> Fraction:
             if limit and exponent and abs(int(exponent[1])) > limit + len(s):
                 if Fraction(s[: exponent.start(1)] + "0" + s[exponent.end(1) :]):
                     raise ValueError(f"more than {limit} digits")
-                return Fraction(0)
+                return 0
             x = Fraction(s)
             str(x.numerator), str(x.denominator)  # ValueError past the limit
-            return x
+            return x.numerator if x.denominator == 1 else x
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"not a rational: {s!r}") from exc
     raise ValidationError(f"not a rational: {s!r}")

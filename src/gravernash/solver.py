@@ -28,7 +28,7 @@ from typing import Optional
 
 from .costs import ZERO_COST, AffineCost, PiecewiseLinearCost, SeparableObjective
 from .errors import DimensionError, ValidationError
-from .graver import DEFAULT_ELEMENT_CAP, GraverBasis, _basis_from_lattice, check_cap
+from .graver import DEFAULT_ELEMENT_CAP, GraverBasis, _basis_from_lattice, check_size
 from .linalg import IntMatrix, IntVec, check_ints, kernel_lattice_basis, vadd, vscale, vsub
 
 
@@ -236,7 +236,7 @@ def _walk_into_box(inst: IpInstance, x0: IntVec, basis: GraverBasis) -> Optional
 
 
 def solve_ip(inst: IpInstance, cap: int = DEFAULT_ELEMENT_CAP) -> SolveResult:
-    check_cap(cap)
+    check_size(inst.D, cap)
     # one reduction of [D | -d] gives both x0 and the completion's seeds;
     # G(D) is completed even when x0 is None, for `graver_size`
     x0, lattice = _solution_and_lattice(inst.D, inst.d)

@@ -25,7 +25,8 @@ from gravernash.costs import (
     ShiftedCost,
 )
 from gravernash.inverse import _value_rows
-from gravernash.linalg import conformal_leq, kernel_lattice_basis, vadd, vscale, vsub
+from gravernash.linalg import kernel_lattice_basis, vadd, vscale, vsub
+from gravernash.oracle import conformal_leq
 
 
 def inf_norm(u) -> int:

@@ -30,7 +30,8 @@ from gravernash import (
 )
 from gravernash.cli import main as cli_main
 from gravernash.costs import QuadraticCost, SeparableObjective
-from gravernash.linalg import conformal_leq, is_zero, vneg
+from gravernash.linalg import is_zero, vneg
+from gravernash.oracle import conformal_leq
 
 from conftest import inf_norm, rand_matrix, random_convex_objective, random_game, square_cost
 

@@ -3,7 +3,10 @@ import contextlib
 import copy
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 import gravernash.cli
 import gravernash.graver
 import gravernash.nfold
+import gravernash.solver
 from gravernash import IntMatrix, ResourceCapExceeded
 from gravernash.cli import main
 from gravernash.costs import PowerCost
@@ -494,6 +498,43 @@ def test_cap_exit_code(tmp_path, capsys):
     code, report = run(capsys, ["graver", "--input", inp, "--cap", "1", "--quiet"])
     assert code == 3
     assert report["status"] == "cap-exceeded"
+
+
+def test_a_wide_solve_exits_3_before_its_reduction(tmp_path, capsys, monkeypatch):
+    """2 (ncols - nrows) = 6 passes --cap 5: `solve` refuses as `graver` does, before reducing."""
+
+    def reduced(mat):
+        raise AssertionError("the Hermite reduction ran")
+
+    monkeypatch.setattr(gravernash.solver, "kernel_lattice_basis", reduced)
+    wide = {"D": {"rows": 0, "cols": 3, "entries": []}, "d": [], "u": [1, 1, 1], "objective": [SQ] * 3}
+    code, report = run(capsys, ["solve", "--input", write(tmp_path, "ip.json", wide), "--cap", "5", "--quiet"])
+    assert (code, report["status"]) == (3, "cap-exceeded")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_the_module_runs_as_a_process(tmp_path):
+    """`python -m gravernash.cli` exits with main's code and prints one JSON report."""
+    flags = ["-O"] * sys.flags.optimize + ["-X", "dev"] * sys.flags.dev_mode
+    matrix = write(tmp_path, "mat.json", {"D": [[1, 1, 1]]})
+    infeasible = write(tmp_path, "ip.json", {"D": [[2]], "d": [1], "u": [1], "objective": [SQ]})
+    for argv, code, status in (
+        (["graver", "--input", matrix], 0, "ok"),
+        (["solve", "--input", infeasible], 1, "infeasible"),
+        (["graver", "--input", str(tmp_path / "missing.json")], 2, "input-error"),
+        (["graver", "--input", matrix, "--cap", "1"], 3, "cap-exceeded"),
+    ):
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "gravernash.cli", *argv, "--quiet"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        lines = done.stdout.splitlines()
+        assert (done.returncode, len(lines), json.loads(lines[0])["status"]) == (code, 1, status)
 
 
 # the widest variant, c, of N = 500 pairs (A, B) = ([1 1], [1 0]) could have

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import gravernash.graver
+import gravernash.solver
 from gravernash import (
     GameInstance,
     IntMatrix,
@@ -14,6 +15,7 @@ from gravernash import (
     SeparableObjective,
     StrategyProfile,
     ValidationError,
+    best_response,
     brute_graver,
     brute_ip_opt,
     brute_nash_check,
@@ -30,9 +32,9 @@ from gravernash.graver import (
     _complete,
     sign_masks,
 )
-from gravernash.linalg import conformal_leq, is_zero, kernel_lattice_basis, one_norm, vneg, vsub
+from gravernash.linalg import is_zero, kernel_lattice_basis, one_norm, vneg, vsub
 from gravernash.nfold import NfoldSpec, build_multitype_matrix, build_nash_matrix
-from gravernash.oracle import enumerate_box_points
+from gravernash.oracle import conformal_leq, enumerate_box_points
 
 from conftest import (
     all_pairs_minimal,
@@ -248,6 +250,36 @@ def test_graver_basis_refuses_a_wide_matrix_before_the_hermite_reduction(monkeyp
     with pytest.raises(ResourceCapExceeded):
         graver_basis(three_ones, cap=4)
     assert len(graver_basis(three_ones, cap=6)) == 6
+
+
+def test_solve_ip_refuses_a_wide_matrix_before_the_hermite_reduction(monkeypatch):
+    """solve_ip makes graver_basis's refusal before reducing [D | -d], and so do the game functions."""
+
+    def reduced(mat):
+        raise AssertionError("the Hermite reduction ran")
+
+    def free(n):
+        return SeparableObjective((ZERO_COST,) * n)
+
+    wide = IpInstance(IntMatrix(0, 3, ()), (), (1, 1, 1), free(3))
+    # one player with n = 4 columns and d = 1 row of A: N (n - d) = 3
+    player = PlayerSpec(IntMatrix.from_rows([[1, 1, 1, 1]]), (1,), (1,) * 4, IntMatrix.from_rows([[0] * 4]))
+    game = GameInstance(players=(player,), b0=(0,), costs=free(4))
+    profile = StrategyProfile(((1, 0, 0, 0),))
+    calls = [
+        lambda cap: solve_ip(wide, cap=cap),
+        lambda cap: find_equilibrium(game, cap=cap),
+        lambda cap: best_response(game, profile, 0, cap=cap),
+        lambda cap: is_generalized_nash(game, profile, cap=cap),
+    ]
+    monkeypatch.setattr(gravernash.solver, "kernel_lattice_basis", reduced)
+    for call in calls:
+        with pytest.raises(ResourceCapExceeded):
+            call(5)
+    monkeypatch.undo()
+    # under the default cap each call reduces and returns
+    for call in calls:
+        call(DEFAULT_ELEMENT_CAP)
 
 
 def test_sums_of_compatible_elements_are_not_minimal():

@@ -16,13 +16,12 @@ from gravernash import (
     PlayerSpec,
     StrategyProfile,
     ValidationError,
-    conformal_leq,
     graver_basis,
     kernel_lattice_basis,
 )
 from gravernash import linalg
 from gravernash.linalg import is_zero
-from gravernash.oracle import enumerate_box_points
+from gravernash.oracle import conformal_leq, enumerate_box_points
 
 from conftest import identity_matrix, rand_matrix, squares_objective
 
@@ -165,6 +164,10 @@ def test_kernel_basis_spans_boxed_kernel_points():
 def test_matrix_shape_validation():
     with pytest.raises(Exception):
         IntMatrix(2, 2, ((1, 2),))
+    # every row is checked in one pass: a short or a bool last row is refused too
+    for last in ((3,), (3, True)):
+        with pytest.raises(ValidationError):
+            IntMatrix(2, 2, ((1, 2), last))
     with pytest.raises(DimensionError):
         identity_matrix(2).matvec((1, 2, 3))
     # no rows give no width: one must be passed

@@ -17,9 +17,9 @@ from gravernash import (
     graver_basis,
     pad_to_c,
 )
-from gravernash.linalg import conformal_leq, is_zero
+from gravernash.linalg import is_zero
 from gravernash.nfold import embedded_columns
-from gravernash.oracle import enumerate_box_points
+from gravernash.oracle import conformal_leq, enumerate_box_points
 
 from conftest import identity_matrix, rand_matrix, zero_matrix
 

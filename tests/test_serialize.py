@@ -60,7 +60,18 @@ def test_frac_from_str_accepts_what_fraction_accepts():
                 frac_from_str(s)
         else:
             got = frac_from_str(s)
-            assert type(got) is Fraction and got == want, s
+            assert type(got) is (int if want.denominator == 1 else Fraction) and got == want, s
+
+
+def test_integral_values_decode_to_ints():
+    """A decoded cost holds the ints the cost classes store; only a non-integral value is a Fraction."""
+    cost = cost_from_json({"kind": "quadratic", "a": "1", "b": "-4", "c": "4"})
+    assert [type(v) for v in (cost.a, cost.b, cost.c)] == [int] * 3
+    assert cost == QuadraticCost(1, -4, 4)
+    assert [type(v) for v in ratvec_from_json([7, "3/1", "1e3", "2/4"])] == [int] * 3 + [Fraction]
+    assert ratvec_from_json(["2/4"]) == (F(1, 2),)
+    answer = answer_from_json({"verdict": "yes", "lambda": ["1", "0/5"]})
+    assert [type(v) for v in answer.lam] == [int, int] and answer.lam == (1, 0)
 
 
 def test_frac_round_trip():

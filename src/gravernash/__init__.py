@@ -47,7 +47,14 @@ from .nfold import (
     build_nfold,
     pad_to_c,
 )
-from .oracle import brute_graver, brute_ip_opt, brute_nash_check, conformal_leq, enumerate_box_points
+from .oracle import (
+    brute_graver,
+    brute_ip_opt,
+    brute_nash_check,
+    check_graver,
+    conformal_leq,
+    enumerate_box_points,
+)
 from .solver import (
     IpInstance,
     SolveResult,

@@ -37,7 +37,7 @@ from .game import (
 from .graver import graver_basis
 from .inverse import solve_iiop, verify_answer
 from .nfold import build_c_matrix, build_multitype_matrix, build_nash_matrix, build_nfold
-from .oracle import brute_graver, brute_ip_opt, brute_nash_check
+from .oracle import brute_graver, brute_ip_opt, brute_nash_check, check_graver
 from .serialize import frac_to_str
 from .solver import solve_ip
 
@@ -162,6 +162,10 @@ def _cmd_oracle(data, caps):
             **caps,
         )
         return "ok", serialize.graver_to_json(basis), {"graver_size": len(basis)}
+    if op == "graver-check":
+        elements = serialize.graver_elements_from_json(data["elements"])
+        ok = check_graver(serialize.matrix_from_json(data["D"]), elements, **caps)
+        return "ok" if ok else "invalid", {"valid": ok}, {"graver_size": len(elements)}
     if op == "ip":
         inst = serialize.ip_instance_from_json(data["instance"])
         value, argmins = brute_ip_opt(inst, **caps)

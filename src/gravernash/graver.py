@@ -12,7 +12,11 @@ finally keeps the remainders that the same reduction by later records
 leaves unchanged.  When the matrix declares interchangeable column
 bricks (`IntMatrix.bricks`), it works on orbits of the brick
 permutations: one representative per orbit is queued, reduced, paired
-and filtered, and every image of it is kept.
+and filtered, and every image of it is kept.  The permutations move no
+column outside every class (y and s of an equilibrium matrix), so the
+representative of the orbit of ±v is read off one sorted form: the sign
+of v's first nonzero entry on those columns picks v or -v.  Only a
+vector that is zero there compares the forms of v and -v.
 
 Every element carries its positive- and negative-support bitmasks (see
 `sign_masks`).  A g conformally below z has its positive support inside
@@ -20,7 +24,9 @@ z's and its negative support inside z's, so a candidate divisor whose
 supports do not nest is rejected with two integer ANDs before any entry
 is compared.  Once they nest, g and z agree in sign wherever g is
 nonzero, and g is below z exactly when |g_i| <= |z_i| everywhere.  The
-same masks decide sign-compatibility of pairs.
+same masks decide sign-compatibility of pairs.  The masks of -g are
+those of g swapped, so the negated images of a remainder take their
+records from the images' records.
 
 `graver_basis` is a pure function of D and the cap and keeps nothing
 between calls; the CLI, whose in-process `main` calls repeat matrices,
@@ -32,7 +38,7 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass
-from itertools import chain, permutations, product
+from itertools import chain, islice, permutations, product
 
 from .errors import ResourceCapExceeded, ValidationError
 from .linalg import (
@@ -114,10 +120,16 @@ def conformal_reduce(z: IntVec, reducers) -> IntVec:
 def _orbit_maps(mat: IntMatrix):
     """(key, images) for the group the declared `bricks` of `mat` generate.
 
-    key(v) is the canonical form of the orbit of ±v: each class's brick
-    slices sorted, the larger of the forms for v and for -v.  images(r)
-    lists every distinct image of r.  With no bricks the group is trivial:
-    key is `_sign_normalized` and r is its own only image.
+    key(v) is the canonical form of the orbit of ±v, so key(σv) = key(v)
+    = key(-v) for every σ in the group, and key(v) lies in the orbit of v
+    or of -v.  The form of a vector keeps its entries outside every class
+    and sorts each class's brick slices.  The group fixes the columns
+    outside every class, so their first nonzero entry has one sign on the
+    whole orbit of v: key(v) is the form of v if it is positive, of -v if
+    it is negative.  A vector that is zero on those columns takes the
+    larger of the forms of v and -v.  images(r) lists every distinct
+    image of r.  With no bricks the group is trivial, every column is
+    fixed: key is `_sign_normalized` and r is its own only image.
     """
     if not mat.bricks:
         return _sign_normalized, lambda r: [r]
@@ -137,8 +149,19 @@ def _orbit_maps(mat: IntMatrix):
         classes.append((operator.itemgetter(*cols), slices, (0,) * width))
     place = operator.itemgetter(*sources)
 
+    # the columns outside every class, which the group fixes
+    fixed = [j for j, source in enumerate(sources) if source == j]
+
     def key(v: IntVec) -> IntVec:
-        pool, flipped = list(v), list(v)
+        lead = next(filter(None, map(v.__getitem__, fixed)), 0)
+        if lead < 0:
+            v = vneg(v)
+        pool = list(v)
+        if lead:
+            for gather, slices, _ in classes:
+                pool += chain.from_iterable(sorted(map(gather(v).__getitem__, slices)))
+            return place(pool)
+        flipped = list(v)
         for gather, slices, _ in classes:
             bricks = sorted(map(gather(v).__getitem__, slices))
             pool += chain.from_iterable(bricks)
@@ -195,19 +218,22 @@ def _complete(mat: IntMatrix, lattice, cap: int):
     heapq.heapify(queue)
     while queue:
         _, candidate = heapq.heappop(queue)
-        r = key(conformal_reduce(candidate, current))
-        if is_zero(r):
+        z = conformal_reduce(candidate, current)
+        if is_zero(z):
             continue
+        r = key(z)
         batches.append((len(current), r))
         orbit = images(r)
-        current += map(sign_masks, orbit)
+        records = list(map(sign_masks, orbit))
+        rpos, rneg, _ = records[orbit.index(r)]
+        current += records
         if vneg(r) not in orbit:
-            current += map(sign_masks, map(vneg, orbit))
+            # -g's positive support is g's negative support and back
+            current += [(neg, pos, vneg(g)) for pos, neg, g in records]
         if len(current) > cap:
             raise ResourceCapExceeded(
                 f"Graver completion exceeded the element cap of {cap}"
             )
-        rpos, rneg, _ = sign_masks(r)
         for pos, neg, g in current:
             if not (rpos & neg or rneg & pos):  # sign-compatible
                 continue
@@ -260,6 +286,6 @@ def _basis_from_lattice(mat: IntMatrix, lattice, cap: int) -> GraverBasis:
     minimal: list[IntVec] = []
     ends = [start for start, _ in batches[1:]] + [len(current)]
     for (start, r), end in zip(batches, ends):
-        if conformal_reduce(r, current[end:]) == r:
+        if conformal_reduce(r, islice(current, end, None)) == r:
             minimal += (g for _, _, g in current[start:end])
     return GraverBasis(matrix=mat, elements=tuple(sorted(minimal)))

@@ -196,16 +196,24 @@ def kernel_lattice_basis(mat: IntMatrix) -> list[IntVec]:
         if k >= c:
             break
         while True:
-            nonzero = [j for j in range(k, c) if cols[j][i] != 0]
+            # one pass finds the nonzero columns of the row and the pivot j0:
+            # the least |entry|, and of those the least j
+            nonzero, least = [], 0
+            for j in range(k, c):
+                a = cols[j][i]
+                if a:
+                    nonzero.append(j)
+                    if a < 0:
+                        a = -a
+                    if not least or a < least:
+                        least, j0 = a, j
             if not nonzero:
                 break
             if len(nonzero) == 1:
-                j = nonzero[0]
-                cols[k], cols[j] = cols[j], cols[k]
+                cols[k], cols[j0] = cols[j0], cols[k]
                 k += 1
                 break
-            # reduce every column in the row against the smallest pivot
-            j0 = min(nonzero, key=lambda j: (abs(cols[j][i]), j))
+            # reduce every column in the row against the pivot
             pivot = cols[j0]
             for j in nonzero:
                 if j == j0:

@@ -1,16 +1,23 @@
 """Brute-force reference implementations for tests and acceptance runs.
 
-Everything here enumerates integer boxes directly and shares no logic
-with the completion procedure or the augmentation solver (its conformal
-order, `conformal_leq`, is its own), so it can serve as an independent
-oracle.  A box is given by its bounds: two integer vectors `lower` and
-`upper` of one length, holding the points p with lower <= p <= upper.
-Hard caps keep the enumerations at desk scale.
+Everything here shares no logic with the completion procedure or the
+augmentation solver (its conformal order, `conformal_leq`, and its
+reducer are its own), so it can serve as an independent oracle.  The
+enumerations walk integer boxes directly.  A box is given by its bounds:
+two integer vectors `lower` and `upper` of one length, holding the
+points p with lower <= p <= upper.  Hard caps keep the enumerations at
+desk scale.
+
+`check_graver` certifies a claimed Graver basis of a matrix too large
+to enumerate, by the completion criterion of the positive sum property
+(Hemmecke, Math. Program. 96, 2003).  The CLI's `oracle` command reaches
+it as `"op": "graver-check"`.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
@@ -22,7 +29,17 @@ from .game import (
     is_feasible_profile,
 )
 from .graver import GraverBasis, check_cap
-from .linalg import IntMatrix, IntVec, _check_same_length, is_zero, vadd, vsub
+from .linalg import (
+    IntMatrix,
+    IntVec,
+    _check_same_length,
+    all_ints,
+    is_zero,
+    kernel_lattice_basis,
+    vadd,
+    vneg,
+    vsub,
+)
 from .solver import IpInstance
 
 DEFAULT_POINT_CAP = 10_000_000
@@ -87,6 +104,156 @@ def brute_graver(
         if not any(h != g and conformal_leq(h, g) for h in kernel)
     ]
     return GraverBasis(matrix=mat, elements=tuple(sorted(minimal)))
+
+
+class _SignIndex:
+    """Bitsets over a family's elements, one per column and sign.
+
+    Bit k of pos[j] is set iff element k is positive at column j, of
+    neg[j] iff it is negative there, so the elements of one sign pattern
+    are found with a few big-integer ORs, never a scan of the family.
+    """
+
+    def __init__(self, elements: list[IntVec], ncols: int) -> None:
+        self.elements = elements
+        self.pos, self.neg = [0] * ncols, [0] * ncols
+        for k, g in enumerate(elements):
+            for j, a in enumerate(g):
+                if a > 0:
+                    self.pos[j] |= 1 << k
+                elif a < 0:
+                    self.neg[j] |= 1 << k
+        self.every = (1 << len(elements)) - 1
+
+    def _members(self, bits: int) -> list[IntVec]:
+        found = []
+        while bits:
+            low = bits & -bits
+            found.append(self.elements[low.bit_length() - 1])
+            bits ^= low
+        return found
+
+    def nesting(self, z: IntVec) -> list[IntVec]:
+        """The elements whose positive support lies in z's and negative support in z's."""
+        outside = 0
+        for j, a in enumerate(z):
+            if a <= 0:
+                outside |= self.pos[j]
+            if a >= 0:
+                outside |= self.neg[j]
+        return self._members(self.every & ~outside)
+
+    def opposed(self, f: IntVec) -> list[IntVec]:
+        """The elements g with g_j f_j < 0 at some j: those not sign-compatible with f."""
+        bits = 0
+        for j, a in enumerate(f):
+            if a > 0:
+                bits |= self.neg[j]
+            elif a < 0:
+                bits |= self.pos[j]
+        return self._members(bits)
+
+
+def _reduces_to_zero(z: IntVec, index: _SignIndex) -> bool:
+    """Whether subtracting an element conformally below z, while one is, reaches 0.
+
+    Every step leaves z - g conformally below z, so an element below a
+    later z is below the first: the candidates are collected once.  Each
+    agrees in sign with the first z wherever it is nonzero, and so with
+    every later z where that is nonzero; it is below a later z exactly
+    when its absolute values fit.
+    """
+    candidates = index.nesting(z)
+    while any(z):
+        for g in candidates:
+            if all(map(operator.le, map(abs, g), map(abs, z))):
+                z = tuple(map(operator.sub, z, g))
+                break
+        else:
+            return False
+    return True
+
+
+def _generators(mat: IntMatrix) -> list[tuple[int, ...]]:
+    """Column maps of a swap and a cyclic shift of each declared brick class.
+
+    Together they generate the group of `IntMatrix.bricks`; the image of v
+    under a map `sigma` has v[sigma[j]] at column j.
+    """
+    maps = []
+    for blocks in mat.bricks:
+        k = len(blocks)
+        for order in ((1, 0, *range(2, k)), (*range(1, k), 0)):
+            sigma = list(range(mat.ncols))
+            for block, source in zip(blocks, order):
+                for j, i in zip(block, blocks[source]):
+                    sigma[j] = i
+            maps.append(tuple(sigma))
+    return maps
+
+
+def check_graver(mat: IntMatrix, elements, cap: int = DEFAULT_POINT_CAP) -> bool:
+    """Whether `elements`, without repeats, are exactly the Graver basis of mat.
+
+    F = set(elements) is G(mat) when all of the following hold:
+    - every element is a nonzero vector of ker(mat), and F is closed
+      under negation and under the group the declared `bricks` generate;
+    - F generates the kernel lattice: every vector of a lattice basis
+      reduces to 0 by conformal subtraction of elements of F;
+    - every sum f + g of f, g in F reduces to 0 the same way.  Then every
+      element of ker(mat) is a conformal sum of elements of F, so F holds
+      G(mat) (Hemmecke's completion criterion).  A sign-compatible sum is
+      such a sum already and is skipped.  Since F is closed under the
+      group and negation, it is enough to sum one representative f per
+      orbit of ±f with every g;
+    - no element of F lies conformally below another one, which again
+      needs testing on the representatives only.
+    If F holds G(mat), every nonzero kernel vector has an element of F
+    below it, so no reduction gets stuck: a true basis is never refused.
+    An element that is not an integer vector of mat's width is a
+    ValidationError; ResourceCapExceeded, before any reduction, when the
+    representatives times |F| pass cap.
+    """
+    check_cap(cap)
+    elements = list(map(tuple, elements))
+    for g in elements:
+        if len(g) != mat.ncols or not all_ints(g):
+            raise ValidationError(f"a Graver element must be {mat.ncols} integers, got {list(g)}")
+    family = set(elements)
+    if len(family) != len(elements) or any(
+        is_zero(g) or not is_zero(mat.matvec(g)) for g in elements
+    ):
+        return False
+    maps = _generators(mat)
+    representatives, seen = [], set()
+    for g in sorted(family):
+        if g in seen:
+            continue
+        representatives.append(g)
+        orbit = [g]
+        seen.add(g)
+        for v in orbit:
+            for image in [vneg(v), *(tuple(map(v.__getitem__, sigma)) for sigma in maps)]:
+                if image not in family:
+                    return False
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+    if _exceeds((len(representatives), len(family)), cap):
+        raise ResourceCapExceeded(
+            f"{len(representatives)} representatives times {len(family)} elements pass the cap {cap}"
+        )
+    index = _SignIndex(elements, mat.ncols)
+    if not all(_reduces_to_zero(b, index) for b in kernel_lattice_basis(mat)):
+        return False
+    for f in representatives:
+        # a sign-compatible sum is a conformal sum already
+        for g in index.opposed(f):
+            if not _reduces_to_zero(tuple(map(operator.add, f, g)), index):
+                return False
+        if any(g != f and conformal_leq(g, f) for g in index.nesting(f)):
+            return False
+    return True
 
 
 def brute_ip_opt(

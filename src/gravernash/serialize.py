@@ -169,6 +169,11 @@ def graver_to_json(basis: GraverBasis) -> dict:
     }
 
 
+def graver_elements_from_json(obj: Any) -> list[IntVec]:
+    """A claimed Graver basis: a list of integer vectors, as `graver_to_json` writes them."""
+    return [intvec_from_json(g) for g in _list(obj, "Graver elements")]
+
+
 def nfold_spec_from_json(obj: Any) -> NfoldSpec:
     obj = _object(obj, "an N-fold spec")
     return NfoldSpec(

@@ -292,6 +292,29 @@ def test_oracle_ops(tmp_path, capsys):
     assert report["result"]["feasible_count"] == 4
 
 
+def test_oracle_graver_check_certifies_a_graver_payload(tmp_path, capsys):
+    """A `graver` payload passes; with an element dropped it is invalid (exit 1)."""
+    inp = write(tmp_path, "d.json", {"D": [[1, 1, 1], [0, 1, 2]]})
+    out = tmp_path / "basis.json"
+    code, _ = run(capsys, ["graver", "--input", inp, "--output", str(out)])
+    assert code == 0
+    basis = json.loads(out.read_text())
+    check = {"op": "graver-check", "D": basis["matrix"], "elements": basis["elements"]}
+    code, report = run(capsys, ["oracle", "--input", write(tmp_path, "c.json", check)])
+    assert (code, report["status"], report["result"]) == (0, "ok", {"valid": True})
+    assert report["counters"]["graver_size"] == len(basis["elements"])
+    dropped = dict(check, elements=basis["elements"][1:])
+    code, report = run(capsys, ["oracle", "--input", write(tmp_path, "x.json", dropped)])
+    assert (code, report["status"], report["result"]) == (1, "invalid", {"valid": False})
+    # an element of the wrong width is an input error; a cap below the pair count fails closed
+    short = dict(check, elements=[[1, -1]])
+    code, report = run(capsys, ["oracle", "--input", write(tmp_path, "s.json", short), "--quiet"])
+    assert (code, report["status"]) == (2, "input-error")
+    capped = write(tmp_path, "k.json", check)
+    code, report = run(capsys, ["oracle", "--input", capped, "--cap", "1", "--quiet"])
+    assert (code, report["status"]) == (3, "cap-exceeded")
+
+
 def test_input_error_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     code, report = run(capsys, ["graver", "--input", missing, "--quiet"])

@@ -12,6 +12,7 @@ from gravernash.costs import (
     QuadraticCost,
     SeparableObjective,
     ShiftedCost,
+    _store_ints,
 )
 
 from conftest import random_rational_cost
@@ -297,6 +298,22 @@ def test_integral_parameters_are_stored_as_ints():
         assert [type(q) for q in _parameters(shifted.base)] == types
     assert type(AffineCost(F(2), F(1, 2)).b) is Fraction
     assert type(ShiftedCost(QuadraticCost(F(2), F(0), F(1)), 2).base.a) is int
+
+
+def test_store_ints_sets_nothing_when_every_parameter_is_an_int():
+    """All-int parameters return at once; a Fraction(2) among them is still stored as 2."""
+
+    class ReadOnly:
+        # a property without a setter: any attempt to store a parameter raises
+        a = property(lambda self: 3)
+        slopes = property(lambda self: (1, 2))
+
+    _store_ints(ReadOnly(), "a", "slopes")
+    ReadOnly.slopes = property(lambda self: (1, F(2)))
+    with pytest.raises(AttributeError):
+        _store_ints(ReadOnly(), "a", "slopes")
+    assert type(PiecewiseLinearCost((1,), (1, F(2)), 0).slopes[1]) is int
+    assert type(QuadraticCost(1, 2, F(2)).c) is int
 
 
 def test_integral_costs_return_int_values():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from pathlib import Path
@@ -19,6 +20,7 @@ from gravernash import (
     brute_graver,
     brute_ip_opt,
     brute_nash_check,
+    check_graver,
     conformal_reduce,
     find_equilibrium,
     graver_basis,
@@ -30,6 +32,7 @@ from gravernash.graver import (
     DEFAULT_ELEMENT_CAP,
     GraverBasis,
     _complete,
+    _orbit_maps,
     sign_masks,
 )
 from gravernash.linalg import is_zero, kernel_lattice_basis, one_norm, vneg, vsub
@@ -373,6 +376,69 @@ def test_representative_filter_matches_the_all_pairs_filter():
     assert removed >= 3, removed
 
 
+def _group_images(mat, v):
+    """Every image of v under the permutations of mat's brick classes, by brute force."""
+    images = {tuple(v)}
+    for blocks in mat.bricks:
+        moved = set()
+        for w in images:
+            for order in itertools.permutations(blocks):
+                image = list(w)
+                for block, source in zip(blocks, order):
+                    for j, i in zip(block, source):
+                        image[j] = w[i]
+                moved.add(tuple(image))
+        images = moved
+    return images
+
+
+def test_orbit_key_is_one_form_per_orbit_of_plus_minus_v():
+    """key(σv) == key(v) == key(-v), and key(v) is an image of v or of -v.
+
+    Covers vectors that are zero on the columns outside every class, where
+    the sign of no fixed entry decides, and matrices whose classes cover
+    every column, where none ever does.
+    """
+    rng = random.Random(29)
+    p2 = NfoldSpec(IntMatrix.from_rows([[1, 1, 1]]), IntMatrix.from_rows([[1, 2, 0]]), 3)
+    one_type = ([[1, 1]], [[1, 0]])
+    two_types = [tuple(map(IntMatrix.from_rows, t)) for t in (one_type, ([[1, -1]], [[0, 1]]))]
+    matrices = [
+        build_nash_matrix(p2),
+        build_multitype_matrix(two_types, [0, 1, 0, 1, 1]),
+        IntMatrix(1, 4, ((1, -1, 1, -1),), bricks=(((0, 1), (2, 3)),)),
+        IntMatrix(1, 3, ((1, 1, 1),), bricks=(((0,), (1,), (2,)),)),
+        IntMatrix.from_rows([[1, 2, 3]]),
+    ]
+    for mat in matrices:
+        key, _ = _orbit_maps(mat)
+        classed = {j for blocks in mat.bricks for block in blocks for j in block}
+        fixed = [j for j in range(mat.ncols) if j not in classed]
+        seen = set()
+        for _ in range(150):
+            v = [rng.randint(-2, 2) for _ in range(mat.ncols)]
+            if rng.random() < 0.5:
+                for j in fixed:
+                    v[j] = 0
+            v = tuple(v)
+            seen.add(any(v[j] for j in fixed))
+            k = key(v)
+            assert k in _group_images(mat, v) | _group_images(mat, vneg(v)), (mat, v)
+            for w in _group_images(mat, v):
+                assert key(w) == k and key(vneg(w)) == k, (mat, v, w)
+        assert seen == ({False, True} if fixed else {False}), mat
+
+
+def test_negated_images_take_their_records_by_swapping_masks():
+    """Every record the completion keeps equals sign_masks of its vector, the negated ones too."""
+    spec = NfoldSpec(IntMatrix.from_rows([[1, -1, 2]]), IntMatrix.from_rows([[1, 1, 0]]), 3)
+    for mat in (build_nash_matrix(spec), IntMatrix.from_rows([[1, 2, 3]])):
+        current, batches = _complete(mat, kernel_lattice_basis(mat), DEFAULT_ELEMENT_CAP)
+        assert all(record == sign_masks(record[2]) for record in current)
+        stored = {g for _, _, g in current}
+        assert all(vneg(r) in stored for _, r in batches)
+
+
 def test_repeated_calls_do_the_same_work(monkeypatch):
     """graver_basis keeps nothing between calls: a second pass reduces and completes as the first."""
     counts = {"reduce": 0, "kernel": 0}
@@ -409,7 +475,7 @@ ONE_PLAYER = GameInstance(
     costs=FREE,
 )
 # every library function that takes a cap: the game functions reach the
-# check through solve_ip, the oracles through their count
+# check through solve_ip, the enumerating oracles through their count
 CAP_ENTRY_POINTS = {
     "graver_basis": lambda cap: graver_basis(I_2, cap=cap),
     "solve_ip": lambda cap: solve_ip(POINT, cap=cap),
@@ -419,6 +485,7 @@ CAP_ENTRY_POINTS = {
     ),
     "enumerate_box_points": lambda cap: enumerate_box_points((0,), (1,), cap=cap),
     "brute_graver": lambda cap: brute_graver(I_2, 1, cap=cap),
+    "check_graver": lambda cap: check_graver(I_2, (), cap=cap),
     "brute_ip_opt": lambda cap: brute_ip_opt(POINT, cap=cap),
     "brute_nash_check": lambda cap: brute_nash_check(ONE_PLAYER, cap=cap),
 }

@@ -57,20 +57,20 @@ def _store_ints(cost, *names: str) -> None:
     """Store each integral Fraction among the named parameters (or in a tuple of them) as its int.
 
     Run after the checks, so every parameter is an int or a Fraction; a
-    parameter is then an int exactly when it is integral.  Returns at once
-    when every parameter is an int already: the decoders pass each
-    integral value as an int.
+    parameter is then an int exactly when it is integral.  A parameter
+    that is an int already, or a tuple of ints, is left as it is: the
+    decoders pass each integral value as an int, so a decoded cost stores
+    nothing.
     """
-    values = [getattr(cost, name) for name in names]
-    flat = []
-    for value in values:
-        flat += value if type(value) is tuple else (value,)
-    if all_ints(flat):
-        return
-    for name, value in zip(names, values):
+    for name in names:
+        value = getattr(cost, name)
         if type(value) is tuple:
+            if all_ints(value):
+                continue
             value = tuple(q.numerator if q.denominator == 1 else q for q in value)
-        elif value.denominator == 1:
+        elif type(value) is int or value.denominator != 1:
+            continue
+        else:
             value = value.numerator
         object.__setattr__(cost, name, value)
 

@@ -142,14 +142,8 @@ class IntMatrix:
                             "brick columns must be distinct indices in range"
                         )
                     seen.add(j)
-            # a swap and a cyclic shift of the blocks generate every permutation
-            for order in ((1, 0, *range(2, len(blocks))), (*range(1, len(blocks)), 0)):
-                sigma = list(range(self.ncols))
-                for block, source in zip(blocks, order):
-                    for j, k in zip(block, blocks[source]):
-                        sigma[j] = k
-                permute = operator.itemgetter(*sigma)
-                if sorted(map(permute, self.entries)) != rows:
+            for sigma in brick_maps(blocks, self.ncols):
+                if sorted(map(operator.itemgetter(*sigma), self.entries)) != rows:
                     raise ValidationError(
                         "permuting a brick class does not permute the rows"
                     )
@@ -169,6 +163,23 @@ class IntMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
+
+
+def brick_maps(blocks: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
+    """Column maps of a swap and a cyclic shift of one brick class's blocks.
+
+    The two generate every permutation of the blocks, so the maps of all
+    classes generate the group of `IntMatrix.bricks`.  The image of v
+    under a map sigma has v[sigma[j]] at column j.
+    """
+    maps = []
+    for order in ((1, 0, *range(2, len(blocks))), (*range(1, len(blocks)), 0)):
+        sigma = list(range(ncols))
+        for block, source in zip(blocks, order):
+            for j, k in zip(block, blocks[source]):
+                sigma[j] = k
+        maps.append(tuple(sigma))
+    return maps
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .linalg import (
     IntVec,
     _check_same_length,
     all_ints,
+    brick_maps,
     is_zero,
     kernel_lattice_basis,
     vadd,
@@ -174,24 +175,6 @@ def _reduces_to_zero(z: IntVec, index: _SignIndex) -> bool:
     return True
 
 
-def _generators(mat: IntMatrix) -> list[tuple[int, ...]]:
-    """Column maps of a swap and a cyclic shift of each declared brick class.
-
-    Together they generate the group of `IntMatrix.bricks`; the image of v
-    under a map `sigma` has v[sigma[j]] at column j.
-    """
-    maps = []
-    for blocks in mat.bricks:
-        k = len(blocks)
-        for order in ((1, 0, *range(2, k)), (*range(1, k), 0)):
-            sigma = list(range(mat.ncols))
-            for block, source in zip(blocks, order):
-                for j, i in zip(block, blocks[source]):
-                    sigma[j] = i
-            maps.append(tuple(sigma))
-    return maps
-
-
 def check_graver(mat: IntMatrix, elements, cap: int = DEFAULT_POINT_CAP) -> bool:
     """Whether `elements`, without repeats, are exactly the Graver basis of mat.
 
@@ -224,7 +207,7 @@ def check_graver(mat: IntMatrix, elements, cap: int = DEFAULT_POINT_CAP) -> bool
         is_zero(g) or not is_zero(mat.matvec(g)) for g in elements
     ):
         return False
-    maps = _generators(mat)
+    maps = [sigma for blocks in mat.bricks for sigma in brick_maps(blocks, mat.ncols)]
     representatives, seen = [], set()
     for g in sorted(family):
         if g in seen:

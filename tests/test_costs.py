@@ -301,7 +301,7 @@ def test_integral_parameters_are_stored_as_ints():
 
 
 def test_store_ints_sets_nothing_when_every_parameter_is_an_int():
-    """All-int parameters return at once; a Fraction(2) among them is still stored as 2."""
+    """Int parameters are left as they are; a Fraction(2) among them is still stored as 2."""
 
     class ReadOnly:
         # a property without a setter: any attempt to store a parameter raises

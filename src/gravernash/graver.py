@@ -16,17 +16,22 @@ and filtered, and every image of it is kept.  The permutations move no
 column outside every class (y and s of an equilibrium matrix), so the
 representative of the orbit of ±v is read off one sorted form: the sign
 of v's first nonzero entry on those columns picks v or -v.  Only a
-vector that is zero there compares the forms of v and -v.
+vector that is zero there compares the forms of v and -v.  Each distinct
+raw pair sum is brought to its canonical form once: a sum already seen,
+the zero sum r + (-r) included, skips it.
 
 Every element carries its positive- and negative-support bitmasks (see
 `sign_masks`).  A g conformally below z has its positive support inside
 z's and its negative support inside z's, so a candidate divisor whose
 supports do not nest is rejected with two integer ANDs before any entry
 is compared.  Once they nest, g and z agree in sign wherever g is
-nonzero, and g is below z exactly when |g_i| <= |z_i| everywhere.  The
-same masks decide sign-compatibility of pairs.  The masks of -g are
-those of g swapped, so the negated images of a remainder take their
-records from the images' records.
+nonzero, and g is below z exactly when |g_i| <= |z_i| everywhere.  A
+reduction reads z's masks once, on entry: what it subtracts keeps z
+sign-compatible with the entering z, so after a subtraction only the
+absolute values change (4ti2's sign prefilter, Hemmecke, Math. Program.
+96, 2003).  The same masks decide sign-compatibility of pairs.  The
+masks of -g are those of g swapped, so the negated images of a
+remainder take their records from the images' records.
 
 `graver_basis` is a pure function of D and the cap and keeps nothing
 between calls; the CLI, whose in-process `main` calls repeat matrices,
@@ -97,22 +102,29 @@ def conformal_reduce(z: IntVec, reducers) -> IntVec:
     not below z - h either, which lies below z; so the pass subtracts what
     a scan restarted after each subtraction would.  Each subtraction
     strictly shrinks the 1-norm of z.
+
+    z's masks are read once, on entry.  Every z - h the pass reaches lies
+    conformally below the entering z, so it agrees in sign with it
+    wherever it is nonzero.  A g whose supports do not nest in the
+    entering z's is below none of them.  A g whose supports nest agrees
+    in sign with each of them wherever both are nonzero, so it is below
+    one exactly when |g_i| <= |z_i| everywhere.  After a subtraction only
+    the absolute values are refreshed.
     """
     zpos, zneg, _ = sign_masks(z)
     out_pos, out_neg = ~zpos, ~zneg
     zabs = tuple(map(abs, z))
     for pos, neg, g in reducers:
-        # g cannot divide z unless its supports nest inside z's
+        # g cannot divide z unless its supports nest inside the entering z's
         if pos & out_pos or neg & out_neg or not (pos or neg):
             continue
-        # they nest, so g and z agree in sign wherever g is nonzero, and so
-        # do g and z - g: g still divides z - g exactly when its entries fit
+        # they nest, so g agrees in sign with the entering z, and with every
+        # z - h after it, wherever both are nonzero: g divides the current z
+        # exactly when its entries fit
         while all(map(operator.le, map(abs, g), zabs)):
             z = tuple(map(operator.sub, z, g))
-            zpos, zneg, _ = sign_masks(z)
-            if not (zpos or zneg):
+            if not any(z):
                 return z
-            out_pos, out_neg = ~zpos, ~zneg
             zabs = tuple(map(abs, z))
     return z
 
@@ -210,6 +222,10 @@ def _complete(mat: IntMatrix, lattice, cap: int):
     # summand conformally divides the sum), so they are skipped; the heap
     # pops the rest by increasing 1-norm.  A nonzero normal form is never in
     # `current` already: every element conformally divides itself.
+    # `queued` holds the canonical forms queued so far and every raw pair
+    # sum r + g already seen, with key(m) queued or 0 for each member m (key
+    # is idempotent).  So a raw sum already in `queued` skips `key`; so does
+    # every repeat of the zero sum r + (-r).
     key, images = _orbit_maps(mat)
     current: list[tuple[int, int, IntVec]] = []
     batches: list[tuple[int, IntVec]] = []
@@ -238,11 +254,14 @@ def _complete(mat: IntMatrix, lattice, cap: int):
             if not (rpos & neg or rneg & pos):  # sign-compatible
                 continue
             # lengths agree: every record is a vector of mat's columns
-            s = key(tuple(map(operator.add, r, g)))
-            if is_zero(s) or s in queued:
+            raw = tuple(map(operator.add, r, g))
+            if raw in queued:
                 continue
+            s = key(raw)
+            if not (is_zero(s) or s in queued):
+                heapq.heappush(queue, (one_norm(s), s))
+            queued.add(raw)
             queued.add(s)
-            heapq.heappush(queue, (one_norm(s), s))
     return current, batches
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 import random
 from pathlib import Path
 
@@ -181,6 +182,108 @@ def test_masked_reduce_matches_linear_scan():
         assert reduced == linear_scan_reduce(z, basis)
         zeroed += not is_zero(z) and is_zero(reduced)
     assert zeroed >= 100, zeroed
+
+
+def mask_per_step_reduce(z, reducers):
+    """The one-pass reduction with z's masks recomputed after every subtraction.
+
+    Returns (normal form, stale): stale counts the nonzero records whose
+    supports nest in the entering z's but not in those of the z they meet.
+    """
+    zpos, zneg, _ = sign_masks(z)
+    entering_out = (~zpos, ~zneg)
+    out_pos, out_neg = entering_out
+    zabs = tuple(map(abs, z))
+    stale = 0
+    for pos, neg, g in reducers:
+        if pos & out_pos or neg & out_neg or not (pos or neg):
+            stale += bool(pos or neg) and not (pos & entering_out[0] or neg & entering_out[1])
+            continue
+        while all(map(operator.le, map(abs, g), zabs)):
+            z = tuple(map(operator.sub, z, g))
+            zpos, zneg, _ = sign_masks(z)
+            if not (zpos or zneg):
+                return z, stale
+            out_pos, out_neg = ~zpos, ~zneg
+            zabs = tuple(map(abs, z))
+    return z, stale
+
+
+def test_conformal_reduce_matches_the_mask_per_step_reduction():
+    """Masks taken once on entry subtract exactly what masks refreshed after each subtraction do.
+
+    Each z is a sum of multiples of a few records, with noise on half of
+    them, so that subtractions zero entries of z: records after them then
+    nest in the entering z's supports but not in the current z's, and many
+    passes end at 0.
+    """
+    rng = random.Random(30)
+    stale_cases = zeroed = 0
+    for _ in range(2500):
+        n = rng.randint(1, 6)
+        basis = [
+            tuple(rng.randint(-2, 2) for _ in range(n))
+            for _ in range(rng.randint(1, 10))
+        ]
+        basis += [(0,) * n] * rng.randint(0, 1)
+        z = [0] * n
+        for g in rng.sample(basis, rng.randint(1, min(3, len(basis)))):
+            k = rng.randint(1, 3)
+            z = [a + k * b for a, b in zip(z, g)]
+        if rng.random() < 0.5:
+            z = [a + rng.randint(-1, 1) for a in z]
+        z = tuple(z)
+        rng.shuffle(basis)
+        records = [sign_masks(g) for g in basis]
+        reduced = conformal_reduce(z, records)
+        want, stale = mask_per_step_reduce(z, records)
+        assert reduced == want, (z, basis)
+        stale_cases += stale > 0
+        zeroed += any(z) and not any(reduced)
+    assert stale_cases >= 200, stale_cases
+    assert zeroed >= 200, zeroed
+
+
+def test_key_runs_once_per_distinct_raw_pair_sum(monkeypatch):
+    """The completion canonicalizes each distinct raw pair sum r + g at most once.
+
+    Calls to `key` are bounded by the lattice vectors queued, one per batch
+    (the normal form r) and one per distinct raw sum of the pairs the
+    completion sums: each batch's r with every record up to the batch's
+    end that is not sign-compatible with r.
+    """
+    calls = []
+    real_maps = _orbit_maps
+
+    def counting_maps(mat):
+        key, images = real_maps(mat)
+
+        def counted(v):
+            calls.append(v)
+            return key(v)
+
+        return counted, images
+
+    monkeypatch.setattr(gravernash.graver, "_orbit_maps", counting_maps)
+    p2 = build_nash_matrix(
+        NfoldSpec(IntMatrix.from_rows([[1, 1, 1]]), IntMatrix.from_rows([[1, 2, 0]]), 4)
+    )
+    plain = IntMatrix.from_rows([[1, 2, 0, -1, 2], [0, 1, 2, 2, -1]])
+    assert p2.bricks and not plain.bricks
+    for mat in (p2, plain):
+        calls.clear()
+        lattice = kernel_lattice_basis(mat)
+        current, batches = _complete(mat, lattice, DEFAULT_ELEMENT_CAP)
+        ends = [start for start, _ in batches[1:]] + [len(current)]
+        summed = [
+            tuple(map(operator.add, r, g))
+            for (_, r), end in zip(batches, ends)
+            for _, _, g in current[:end]
+            if not sign_compatible(r, g)
+        ]
+        assert len(calls) <= len(lattice) + len(batches) + len(set(summed)), mat
+        if mat is p2:
+            assert len(calls) < len(summed), (len(calls), len(summed))
 
 
 def test_sign_masks():
@@ -372,6 +475,8 @@ def test_representative_filter_matches_the_all_pairs_filter():
         current, _ = _complete(mat, kernel_lattice_basis(mat), DEFAULT_ELEMENT_CAP)
         want = all_pairs_minimal(current)
         assert graver_basis(mat).elements == want, mat
+        # certified apart from the completion, by the completion criterion
+        assert check_graver(mat, want), mat
         removed += len(want) < len(current)
     assert removed >= 3, removed
 

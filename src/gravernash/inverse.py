@@ -120,9 +120,9 @@ def solve_iiop(inst: IiopInstance, basis: GraverBasis) -> IiopAnswer:
         uniform = tuple(Fraction(1, n) for _ in range(n))
         return IiopAnswer(verdict="yes", lam=uniform, shifts=())
     rows = _difference_rows(inst, shifts)
-    outcome = rational_lp_feasibility(rows, (1,) * n)
+    outcome = rational_lp_feasibility(rows, n)
     if isinstance(outcome, FeasiblePoint):
-        # the LP fixes (1, ..., 1) . lam = 1: the weights are normalized
+        # the LP normalizes its point to sum(lam) = 1, as the answer's weights are
         return IiopAnswer(verdict="yes", lam=outcome.lam, shifts=shifts)
     # the rows are L times the difference rows, so the ray is 1/L times theirs
     scale, _ = inst.shapes.integer_forms

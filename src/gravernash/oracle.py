@@ -58,12 +58,12 @@ def _exceeds(counts: Iterable[int], cap: int) -> bool:
     counts = list(counts)
     if 0 in counts:
         return False
-    total = 1
+    total = 1  # the empty product: a 0-dimensional box holds one point
     for count in counts:
         total *= count
         if total > cap:
-            return True
-    return False
+            break
+    return total > cap
 
 
 def enumerate_box_points(

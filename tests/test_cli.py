@@ -746,6 +746,16 @@ def test_explicit_cap_overrides_the_default_of_each_command(tmp_path, capsys):
     assert report["status"] == "cap-exceeded"
 
 
+def test_oracle_cap_counts_the_one_point_of_a_zero_column_box(tmp_path, capsys):
+    data = {"op": "ip", "instance": ip([], D=((),), d=(0,), u=())}
+    inp = write(tmp_path, "ip.json", data)
+    code, report = run(capsys, ["oracle", "--input", inp, "--cap", "0", "--quiet"])
+    assert (code, report["status"]) == (3, "cap-exceeded")
+    code, report = run(capsys, ["oracle", "--input", inp, "--cap", "1"])
+    assert code == 0
+    assert report["result"] == {"value": "0", "argmins": [[]]}
+
+
 # One valid input per subcommand and oracle op; the fuzz test breaks them.
 PROFILE = {"strategies": [[1, 0], [0, 1]]}
 NO_ANSWER = {"certificate": [["0", [-1, 1]], ["1", [1, -1]]], "verdict": "no"}

@@ -38,6 +38,15 @@ def test_enumerate_box_points():
     assert enumerate_box_points((-1,) * 30 + (1,), (1,) * 30 + (0,), cap=50) == []
 
 
+def test_a_zero_dimensional_box_holds_one_point_under_the_cap():
+    """The empty product 1 is compared with the cap, as a one-point box's is."""
+    assert enumerate_box_points((), ()) == [()]
+    assert enumerate_box_points((), (), cap=1) == [()]
+    for lower, upper in (((), ()), ((0,), (0,))):
+        with pytest.raises(ResourceCapExceeded):
+            enumerate_box_points(lower, upper, cap=0)
+
+
 def test_brute_graver_small_cases():
     basis = brute_graver(IntMatrix.from_rows([[1, 1]]), 2)
     assert basis.elements == ((-1, 1), (1, -1))
